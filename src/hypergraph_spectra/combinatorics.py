@@ -1,21 +1,20 @@
 """Exact counting and reproducible sampling of Erdos-Renyi r-uniform hypergraphs.
 
-Vertices are 1-indexed.  Hyperedges are r-subsets of {1..n}, stored as sorted
-tuples; a hypergraph is a set of such edges.  All counting is done in exact
-integer arithmetic (binomials can be astronomically large), with log-space
-fallbacks for quantities that are consumed as floats.
+Vertices are 1-indexed.  Hyperedges are r-subsets of {1..n}; a hypergraph
+stores them as one read-only (k, r) int64 array of increasing rows in
+lexicographic order.  All counting is done in exact integer arithmetic
+(binomials can be astronomically large), with log-space fallbacks for
+quantities that are consumed as floats.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import stats
 
 __all__ = [
     "ModelParams",
@@ -97,23 +96,36 @@ class ModelParams:
         return self.r / self.n
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HypergraphSample:
-    """A sampled hypergraph: sorted tuple of edges, each a sorted vertex tuple."""
+    """A sampled hypergraph.  ``edges`` takes any array-like of increasing rows
+    in [1, n], stored as a read-only (k, r) int64 copy in lexicographic order."""
 
     params: ModelParams
-    edges: tuple[tuple[int, ...], ...]
+    edges: np.ndarray
     seed: int
 
     def __post_init__(self):
         n, r = self.params.n, self.params.r
-        for e in self.edges:
-            if len(e) != r or len(set(e)) != r:
-                raise ValueError(f"edge {e} is not an {r}-subset")
-            if e[0] < 1 or e[-1] > n or any(a >= b for a, b in zip(e, e[1:])):
-                raise ValueError(f"edge {e} not sorted within [1, {n}]")
-        if len(set(self.edges)) != len(self.edges):
+        edges = np.asarray(self.edges) if len(self.edges) else np.empty((0, r), dtype=np.int64)
+        if edges.ndim != 2 or edges.shape[1] != r or edges.dtype.kind not in "iu":
+            raise ValueError(f"edges must be integer rows of length {r}, got {edges.shape}")
+        if not np.all(edges[:, 1:] > edges[:, :-1]):
+            raise ValueError(f"edges must be strictly increasing {r}-subsets")
+        if np.any(edges[:, 0] < 1) or np.any(edges[:, -1] > n):
+            raise ValueError(f"edge vertices must lie in [1, {n}]")
+        # a stable sort is linear on rows already in order, as the sampler's are
+        edges = edges[np.argsort(_row_keys(edges, n), kind="stable")].astype(np.int64, copy=False)
+        if np.any(np.all(edges[1:] == edges[:-1], axis=1)):
             raise ValueError("duplicate edges in sample")
+        edges.flags.writeable = False
+        object.__setattr__(self, "edges", edges)
+
+    def __eq__(self, other):
+        if not isinstance(other, HypergraphSample):
+            return NotImplemented
+        same = (self.params, self.seed) == (other.params, other.seed)
+        return same and np.array_equal(self.edges, other.edges)
 
 
 def average_degree(params: ModelParams) -> float:
@@ -139,9 +151,21 @@ def edge_overlap_count(n: int, r: int, s: int) -> int:
     return math.comb(r, s) * math.comb(n - r, r - s)
 
 
+def _edge_rows(n: int, r: int) -> np.ndarray:
+    """All C(n, r) r-subsets of {1..n} as increasing rows in lexicographic order."""
+    rows = np.empty((1, 0), dtype=np.int64)
+    for j in range(r):
+        # each row extends by every value from (its last + 1) to n - r + 1 + j
+        last = rows[:, -1] if j else np.zeros(1, dtype=np.int64)
+        counts = n - r + 1 + j - last
+        starts = np.repeat(np.cumsum(counts) - counts - last - 1, counts)
+        rows = np.column_stack([np.repeat(rows, counts, axis=0), np.arange(counts.sum()) - starts])
+    return rows
+
+
 def enumerate_edges(n: int, r: int) -> list[tuple[int, ...]]:
     """All r-subsets of {1..n} in lexicographic order.  Only for small C(n, r)."""
-    return list(itertools.combinations(range(1, n + 1), r))
+    return list(map(tuple, _edge_rows(n, r).tolist()))
 
 
 _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
@@ -176,6 +200,7 @@ def _draw_edge_count(rng: np.random.Generator, m: int, p: float) -> int:
     if p == 1.0:
         return m
     if m <= 2**53:
+        from scipy import stats  # deferred: slow to import, and only this draw needs it
         u = rng.random()
         return int(stats.binom.ppf(u, m, p))
     mean = math.exp(math.log(m) + math.log(p))
@@ -213,60 +238,46 @@ def _draw_subset_rows(rng: np.random.Generator, n: int, r: int, count: int) -> n
     return np.concatenate(out, axis=0)
 
 
-def _encode_rows(rows: np.ndarray, n: int) -> np.ndarray:
-    # each sorted row packs into a single uint64 when (n+1)^r < 2^63
-    codes = np.zeros(len(rows), dtype=np.uint64)
-    base = np.uint64(n + 1)
-    for j in range(rows.shape[1]):
-        codes = codes * base + rows[:, j].astype(np.uint64)
-    return codes
+def _row_keys(rows: np.ndarray, n: int) -> np.ndarray:
+    """Keys ordered as the rows are lexicographically: base-(n+1) uint64 codes
+    when (n+1)^r < 2^63, else each row's big-endian bytes as one void scalar."""
+    r = rows.shape[1]
+    if r * math.log2(n + 1) < 63:
+        codes = np.zeros(len(rows), dtype=np.uint64)
+        for j in range(r):
+            codes = codes * np.uint64(n + 1) + rows[:, j].astype(np.uint64)
+        return codes
+    return np.ascontiguousarray(rows, dtype=">i8").view(np.dtype((np.void, 8 * r))).ravel()
 
 
 def _sample_distinct_edges(
     rng: np.random.Generator, n: int, r: int, k: int, m: int
-) -> list[tuple[int, ...]]:
+) -> np.ndarray:
     """First k distinct subsets of an i.i.d. uniform subset stream (uniform over
-    k-subsets of the m possible edges), or the complement trick when k > m/2."""
-    if k == 0:
-        return []
-    if k == m:
-        return enumerate_edges(n, r)
+    k-subsets of the m possible edges), or the complement trick when k > m/2.
+    Returns a (k, r) array in lexicographic order."""
     if 2 * k > m:
         # sampling the complement preserves uniformity and avoids the long
         # coupon-collector tail; m <= 2k is small enough to enumerate
-        excluded = set(_sample_distinct_edges(rng, n, r, m - k, m))
-        return [e for e in enumerate_edges(n, r) if e not in excluded]
+        rows = _edge_rows(n, r)
+        excluded = _sample_distinct_edges(rng, n, r, m - k, m)
+        return rows[~np.isin(_row_keys(rows, n), _row_keys(excluded, n))]
 
-    use_codes = r * math.log2(n + 1) < 63
-    edges: list[tuple[int, ...]] = []
-    if use_codes:
-        seen = np.empty(0, dtype=np.uint64)
-        while len(edges) < k:
-            batch = max(1024, 2 * (k - len(edges)))
-            rows = _draw_subset_rows(rng, n, r, batch)
-            codes = _encode_rows(rows, n)
-            # first occurrence within the batch, in stream order
-            _, first_idx = np.unique(codes, return_index=True)
-            first_idx.sort()
-            rows, codes = rows[first_idx], codes[first_idx]
-            fresh = ~np.isin(codes, seen)
-            rows, codes = rows[fresh], codes[fresh]
-            take = min(len(rows), k - len(edges))
-            edges.extend(map(tuple, rows[:take].tolist()))
-            seen = np.concatenate([seen, codes[:take]])
-    else:
-        seen_set: set[tuple[int, ...]] = set()
-        while len(edges) < k:
-            batch = max(1024, 2 * (k - len(edges)))
-            rows = _draw_subset_rows(rng, n, r, batch)
-            for row in rows.tolist():
-                t = tuple(row)
-                if t not in seen_set:
-                    seen_set.add(t)
-                    edges.append(t)
-                    if len(edges) == k:
-                        break
-    return edges
+    chunks = [np.empty((0, r), dtype=np.int64)]
+    seen = _row_keys(chunks[0], n)
+    while len(seen) < k:
+        batch = max(1024, 2 * (k - len(seen)))
+        rows = _draw_subset_rows(rng, n, r, batch)
+        keys = _row_keys(rows, n)
+        # first occurrence within the batch, in stream order
+        _, first_idx = np.unique(keys, return_index=True)
+        first_idx.sort()
+        rows, keys = rows[first_idx], keys[first_idx]
+        fresh = ~np.isin(keys, seen)
+        take = k - len(seen)
+        chunks.append(rows[fresh][:take])
+        seen = np.concatenate([seen, keys[fresh][:take]])
+    return np.concatenate(chunks)[np.argsort(seen)]
 
 
 def sample_hypergraph(
@@ -287,8 +298,8 @@ def sample_hypergraph(
     >>> sample = sample_hypergraph(ModelParams(6, 3, 1.0), seed=0)
     >>> len(sample.edges)
     20
-    >>> sample.edges[0]
-    (1, 2, 3)
+    >>> sample.edges[0].tolist()
+    [1, 2, 3]
     """
     m = params.num_possible_edges
     if params.p > 0.0:
@@ -300,11 +311,10 @@ def sample_hypergraph(
                 f"(gham.sample_surrogate) at this scale"
             )
     rng = np.random.default_rng(seed)
-    k = _draw_edge_count(rng, m, params.p)
-    k = min(k, m)
+    # clamped: binom.ppf(0, m, p) is -1 when the uniform draw is exactly 0
+    k = min(max(_draw_edge_count(rng, m, params.p), 0), m)
     edges = _sample_distinct_edges(rng, params.n, params.r, k, m)
-    edges.sort()
-    return HypergraphSample(params=params, edges=tuple(edges), seed=seed)
+    return HypergraphSample(params=params, edges=edges, seed=seed)
 
 
 def save_hypergraph_json(sample: HypergraphSample, path: str | Path) -> None:
@@ -315,7 +325,7 @@ def save_hypergraph_json(sample: HypergraphSample, path: str | Path) -> None:
         "r": sample.params.r,
         "p": sample.params.p,
         "seed": sample.seed,
-        "edges": [list(e) for e in sample.edges],
+        "edges": sample.edges.tolist(),
     }
     Path(path).write_text(json.dumps(payload, indent=None, separators=(",", ":")) + "\n")
 
@@ -323,5 +333,5 @@ def save_hypergraph_json(sample: HypergraphSample, path: str | Path) -> None:
 def load_hypergraph_json(path: str | Path) -> HypergraphSample:
     payload = json.loads(Path(path).read_text())
     params = ModelParams(n=payload["n"], r=payload["r"], p=payload["p"])
-    edges = tuple(tuple(sorted(e)) for e in payload["edges"])
-    return HypergraphSample(params=params, edges=tuple(sorted(edges)), seed=payload["seed"])
+    edges = np.sort(np.asarray(payload["edges"]), axis=-1)
+    return HypergraphSample(params=params, edges=edges, seed=payload["seed"])

@@ -91,13 +91,13 @@ def adjacency_from_hypergraph(sample: HypergraphSample) -> np.ndarray:
     """Integer adjacency matrix: A_ij = number of edges containing both i and j
     (i != j), zero diagonal."""
     n = sample.params.n
-    r = sample.params.r
-    a = np.zeros((n, n))
-    if sample.edges:
-        edges = np.asarray(sample.edges, dtype=np.int64) - 1
-        for i, j in itertools.combinations(range(r), 2):
-            np.add.at(a, (edges[:, i], edges[:, j]), 1.0)
-        a += a.T
+    edges = sample.edges - 1
+    # slots i < j of increasing rows fill the upper triangle with exact integer counts
+    upper = np.zeros(n * n)
+    for i, j in itertools.combinations(range(sample.params.r), 2):
+        upper += np.bincount(edges[:, i] * n + edges[:, j], minlength=n * n)
+    a = upper.reshape(n, n)
+    a += a.T
     return a
 
 

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from hypergraph_spectra import combinatorics
 from hypergraph_spectra.combinatorics import (
     HypergraphSample,
     ModelParams,
@@ -139,17 +140,17 @@ class TestSampleHypergraph:
     def test_p_one_gives_all_edges(self):
         sample = sample_hypergraph(ModelParams(6, 3, 1.0), 7)
         assert len(sample.edges) == 20
-        assert set(sample.edges) == set(enumerate_edges(6, 3))
+        assert {tuple(e) for e in sample.edges.tolist()} == set(enumerate_edges(6, 3))
 
     def test_p_zero_gives_no_edges(self):
-        assert sample_hypergraph(ModelParams(6, 3, 0.0), 7).edges == ()
+        assert len(sample_hypergraph(ModelParams(6, 3, 0.0), 7).edges) == 0
 
     def test_reproducible(self):
         params = ModelParams(9, 3, 0.4)
         a = sample_hypergraph(params, 123)
         b = sample_hypergraph(params, 123)
-        assert a.edges == b.edges
-        assert a != sample_hypergraph(params, 124) or a.edges == ()
+        assert np.array_equal(a.edges, b.edges)
+        assert a != sample_hypergraph(params, 124) or len(a.edges) == 0
 
     def test_edges_are_valid_subsets(self):
         sample = sample_hypergraph(ModelParams(12, 4, 0.3), 5)
@@ -158,7 +159,7 @@ class TestSampleHypergraph:
             assert len(set(edge)) == 4
             assert all(1 <= v <= 12 for v in edge)
             assert list(edge) == sorted(edge)
-        assert len(set(sample.edges)) == len(sample.edges)
+        assert len({tuple(e) for e in sample.edges.tolist()}) == len(sample.edges)
 
     def test_edge_count_mean_matches_binomial(self):
         # Binomial(20, 0.5): mean 10, checked to +-0.3 over 10_000 seeds
@@ -173,6 +174,17 @@ class TestSampleHypergraph:
         counts = [len(sample_hypergraph(params, seed).edges) for seed in range(2000)]
         band = 4.0 * math.sqrt(35 * 0.9 * 0.1) / math.sqrt(2000)
         assert abs(np.mean(counts) - 0.9 * 35) < band
+
+    def test_uniform_draw_of_zero_gives_no_edges(self, monkeypatch):
+        # binom.ppf(0, m, p) is -1, so the edge count must be clamped at 0
+        class ZeroUniform:
+            def random(self):
+                return 0.0
+
+        assert combinatorics._draw_edge_count(ZeroUniform(), 20, 0.5) == -1
+        monkeypatch.setattr(combinatorics.np.random, "default_rng", lambda seed: ZeroUniform())
+        sample = sample_hypergraph(ModelParams(6, 3, 0.5), 0)
+        assert sample.edges.shape == (0, 3)
 
     def test_budget_error_advises_surrogate(self):
         with pytest.raises(SamplingBudgetError, match="surrogate"):
@@ -193,7 +205,7 @@ class TestSampleHypergraph:
         trials = 2000
         counts = {edge: 0 for edge in enumerate_edges(n, r)}
         for i in range(trials):
-            for edge in sample_hypergraph(params, derive_seed(97, i)).edges:
+            for edge in map(tuple, sample_hypergraph(params, derive_seed(97, i)).edges.tolist()):
                 counts[edge] += 1
         band = 4.0 * math.sqrt(p * (1 - p) / trials)
         freqs = np.array([c / trials for c in counts.values()])

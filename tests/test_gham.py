@@ -132,7 +132,7 @@ class TestGhamFromAdjacency:
         params = ModelParams(7, 3, 0.4)
         sample = sample_hypergraph(params, 5)
         h_a = gham_from_adjacency(adjacency_from_hypergraph(sample), params)
-        included = set(sample.edges)
+        included = {tuple(e) for e in sample.edges.tolist()}
         scale = math.sqrt(params.p * (1 - params.p))
         weights = np.array(
             [((e in included) - params.p) / scale for e in enumerate_edges(7, 3)]

@@ -1,0 +1,139 @@
+"""Property tests of the array-native sampler, adjacency and sample type.
+
+The sampler is checked against a reference that runs the same random stream
+through Python tuples and a set, one edge at a time, so any (n, r, p, seed)
+must give the identical edge list.
+"""
+
+import itertools
+import math
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from hypergraph_spectra.combinatorics import (
+    HypergraphSample,
+    ModelParams,
+    _draw_edge_count,
+    _draw_subset_rows,
+    load_hypergraph_json,
+    sample_hypergraph,
+    save_hypergraph_json,
+)
+from hypergraph_spectra.gham import adjacency_from_hypergraph
+
+MAX_EXPECTED_EDGES = 20_000
+
+
+@st.composite
+def model_params(draw):
+    n = draw(st.integers(2, 22))
+    r = draw(st.integers(2, n))
+    m = math.comb(n, r)
+    # bounds the work per example; p = 1 stays reachable whenever m is small
+    p = draw(st.floats(0.0, 1.0)) * min(1.0, MAX_EXPECTED_EDGES / m)
+    return ModelParams(n, r, p)
+
+
+seeds = st.integers(0, 2**64 - 1)
+
+
+def reference_distinct_edges(rng, n, r, k, m):
+    """First k distinct rows of the subset stream, kept one tuple at a time."""
+    if 2 * k > m:
+        excluded = set(reference_distinct_edges(rng, n, r, m - k, m))
+        return [e for e in itertools.combinations(range(1, n + 1), r) if e not in excluded]
+    edges, seen = [], set()
+    while len(edges) < k:
+        batch = max(1024, 2 * (k - len(edges)))
+        for row in map(tuple, _draw_subset_rows(rng, n, r, batch).tolist()):
+            if row not in seen:
+                seen.add(row)
+                edges.append(row)
+                if len(edges) == k:
+                    break
+    return sorted(edges)
+
+
+def reference_sample(params, seed):
+    rng = np.random.default_rng(seed)
+    m = params.num_possible_edges
+    k = min(max(_draw_edge_count(rng, m, params.p), 0), m)
+    return reference_distinct_edges(rng, params.n, params.r, k, m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(params=model_params(), seed=seeds)
+# rows keyed by bytes, (n+1)^r >= 2^63: direct and complement paths
+@example(params=ModelParams(22, 14, 0.01), seed=5)
+@example(params=ModelParams(20, 15, 0.9), seed=13)
+def test_sampler_matches_tuple_reference_and_invariants(params, seed):
+    sample = sample_hypergraph(params, seed)
+    edges = sample.edges
+    assert edges.dtype == np.int64 and edges.shape[1:] == (params.r,)
+    assert not edges.flags.writeable
+    rows = [tuple(e) for e in edges.tolist()]
+    assert rows == reference_sample(params, seed)
+    # strictly increasing rows in [1, n], distinct and in lexicographic order
+    assert np.all(edges[:, 1:] > edges[:, :-1])
+    assert np.all((edges >= 1) & (edges <= params.n))
+    assert all(a < b for a, b in zip(rows, rows[1:]))
+
+
+def indicator_matrix(n, edge):
+    a = np.zeros(n)
+    a[np.asarray(edge) - 1] = 1.0
+    return np.outer(a, a) - np.diag(a)
+
+
+@settings(max_examples=40, deadline=None)
+@given(params=model_params(), seed=seeds)
+def test_adjacency_equals_sum_of_edge_indicators(params, seed):
+    sample = sample_hypergraph(params, seed)
+    if len(sample.edges) > 2000:
+        sample = HypergraphSample(params, sample.edges[::97], seed)
+    brute = np.zeros((params.n, params.n))
+    for e in sample.edges:
+        brute += indicator_matrix(params.n, e)
+    np.testing.assert_array_equal(adjacency_from_hypergraph(sample), brute)
+
+
+@st.composite
+def edge_sets(draw):
+    """Parameters plus a nonempty list of distinct increasing rows, in any order."""
+    n = draw(st.integers(3, 12))
+    r = draw(st.integers(2, n - 1))
+    subsets = st.sets(st.integers(1, n), min_size=r, max_size=r).map(sorted)
+    rows = draw(st.lists(subsets, min_size=1, max_size=15, unique_by=tuple))
+    return ModelParams(n, r, 0.5), rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=edge_sets(), data=st.data())
+def test_sample_rejects_malformed_rows(case, data):
+    params, rows = case
+    sample = HypergraphSample(params, rows, 0)
+    assert [tuple(e) for e in sample.edges.tolist()] == sorted(map(tuple, rows))
+    i = data.draw(st.integers(0, len(rows) - 1))
+    bad_rows = {
+        "wrong width": [row[1:] for row in rows],
+        "ragged": [row + [params.n + 1] if j == i else row for j, row in enumerate(rows)],
+        "out of range": [[0] + row[1:] if j == i else row for j, row in enumerate(rows)],
+        "too large": [row[:-1] + [params.n + 1] if j == i else row for j, row in enumerate(rows)],
+        "unsorted row": [row[::-1] if j == i else row for j, row in enumerate(rows)],
+        "duplicate row": rows + [rows[i]],
+    }
+    for bad in bad_rows.values():
+        with pytest.raises(ValueError):
+            HypergraphSample(params, bad, 0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(params=model_params(), seed=seeds)
+def test_json_round_trip(params, seed, tmp_path_factory):
+    sample = sample_hypergraph(params, seed)
+    path = tmp_path_factory.mktemp("json") / "h.json"
+    save_hypergraph_json(sample, path)
+    assert load_hypergraph_json(path) == sample
