@@ -26,6 +26,7 @@ __all__ = [
     "edge_overlap_count",
     "enumerate_edges",
     "derive_seed",
+    "check_edge_budget",
     "sample_hypergraph",
     "save_hypergraph_json",
     "load_hypergraph_json",
@@ -280,6 +281,21 @@ def _sample_distinct_edges(
     return np.concatenate(chunks)[np.argsort(seen)]
 
 
+def check_edge_budget(
+    params: ModelParams, max_expected_edges: float = DEFAULT_EDGE_BUDGET
+) -> None:
+    """Raise SamplingBudgetError when the expected edge count C(n,r)*p exceeds
+    ``max_expected_edges``; compared in log space, since C(n,r) may overflow."""
+    if params.p > 0.0:
+        log_expected = math.log(params.num_possible_edges) + math.log(params.p)
+        if log_expected > math.log(max_expected_edges):
+            raise SamplingBudgetError(
+                f"expected edge count C({params.n},{params.r})*{params.p} exceeds "
+                f"budget {max_expected_edges:g}; use the Gaussian surrogate ensemble "
+                f"(ensemble='gaussian_surrogate', gham.sample_surrogate) at this scale"
+            )
+
+
 def sample_hypergraph(
     params: ModelParams, seed: int, max_expected_edges: float = DEFAULT_EDGE_BUDGET
 ) -> HypergraphSample:
@@ -301,15 +317,8 @@ def sample_hypergraph(
     >>> sample.edges[0].tolist()
     [1, 2, 3]
     """
+    check_edge_budget(params, max_expected_edges)
     m = params.num_possible_edges
-    if params.p > 0.0:
-        log_expected = math.log(m) + math.log(params.p)
-        if log_expected > math.log(max_expected_edges):
-            raise SamplingBudgetError(
-                f"expected edge count C({params.n},{params.r})*{params.p} exceeds "
-                f"budget {max_expected_edges:g}; use the Gaussian surrogate ensemble "
-                f"(gham.sample_surrogate) at this scale"
-            )
     rng = np.random.default_rng(seed)
     # clamped: binom.ppf(0, m, p) is -1 when the uniform draw is exactly 0
     k = min(max(_draw_edge_count(rng, m, params.p), 0), m)

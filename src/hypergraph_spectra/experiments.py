@@ -1,12 +1,19 @@
 """Seeded Monte-Carlo experiment suites over the hypergraph matrix ensembles.
 
-Each ``run_*`` function takes an ExperimentConfig, executes ``trials``
-independent trials with per-trial seeds derived from the master seed by
-splitmix64, and returns an ExperimentRecord holding the config snapshot, one
-summary row per trial, aggregate statistics recomputable from those rows, and
-raw eigenvalue arrays for persistence.  Trials may run on a thread pool (the
-eigensolver releases the GIL); aggregation is a deterministic fold in trial
-order, so records are bit-reproducible for a fixed config.
+Each ``run_*`` function takes an ExperimentConfig and returns an
+ExperimentRecord holding the config snapshot, one summary row per trial,
+aggregate statistics recomputable from those rows, and raw eigenvalue arrays
+for persistence.  Every kind goes through one trial loop, ``_run``: a kind
+supplies only ``trial(index, seed)``, giving its row statistics and per-trial
+arrays, and ``finish(rows, data)``, giving its aggregate and gate keys.  The
+loop owns the timer, the per-trial seeds (derived from the master seed by
+splitmix64), the rows, the stacking of arrays in trial order, the tolerance
+gate and the record.  Trials may run on a thread pool (the eigensolver
+releases the GIL); aggregation is a deterministic fold in trial order, so
+``threads`` does not change a record (checked up to n = 2000).  Records are
+bit-reproducible for a fixed config at a fixed BLAS thread count: from n in
+the low hundreds, the BLAS thread count can move the last bits of the
+eigenvalues.
 """
 
 from __future__ import annotations
@@ -24,8 +31,8 @@ import numpy as np
 from .combinatorics import (
     DEFAULT_EDGE_BUDGET,
     ModelParams,
-    SamplingBudgetError,
     average_degree,
+    check_edge_budget,
     derive_seed,
     log_binomial,
     sample_hypergraph,
@@ -38,6 +45,7 @@ from .gham import (
     sample_surrogate,
 )
 from .laws import (
+    EmpiricalLaw,
     FreeConvolutionLaw,
     GaussianLaw,
     Law,
@@ -46,7 +54,7 @@ from .laws import (
     truncated_moments_gaussian,
 )
 from .metrics import bl_upper_bound, hausdorff_spectra, ks_distance, w1_distance
-from .spectra import EmpiricalMeasure, Scaling, symmetric_eigenvalues
+from .spectra import Scaling, symmetric_eigenvalues
 
 __all__ = [
     "EXPERIMENT_KINDS",
@@ -121,16 +129,9 @@ class ExperimentConfig:
             raise ValueError(f"unknown matrix kind {self.matrix!r}")
         if isinstance(self.scaling, str):
             self.scaling = Scaling(self.scaling)
-        self.model_params()  # validates (n, r, p)
+        params = self.model_params()  # validates (n, r, p)
         if self.ensemble == BERNOULLI:
-            params = self.model_params()
-            if params.p > 0:
-                expected = math.log(params.num_possible_edges) + math.log(params.p)
-                if expected > math.log(self.edge_budget):
-                    raise SamplingBudgetError(
-                        f"config infeasible: expected edge count exceeds budget "
-                        f"{self.edge_budget:g}; use ensemble={SURROGATE!r}"
-                    )
+            check_edge_budget(params, self.edge_budget)
 
     def model_params(self) -> ModelParams:
         return ModelParams(n=self.n, r=self.r, p=self.p)
@@ -178,40 +179,105 @@ def _map_trials(cfg: ExperimentConfig, worker):
     return [worker(i, s) for i, s in zip(range(cfg.trials), seeds)]
 
 
-def _trial_gham(cfg: ExperimentConfig, seed: int):
-    """One draw of the normalised adjacency matrix (plus surrogate components
-    when applicable)."""
+def _run(cfg: ExperimentConfig, trial, finish, legs=None) -> ExperimentRecord:
+    """The Monte-Carlo loop shared by every experiment kind.
+
+    ``trial(index, seed)`` returns the kind's row statistics and a dict of
+    per-trial arrays; each row gets ``trial`` and ``seed`` first, and each
+    array is stacked across trials, in trial order, into ``data``.
+    ``finish(rows, data)`` returns the aggregate and its gate keys: with a
+    tolerance set, ``tolerance`` and ``passed`` (every gate key below the
+    tolerance) end the aggregate, unless a gate key is None.  ``legs`` lists
+    (sub-config, trial) pairs for a kind that samples several model sizes; by
+    default the one leg is (cfg, trial).
+    """
+    t0 = time.perf_counter()
+    rows: list[dict] = []
+    data: dict[str, np.ndarray] = {}
+    for leg, leg_trial in legs or [(cfg, trial)]:
+
+        def worker(index: int, seed: int):
+            stats, arrays = leg_trial(index, seed)
+            return {"trial": index, "seed": seed, **stats}, arrays
+
+        results = _map_trials(leg, worker)
+        rows += [row for row, _ in results]
+        for key in results[0][1]:
+            data[key] = np.stack([arrays[key] for _, arrays in results])
+    aggregate, gate = finish(rows, data)
+    if cfg.tolerance is not None and all(aggregate[key] is not None for key in gate):
+        aggregate["tolerance"] = cfg.tolerance
+        aggregate["passed"] = all(aggregate[key] < cfg.tolerance for key in gate)
+    return ExperimentRecord(
+        config=cfg.to_dict(),
+        trials=rows,
+        aggregate=aggregate,
+        wall_clock_s=time.perf_counter() - t0,
+        data=data,
+    )
+
+
+def _trial_matrix(cfg: ExperimentConfig, seed: int, matrix: str = "gham"):
+    """One draw of the normalised adjacency matrix, or of one of its
+    Laplacians, plus the surrogate components when applicable."""
     params = cfg.model_params()
     if cfg.ensemble == SURROGATE:
         comp, h = sample_surrogate(params, seed)
-        return h, comp
-    hg = sample_hypergraph(params, seed, max_expected_edges=cfg.edge_budget)
-    return gham_from_adjacency(adjacency_from_hypergraph(hg), params), None
-
-
-def _trial_matrix(cfg: ExperimentConfig, seed: int):
-    h, comp = _trial_gham(cfg, seed)
-    if cfg.matrix == "laplacian":
+    else:
+        hg = sample_hypergraph(params, seed, max_expected_edges=cfg.edge_budget)
+        comp, h = None, gham_from_adjacency(adjacency_from_hypergraph(hg), params)
+    if matrix == "laplacian":
         return laplacian(h), comp
-    if cfg.matrix == "laplacian_tilde":
+    if matrix == "laplacian_tilde":
         return laplacian_tilde(h, cfg.r), comp
     return h, comp
 
 
-def _pooled_measure(eigs: np.ndarray) -> EmpiricalMeasure:
+def _pooled_measure(eigs: np.ndarray) -> EmpiricalLaw:
     # pooling eigenvalues across equal-size trials IS the average of the
     # per-trial empirical CDFs, with no grid discretisation
-    return EmpiricalMeasure(atoms=eigs.ravel())
+    return EmpiricalLaw(eigs.ravel())
 
 
-def _row_stats(rows: list[dict], key: str) -> dict:
-    values = np.asarray([row[key] for row in rows], dtype=float)
-    out = {f"mean_{key}": float(values.mean())}
-    if values.size > 1:
-        std = float(values.std(ddof=1))
-        out[f"std_{key}"] = std
-        out[f"stderr_{key}"] = std / math.sqrt(values.size)
+def _pooled_esd(eigs: np.ndarray, reference: Law) -> dict:
+    pooled = _pooled_measure(eigs)
+    return {
+        "mean_esd_ks": ks_distance(pooled, reference),
+        "mean_esd_w1": w1_distance(pooled, reference),
+        "mean_esd_bl_upper": bl_upper_bound(pooled, reference),
+    }
+
+
+def _row_stats(rows: list[dict], *keys: str) -> dict:
+    out = {}
+    for key in keys:
+        values = np.asarray([row[key] for row in rows], dtype=float)
+        out[f"mean_{key}"] = float(values.mean())
+        if values.size > 1:
+            std = float(values.std(ddof=1))
+            out[f"std_{key}"] = std
+            out[f"stderr_{key}"] = std / math.sqrt(values.size)
     return out
+
+
+def _abs_errors(aggregate: dict, keys: tuple[str, str], target: float) -> dict:
+    """Distances of the mean (max, min) statistics to +target and -target."""
+    return {
+        "abs_error_max": abs(aggregate[f"mean_{keys[0]}"] - target),
+        "abs_error_min": abs(aggregate[f"mean_{keys[1]}"] + target),
+    }
+
+
+def _pushforward_ks(cfg: ExperimentConfig, rows: list[dict], keys, names, data: dict) -> dict:
+    """Two-sample KS of the (max, min) row statistics against a pushforward
+    sample of the proportional-regime edge limits; the draws go into data."""
+    push_seed = cfg.trial_seed(cfg.trials)  # disjoint from trial seeds
+    draws = edge_limit_pushforward(cfg.r / cfg.n, cfg.pushforward_draws, push_seed)
+    data["pushforward_max"], data["pushforward_min"] = draws
+    return {
+        name: ks_distance(EmpiricalLaw([row[key] for row in rows]), EmpiricalLaw(push))
+        for name, key, push in zip(names, keys, draws)
+    }
 
 
 def recompute_aggregates(record: ExperimentRecord) -> dict:
@@ -237,49 +303,35 @@ def recompute_aggregates(record: ExperimentRecord) -> dict:
     return out
 
 
+def _run_esd(cfg: ExperimentConfig, reference: Law, matrix: str, scaling: Scaling, w1: bool):
+    """Per-trial and pooled ESD of the scaled matrix against a reference law."""
+    keys = ("ks", "w1") if w1 else ("ks",)
+
+    def trial(index: int, seed: int):
+        m, _ = _trial_matrix(cfg, seed, matrix)
+        sample = symmetric_eigenvalues(
+            m, scaling=scaling, r=cfg.r, ensemble=cfg.ensemble, seed=seed
+        )
+        measure = EmpiricalLaw(sample.eigenvalues)
+        stats = {"ks": ks_distance(measure, reference)}
+        if w1:
+            stats["w1"] = w1_distance(measure, reference)
+        return stats, {"eigenvalues": sample.eigenvalues}
+
+    def finish(rows: list[dict], data: dict):
+        aggregate = {"reference": reference.descriptor()}
+        aggregate.update(_pooled_esd(data["eigenvalues"], reference))
+        aggregate.update(_row_stats(rows, *keys))
+        return aggregate, ["mean_esd_ks"]
+
+    return _run(cfg, trial, finish)
+
+
 def run_bulk(cfg: ExperimentConfig) -> ExperimentRecord:
     """Bulk spectrum experiment: the ESD of n^{-1/2} H against the semicircle
     law with variance (1 - r/n)^2."""
-    t0 = time.perf_counter()
-    params = cfg.model_params()
-    reference = SemicircleLaw((1.0 - params.size_ratio) ** 2)
-
-    def worker(index: int, seed: int):
-        h, _ = _trial_gham(cfg, seed)
-        sample = symmetric_eigenvalues(
-            h, scaling=Scaling.BY_SQRT_N, ensemble=cfg.ensemble, seed=seed
-        )
-        measure = EmpiricalMeasure(sample.eigenvalues)
-        row = {
-            "trial": index,
-            "seed": seed,
-            "ks": ks_distance(measure, reference),
-            "w1": w1_distance(measure, reference),
-        }
-        return row, sample.eigenvalues
-
-    results = _map_trials(cfg, worker)
-    rows = [row for row, _ in results]
-    eigs = np.stack([lam for _, lam in results])
-    pooled = _pooled_measure(eigs)
-    aggregate = {
-        "reference": reference.descriptor(),
-        "mean_esd_ks": ks_distance(pooled, reference),
-        "mean_esd_w1": w1_distance(pooled, reference),
-        "mean_esd_bl_upper": bl_upper_bound(pooled, reference),
-    }
-    aggregate.update(_row_stats(rows, "ks"))
-    aggregate.update(_row_stats(rows, "w1"))
-    if cfg.tolerance is not None:
-        aggregate["tolerance"] = cfg.tolerance
-        aggregate["passed"] = bool(aggregate["mean_esd_ks"] < cfg.tolerance)
-    return ExperimentRecord(
-        config=cfg.to_dict(),
-        trials=rows,
-        aggregate=aggregate,
-        wall_clock_s=time.perf_counter() - t0,
-        data={"eigenvalues": eigs},
-    )
+    reference = SemicircleLaw((1.0 - cfg.model_params().size_ratio) ** 2)
+    return _run_esd(cfg, reference, "gham", Scaling.BY_SQRT_N, w1=True)
 
 
 def _laplacian_reference(cfg: ExperimentConfig) -> Law:
@@ -305,41 +357,9 @@ def run_laplacian_bulk(cfg: ExperimentConfig) -> ExperimentRecord:
     """Bulk spectrum of a Laplacian matrix against its limiting law (a free
     additive convolution for fixed r, a semicircle or Gaussian convolution in
     the proportional regime)."""
-    t0 = time.perf_counter()
     if cfg.matrix == "gham":
         raise ValueError("laplacian_bulk needs matrix='laplacian' or 'laplacian_tilde'")
-    reference = _laplacian_reference(cfg)
-
-    def worker(index: int, seed: int):
-        m, _ = _trial_matrix(cfg, seed)
-        sample = symmetric_eigenvalues(
-            m, scaling=cfg.scaling, r=cfg.r, ensemble=cfg.ensemble, seed=seed
-        )
-        measure = EmpiricalMeasure(sample.eigenvalues)
-        row = {"trial": index, "seed": seed, "ks": ks_distance(measure, reference)}
-        return row, sample.eigenvalues
-
-    results = _map_trials(cfg, worker)
-    rows = [row for row, _ in results]
-    eigs = np.stack([lam for _, lam in results])
-    pooled = _pooled_measure(eigs)
-    aggregate = {
-        "reference": reference.descriptor(),
-        "mean_esd_ks": ks_distance(pooled, reference),
-        "mean_esd_w1": w1_distance(pooled, reference),
-        "mean_esd_bl_upper": bl_upper_bound(pooled, reference),
-    }
-    aggregate.update(_row_stats(rows, "ks"))
-    if cfg.tolerance is not None:
-        aggregate["tolerance"] = cfg.tolerance
-        aggregate["passed"] = bool(aggregate["mean_esd_ks"] < cfg.tolerance)
-    return ExperimentRecord(
-        config=cfg.to_dict(),
-        trials=rows,
-        aggregate=aggregate,
-        wall_clock_s=time.perf_counter() - t0,
-        data={"eigenvalues": eigs},
-    )
+    return _run_esd(cfg, _laplacian_reference(cfg), cfg.matrix, cfg.scaling, w1=False)
 
 
 def bbp_edge_limit(r: int) -> float:
@@ -353,43 +373,23 @@ def bbp_edge_limit(r: int) -> float:
 def run_edge_bbp(cfg: ExperimentConfig) -> ExperimentRecord:
     """Extreme eigenvalues of the surrogate at fixed r: lambda_1/sqrt(n) and
     lambda_n/sqrt(n) against the phase-transition limit at r = 3."""
-    t0 = time.perf_counter()
     _require_surrogate(cfg)
     target = bbp_edge_limit(cfg.r)
+    keys = ("lambda_max_scaled", "lambda_min_scaled")
+    root_n = math.sqrt(cfg.n)
 
-    def worker(index: int, seed: int):
-        h, _ = _trial_gham(cfg, seed)
+    def trial(index: int, seed: int):
+        h, _ = _trial_matrix(cfg, seed)
         lam = np.linalg.eigvalsh(h)
-        root_n = math.sqrt(cfg.n)
-        row = {
-            "trial": index,
-            "seed": seed,
-            "lambda_max_scaled": float(lam[-1]) / root_n,
-            "lambda_min_scaled": float(lam[0]) / root_n,
-        }
-        return row, lam[::-1]
+        stats = {keys[0]: float(lam[-1]) / root_n, keys[1]: float(lam[0]) / root_n}
+        return stats, {"eigenvalues": lam[::-1]}
 
-    results = _map_trials(cfg, worker)
-    rows = [row for row, _ in results]
-    eigs = np.stack([lam for _, lam in results])
-    aggregate = {"target": target}
-    aggregate.update(_row_stats(rows, "lambda_max_scaled"))
-    aggregate.update(_row_stats(rows, "lambda_min_scaled"))
-    aggregate["abs_error_max"] = abs(aggregate["mean_lambda_max_scaled"] - target)
-    aggregate["abs_error_min"] = abs(aggregate["mean_lambda_min_scaled"] + target)
-    if cfg.tolerance is not None:
-        aggregate["tolerance"] = cfg.tolerance
-        aggregate["passed"] = bool(
-            aggregate["abs_error_max"] < cfg.tolerance
-            and aggregate["abs_error_min"] < cfg.tolerance
-        )
-    return ExperimentRecord(
-        config=cfg.to_dict(),
-        trials=rows,
-        aggregate=aggregate,
-        wall_clock_s=time.perf_counter() - t0,
-        data={"eigenvalues": eigs},
-    )
+    def finish(rows: list[dict], data: dict):
+        aggregate = {"target": target, **_row_stats(rows, *keys)}
+        aggregate.update(_abs_errors(aggregate, keys, target))
+        return aggregate, ["abs_error_max", "abs_error_min"]
+
+    return _run(cfg, trial, finish)
 
 
 def edge_limit_pushforward(c: float, draws: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -404,6 +404,25 @@ def edge_limit_pushforward(c: float, draws: int, seed: int) -> tuple[np.ndarray,
     return half + disc, half - disc
 
 
+def _edge_trial(cfg: ExperimentConfig, matrix: str, keys, j: int, multiplier, divisor):
+    """Trial of an extreme-eigenvalue regime: the surrogate's scalar Gaussian
+    U, then multiplier * lambda_{1+j} / divisor and its mirror at lambda_{n-j}
+    (eigenvalues descending)."""
+    mirror = cfg.n - 1 - j
+
+    def trial(index: int, seed: int):
+        m, comp = _trial_matrix(cfg, seed, matrix)
+        lam = np.linalg.eigvalsh(m)[::-1]
+        stats = {
+            "U": comp.U,
+            keys[0]: multiplier * float(lam[j]) / divisor,
+            keys[1]: multiplier * float(lam[mirror]) / divisor,
+        }
+        return stats, {"eigenvalues": lam}
+
+    return trial
+
+
 def run_edge_regimes(cfg: ExperimentConfig) -> ExperimentRecord:
     """Extreme-eigenvalue experiments for the surrogate across growth regimes.
 
@@ -416,84 +435,37 @@ def run_edge_regimes(cfg: ExperimentConfig) -> ExperimentRecord:
     regime='secondary': the (1+k)-th eigenvalues scaled by sqrt(n) against
     +-2(1 - r/n), with the observed fluctuation scale reported.
     """
-    t0 = time.perf_counter()
     _require_surrogate(cfg)
     regime = cfg.regime or "proportional"
-    if regime not in ("proportional", "sqrt_nr", "secondary"):
-        raise RegimeError(f"unknown edge regime {regime!r}")
     n, r, k = cfg.n, cfg.r, cfg.k
-    c = r / n
+    # regime -> (row keys, order-statistic position, divisor, target)
+    table = {
+        "proportional": (("lambda_max_over_n", "lambda_min_over_n"), 0, n, None),
+        "sqrt_nr": (("lambda_max_scaled", "lambda_min_scaled"), 0, math.sqrt(n * r), 1.0),
+        "secondary": (
+            ("lambda_sub_max_scaled", "lambda_sub_min_scaled"), k, math.sqrt(n),
+            2.0 * (1.0 - r / n),
+        ),
+    }
+    if regime not in table:
+        raise RegimeError(f"unknown edge regime {regime!r}")
+    keys, j, divisor, target = table[regime]
 
-    def worker(index: int, seed: int):
-        h, comp = _trial_gham(cfg, seed)
-        lam = np.linalg.eigvalsh(h)[::-1]  # descending
-        row = {"trial": index, "seed": seed, "U": comp.U}
-        if regime == "proportional":
-            row["lambda_max_over_n"] = float(lam[0]) / n
-            row["lambda_min_over_n"] = float(lam[-1]) / n
-        elif regime == "sqrt_nr":
-            row["lambda_max_scaled"] = float(lam[0]) / math.sqrt(n * r)
-            row["lambda_min_scaled"] = float(lam[-1]) / math.sqrt(n * r)
-        else:
-            row["lambda_sub_max_scaled"] = float(lam[k]) / math.sqrt(n)
-            row["lambda_sub_min_scaled"] = float(lam[n - 1 - k]) / math.sqrt(n)
-        return row, lam
-
-    results = _map_trials(cfg, worker)
-    rows = [row for row, _ in results]
-    eigs = np.stack([lam for _, lam in results])
-    aggregate: dict = {"regime": regime}
-    data = {"eigenvalues": eigs}
-    if regime == "proportional":
-        push_seed = cfg.trial_seed(cfg.trials)  # disjoint from trial seeds
-        push_max, push_min = edge_limit_pushforward(c, cfg.pushforward_draws, push_seed)
-        observed_max = EmpiricalMeasure([row["lambda_max_over_n"] for row in rows])
-        observed_min = EmpiricalMeasure([row["lambda_min_over_n"] for row in rows])
-        aggregate["ks_lambda_max"] = ks_distance(observed_max, EmpiricalMeasure(push_max))
-        aggregate["ks_lambda_min"] = ks_distance(observed_min, EmpiricalMeasure(push_min))
-        aggregate.update(_row_stats(rows, "lambda_max_over_n"))
-        aggregate.update(_row_stats(rows, "lambda_min_over_n"))
-        data["pushforward_max"] = push_max
-        data["pushforward_min"] = push_min
-        if cfg.tolerance is not None:
-            aggregate["tolerance"] = cfg.tolerance
-            aggregate["passed"] = bool(aggregate["ks_lambda_max"] < cfg.tolerance)
-    elif regime == "sqrt_nr":
-        aggregate["target"] = 1.0
-        aggregate.update(_row_stats(rows, "lambda_max_scaled"))
-        aggregate.update(_row_stats(rows, "lambda_min_scaled"))
-        aggregate["abs_error_max"] = abs(aggregate["mean_lambda_max_scaled"] - 1.0)
-        aggregate["abs_error_min"] = abs(aggregate["mean_lambda_min_scaled"] + 1.0)
-        if cfg.tolerance is not None:
-            aggregate["tolerance"] = cfg.tolerance
-            aggregate["passed"] = bool(
-                aggregate["abs_error_max"] < cfg.tolerance
-                and aggregate["abs_error_min"] < cfg.tolerance
-            )
-    else:
-        target = 2.0 * (1.0 - c)
+    def finish(rows: list[dict], data: dict):
+        aggregate: dict = {"regime": regime}
+        if target is None:
+            names = ("ks_lambda_max", "ks_lambda_min")
+            aggregate.update(_pushforward_ks(cfg, rows, keys, names, data))
+            aggregate.update(_row_stats(rows, *keys))
+            return aggregate, ["ks_lambda_max"]
         aggregate["target"] = target
-        aggregate["k"] = k
-        aggregate.update(_row_stats(rows, "lambda_sub_max_scaled"))
-        aggregate.update(_row_stats(rows, "lambda_sub_min_scaled"))
-        aggregate["abs_error_max"] = abs(aggregate["mean_lambda_sub_max_scaled"] - target)
-        aggregate["abs_error_min"] = abs(aggregate["mean_lambda_sub_min_scaled"] + target)
-        if cfg.tolerance is not None:
-            aggregate["tolerance"] = cfg.tolerance
-            aggregate["passed"] = bool(
-                aggregate["abs_error_max"] < cfg.tolerance
-                and aggregate["abs_error_min"] < cfg.tolerance
-            )
-    return ExperimentRecord(
-        config=cfg.to_dict(),
-        trials=rows,
-        aggregate=aggregate,
-        wall_clock_s=time.perf_counter() - t0,
-        data=data,
-    )
+        if regime == "secondary":
+            aggregate["k"] = k
+        aggregate.update(_row_stats(rows, *keys))
+        aggregate.update(_abs_errors(aggregate, keys, target))
+        return aggregate, ["abs_error_max", "abs_error_min"]
 
-
-_LAPLACIAN_EDGE_REGIMES = ("A", "B_i", "B_ii", "C_i", "C_ii")
+    return _run(cfg, _edge_trial(cfg, "gham", keys, j, 1, divisor), finish)
 
 
 def _check_laplacian_edge_regime(cfg: ExperimentConfig) -> None:
@@ -530,84 +502,43 @@ def run_laplacian_edge(cfg: ExperimentConfig) -> ExperimentRecord:
       C_ii -- lambda_{1+k}(Ltilde) / sqrt(n), centering 2(1 - c);
               requires r >> sqrt(n log n)
     """
-    t0 = time.perf_counter()
     _require_surrogate(cfg)
-    if cfg.regime not in _LAPLACIAN_EDGE_REGIMES:
-        raise RegimeError(
-            f"laplacian_edge regime must be one of {_LAPLACIAN_EDGE_REGIMES}, "
-            f"got {cfg.regime!r}"
-        )
-    _check_laplacian_edge_regime(cfg)
     n, r, k = cfg.n, cfg.r, cfg.k
     c = r / n
-    root_2log = math.sqrt(2.0 * math.log(n))
-    use_tilde = cfg.regime != "A"
+    tilde = "laplacian_tilde"
+    log_scale = n * math.sqrt(2.0 * math.log(n))
+    centering = math.sqrt(c * (1.0 - c))
+    # regime -> (matrix, order-statistic position, multiplier, divisor, target)
+    table = {
+        "A": ("laplacian", k - 1, 1, log_scale, centering),
+        "B_i": (tilde, 0, r - 1, log_scale, centering),
+        "B_ii": (tilde, 0, 1, n, None),
+        "C_i": (tilde, k, r - 1, log_scale, centering),
+        "C_ii": (tilde, k, 1, math.sqrt(n), 2.0 * (1.0 - c)),
+    }
+    if cfg.regime not in table:
+        raise RegimeError(
+            f"laplacian_edge regime must be one of {tuple(table)}, got {cfg.regime!r}"
+        )
+    _check_laplacian_edge_regime(cfg)
+    matrix, j, multiplier, divisor, target = table[cfg.regime]
+    keys = ("stat_max", "stat_min")
 
-    def worker(index: int, seed: int):
-        h, comp = _trial_gham(cfg, seed)
-        m = laplacian_tilde(h, r) if use_tilde else laplacian(h)
-        lam = np.linalg.eigvalsh(m)[::-1]
-        row = {"trial": index, "seed": seed, "U": comp.U}
-        if cfg.regime == "A":
-            row["stat_max"] = float(lam[k - 1]) / (n * root_2log)
-            row["stat_min"] = float(lam[n - k]) / (n * root_2log)
-        elif cfg.regime == "B_i":
-            row["stat_max"] = (r - 1) * float(lam[0]) / (n * root_2log)
-            row["stat_min"] = (r - 1) * float(lam[-1]) / (n * root_2log)
-        elif cfg.regime == "B_ii":
-            row["stat_max"] = float(lam[0]) / n
-            row["stat_min"] = float(lam[-1]) / n
-        elif cfg.regime == "C_i":
-            row["stat_max"] = (r - 1) * float(lam[k]) / (n * root_2log)
-            row["stat_min"] = (r - 1) * float(lam[n - 1 - k]) / (n * root_2log)
-        else:  # C_ii
-            row["stat_max"] = float(lam[k]) / math.sqrt(n)
-            row["stat_min"] = float(lam[n - 1 - k]) / math.sqrt(n)
-        return row, lam
-
-    results = _map_trials(cfg, worker)
-    rows = [row for row, _ in results]
-    eigs = np.stack([lam for _, lam in results])
-    aggregate: dict = {"regime": cfg.regime}
-    data = {"eigenvalues": eigs}
-    aggregate.update(_row_stats(rows, "stat_max"))
-    aggregate.update(_row_stats(rows, "stat_min"))
-    if cfg.regime == "B_ii":
-        push_seed = cfg.trial_seed(cfg.trials)
-        push_max, push_min = edge_limit_pushforward(c, cfg.pushforward_draws, push_seed)
-        aggregate["ks_stat_max"] = ks_distance(
-            EmpiricalMeasure([row["stat_max"] for row in rows]), EmpiricalMeasure(push_max)
-        )
-        aggregate["ks_stat_min"] = ks_distance(
-            EmpiricalMeasure([row["stat_min"] for row in rows]), EmpiricalMeasure(push_min)
-        )
-        aggregate["note"] = (
-            "reference pushforward uses (c/2) z + sqrt((c^2/4) z^2 + c(1-c)), the "
-            "same functional as the adjacency edge limit (z^2 under the radical)"
-        )
-        data["pushforward_max"] = push_max
-        data["pushforward_min"] = push_min
-        if cfg.tolerance is not None:
-            aggregate["tolerance"] = cfg.tolerance
-            aggregate["passed"] = bool(aggregate["ks_stat_max"] < cfg.tolerance)
-    else:
-        target = 2.0 * (1.0 - c) if cfg.regime == "C_ii" else math.sqrt(c * (1.0 - c))
-        aggregate["target"] = target
-        aggregate["abs_error_max"] = abs(aggregate["mean_stat_max"] - target)
-        aggregate["abs_error_min"] = abs(aggregate["mean_stat_min"] + target)
-        if cfg.tolerance is not None:
-            aggregate["tolerance"] = cfg.tolerance
-            aggregate["passed"] = bool(
-                aggregate["abs_error_max"] < cfg.tolerance
-                and aggregate["abs_error_min"] < cfg.tolerance
+    def finish(rows: list[dict], data: dict):
+        aggregate = {"regime": cfg.regime, **_row_stats(rows, *keys)}
+        if target is None:
+            names = ("ks_stat_max", "ks_stat_min")
+            aggregate.update(_pushforward_ks(cfg, rows, keys, names, data))
+            aggregate["note"] = (
+                "reference pushforward uses (c/2) z + sqrt((c^2/4) z^2 + c(1-c)), the "
+                "same functional as the adjacency edge limit (z^2 under the radical)"
             )
-    return ExperimentRecord(
-        config=cfg.to_dict(),
-        trials=rows,
-        aggregate=aggregate,
-        wall_clock_s=time.perf_counter() - t0,
-        data=data,
-    )
+            return aggregate, ["ks_stat_max"]
+        aggregate["target"] = target
+        aggregate.update(_abs_errors(aggregate, keys, target))
+        return aggregate, ["abs_error_max", "abs_error_min"]
+
+    return _run(cfg, _edge_trial(cfg, matrix, keys, j, multiplier, divisor), finish)
 
 
 def run_concentration(cfg: ExperimentConfig) -> ExperimentRecord:
@@ -615,11 +546,8 @@ def run_concentration(cfg: ExperimentConfig) -> ExperimentRecord:
     ESD and the pooled mean ESD is collected at sizes n and 2n, and the ratio
     of sample standard deviations reported (about 1/2 at fixed r if the
     fluctuation scale is 1/n)."""
-    t0 = time.perf_counter()
     sizes = [(cfg.n, cfg.r), (2 * cfg.n, 2 * cfg.r if cfg.scale_r_with_n else cfg.r)]
-    rows: list[dict] = []
-    stds: list[float | None] = []
-    all_eigs: dict[str, np.ndarray] = {}
+    legs = []
     for which, (n_size, r_size) in enumerate(sizes):
         sub = ExperimentConfig(
             kind="bulk",
@@ -633,90 +561,70 @@ def run_concentration(cfg: ExperimentConfig) -> ExperimentRecord:
             edge_budget=cfg.edge_budget,
         )
 
-        def worker(index: int, seed: int):
-            h, _ = _trial_gham(sub, seed)
+        # defaults bind this leg's values; the legs run after the loop
+        def trial(index: int, seed: int, sub=sub, n_size=n_size, r_size=r_size):
+            h, _ = _trial_matrix(sub, seed)
             lam = np.linalg.eigvalsh(h)[::-1] / math.sqrt(n_size)
-            return lam
+            return {"n": n_size, "r": r_size}, {f"eigenvalues_n{n_size}": lam}
 
-        eigs = np.stack(_map_trials(sub, worker))
-        pooled = _pooled_measure(eigs)
-        ks_values = [ks_distance(EmpiricalMeasure(lam), pooled) for lam in eigs]
-        for i, ks in enumerate(ks_values):
-            rows.append(
-                {"trial": i, "seed": sub.trial_seed(i), "n": n_size, "r": r_size, "ks": ks}
-            )
-        stds.append(
-            float(np.std(ks_values, ddof=1)) if len(ks_values) > 1 else None
-        )
-        all_eigs[f"eigenvalues_n{n_size}"] = eigs
-    aggregate = {
-        "std_small": stds[0],
-        "std_large": stds[1],
-        "ratio": (None if None in stds or stds[0] == 0 else stds[1] / stds[0]),
-        "sizes": [list(s) for s in sizes],
-    }
-    if cfg.tolerance is not None and aggregate["ratio"] is not None:
-        aggregate["tolerance"] = cfg.tolerance
-        aggregate["passed"] = bool(aggregate["ratio"] < cfg.tolerance)
-    return ExperimentRecord(
-        config=cfg.to_dict(),
-        trials=rows,
-        aggregate=aggregate,
-        wall_clock_s=time.perf_counter() - t0,
-        data=all_eigs,
-    )
+        legs.append((sub, trial))
+
+    def finish(rows: list[dict], data: dict):
+        stds: list[float | None] = []
+        for leg_rows, eigs in zip((rows[: cfg.trials], rows[cfg.trials:]), data.values()):
+            pooled = _pooled_measure(eigs)
+            ks_values = [ks_distance(EmpiricalLaw(lam), pooled) for lam in eigs]
+            for row, ks in zip(leg_rows, ks_values):
+                row["ks"] = ks
+            stds.append(float(np.std(ks_values, ddof=1)) if len(ks_values) > 1 else None)
+        aggregate = {
+            "std_small": stds[0],
+            "std_large": stds[1],
+            "ratio": (None if None in stds or stds[0] == 0 else stds[1] / stds[0]),
+            "sizes": [list(s) for s in sizes],
+        }
+        return aggregate, ["ratio"]
+
+    return _run(cfg, None, finish, legs)
 
 
 def run_universality(cfg: ExperimentConfig) -> ExperimentRecord:
     """Bernoulli hypergraph vs Gaussian surrogate at matched (n, r): both mean
     ESDs against the semicircle reference, and the scaled Hausdorff distance
     between paired sorted spectra as a sanity statistic."""
-    t0 = time.perf_counter()
     params = cfg.model_params()
     reference = SemicircleLaw((1.0 - params.size_ratio) ** 2)
 
-    def worker(index: int, seed: int):
+    def trial(index: int, seed: int):
         hg = sample_hypergraph(params, seed, max_expected_edges=cfg.edge_budget)
         h_bern = gham_from_adjacency(adjacency_from_hypergraph(hg), params)
         lam_bern = np.linalg.eigvalsh(h_bern)[::-1] / math.sqrt(cfg.n)
         # independent surrogate stream, offset past the Bernoulli seeds
         _, h_gauss = sample_surrogate(params, cfg.trial_seed(cfg.trials + index))
         lam_gauss = np.linalg.eigvalsh(h_gauss)[::-1] / math.sqrt(cfg.n)
-        row = {
-            "trial": index,
-            "seed": seed,
-            "ks_bernoulli": ks_distance(EmpiricalMeasure(lam_bern), reference),
-            "ks_gaussian": ks_distance(EmpiricalMeasure(lam_gauss), reference),
+        stats = {
+            "ks_bernoulli": ks_distance(EmpiricalLaw(lam_bern), reference),
+            "ks_gaussian": ks_distance(EmpiricalLaw(lam_gauss), reference),
             "hausdorff_scaled": hausdorff_spectra(
                 lam_bern * math.sqrt(cfg.n), lam_gauss * math.sqrt(cfg.n)
             )
             / math.sqrt(cfg.n),
         }
-        return row, lam_bern, lam_gauss
+        return stats, {"eigenvalues_bernoulli": lam_bern, "eigenvalues_gaussian": lam_gauss}
 
-    results = _map_trials(cfg, worker)
-    rows = [row for row, _, _ in results]
-    eigs_bern = np.stack([a for _, a, _ in results])
-    eigs_gauss = np.stack([b for _, _, b in results])
-    ks_bern = ks_distance(_pooled_measure(eigs_bern), reference)
-    ks_gauss = ks_distance(_pooled_measure(eigs_gauss), reference)
-    aggregate = {
-        "reference": reference.descriptor(),
-        "mean_esd_ks_bernoulli": ks_bern,
-        "mean_esd_ks_gaussian": ks_gauss,
-        "ks_difference": abs(ks_bern - ks_gauss),
-    }
-    aggregate.update(_row_stats(rows, "hausdorff_scaled"))
-    if cfg.tolerance is not None:
-        aggregate["tolerance"] = cfg.tolerance
-        aggregate["passed"] = bool(aggregate["ks_difference"] < cfg.tolerance)
-    return ExperimentRecord(
-        config=cfg.to_dict(),
-        trials=rows,
-        aggregate=aggregate,
-        wall_clock_s=time.perf_counter() - t0,
-        data={"eigenvalues_bernoulli": eigs_bern, "eigenvalues_gaussian": eigs_gauss},
-    )
+    def finish(rows: list[dict], data: dict):
+        ks_bern = ks_distance(_pooled_measure(data["eigenvalues_bernoulli"]), reference)
+        ks_gauss = ks_distance(_pooled_measure(data["eigenvalues_gaussian"]), reference)
+        aggregate = {
+            "reference": reference.descriptor(),
+            "mean_esd_ks_bernoulli": ks_bern,
+            "mean_esd_ks_gaussian": ks_gauss,
+            "ks_difference": abs(ks_bern - ks_gauss),
+            **_row_stats(rows, "hausdorff_scaled"),
+        }
+        return aggregate, ["ks_difference"]
+
+    return _run(cfg, trial, finish)
 
 
 def universality_bound(

@@ -264,14 +264,15 @@ class GaussianLaw(Law):
 
 
 class EmpiricalLaw(Law):
-    """Uniform law on finitely many atoms; EmpiricalLaw([0.0]) is the point
-    mass at zero."""
+    """Uniform law on finitely many real atoms (with multiplicity), kept
+    ascending; EmpiricalLaw([0.0]) is the point mass at zero.  On the
+    eigenvalues of a spectrum it is the empirical spectral distribution."""
 
     def __init__(self, atoms):
-        a = np.sort(np.asarray(atoms, dtype=float))
-        if a.size == 0 or not np.all(np.isfinite(a)):
-            raise ValueError("need at least one finite atom")
-        self.atoms = a
+        a = np.asarray(atoms, dtype=float)
+        if a.ndim != 1 or a.size == 0 or not np.all(np.isfinite(a)):
+            raise ValueError("atoms must be a nonempty 1-d array of finite values")
+        self.atoms = np.sort(a)
 
     def density(self, x):
         raise TypeError("an atomic law has no Lebesgue density")

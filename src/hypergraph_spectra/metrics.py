@@ -16,7 +16,7 @@ import numpy as np
 from scipy import integrate
 
 from .laws import EmpiricalLaw, Law
-from .spectra import EmpiricalMeasure, SpectralSample
+from .spectra import SpectralSample
 
 __all__ = [
     "MetricReport",
@@ -26,8 +26,6 @@ __all__ = [
     "hausdorff_spectra",
     "metric_report",
 ]
-
-DistributionLike = EmpiricalMeasure | Law
 
 
 @dataclass(frozen=True)
@@ -45,22 +43,18 @@ class MetricReport:
         )
 
 
-def _atoms(dist: DistributionLike) -> np.ndarray | None:
-    if isinstance(dist, EmpiricalMeasure):
-        return dist.atoms
-    if isinstance(dist, EmpiricalLaw):
-        return dist.atoms
-    return None
+def _atoms(dist: Law) -> np.ndarray | None:
+    return dist.atoms if isinstance(dist, EmpiricalLaw) else None
 
 
-def _support(dist: DistributionLike) -> tuple[float, float]:
+def _support(dist: Law) -> tuple[float, float]:
     a = _atoms(dist)
     if a is not None:
         return float(a[0]), float(a[-1])
     return dist.support()
 
 
-def ks_distance(a: DistributionLike, b: DistributionLike) -> float:
+def ks_distance(a: Law, b: Law) -> float:
     """sup_x |F_a(x) - F_b(x)|.
 
     Exact over jump points when either side is empirical; refined grid search
@@ -115,7 +109,7 @@ def _ks_analytic(a: Law, b: Law, coarse: int = 4001, tol: float = 1e-8) -> float
     return max(best, float(gap.max()))
 
 
-def w1_distance(a: DistributionLike, b: DistributionLike) -> float:
+def w1_distance(a: Law, b: Law) -> float:
     """Wasserstein-1 distance, computed as the CDF-gap area int |F_a - F_b|.
 
     Exact piecewise integration between empirical measures; against an
@@ -236,7 +230,7 @@ def _w1_quad_fallback(atoms: np.ndarray, law: Law) -> float:
     return float(total)
 
 
-def bl_upper_bound(a: DistributionLike, b: DistributionLike) -> float:
+def bl_upper_bound(a: Law, b: Law) -> float:
     """Computable upper bound on the bounded-Lipschitz distance:
     min(w1, 2 ks).  The exact metric needs an infinite-dimensional
     optimisation; both chains d_BL <= d_W1 and d_BL <= 2 d_KS are sharp enough
@@ -244,7 +238,7 @@ def bl_upper_bound(a: DistributionLike, b: DistributionLike) -> float:
     return min(w1_distance(a, b), 2.0 * ks_distance(a, b))
 
 
-def metric_report(a: DistributionLike, b: DistributionLike, notes: str = "") -> MetricReport:
+def metric_report(a: Law, b: Law, notes: str = "") -> MetricReport:
     ks = ks_distance(a, b)
     w1 = w1_distance(a, b)
     return MetricReport(ks=ks, w1=w1, bl_upper=min(w1, 2.0 * ks), notes=notes)

@@ -1,10 +1,10 @@
 """Eigenvalue extraction and empirical spectral statistics.
 
 A SpectralSample is a descending-sorted eigenvalue vector tagged with its
-scaling and provenance; an EmpiricalMeasure is the uniform probability measure
-on those atoms (the empirical spectral distribution).  The dense symmetric
-eigensolver is LAPACK's (via numpy); residual-based backward-error probes live
-in the test suite.
+scaling and provenance; its empirical spectral distribution is the uniform law
+on those atoms, ``laws.EmpiricalLaw`` (``EmpiricalMeasure`` here is the same
+class under its older name).  The dense symmetric eigensolver is LAPACK's (via
+numpy); residual-based backward-error probes live in the test suite.
 """
 
 from __future__ import annotations
@@ -17,13 +17,16 @@ from pathlib import Path
 
 import numpy as np
 
+from .laws import EmpiricalLaw
+
+EmpiricalMeasure = EmpiricalLaw
+
 __all__ = [
     "Scaling",
     "SpectralSample",
     "EmpiricalMeasure",
     "symmetric_eigenvalues",
     "esd",
-    "empirical_stieltjes",
     "low_rank_eigenvalues",
     "edge_statistics",
     "gaussian_max_centering",
@@ -73,34 +76,6 @@ class SpectralSample:
         return self.eigenvalues.size
 
 
-@dataclass(frozen=True)
-class EmpiricalMeasure:
-    """Uniform probability measure on a finite set of real atoms (with
-    multiplicity); atoms are kept ascending."""
-
-    atoms: np.ndarray
-
-    def __post_init__(self):
-        a = np.sort(np.asarray(self.atoms, dtype=float))
-        if a.ndim != 1 or a.size == 0:
-            raise ValueError("need at least one atom")
-        if not np.all(np.isfinite(a)):
-            raise ValueError("atoms must be finite")
-        object.__setattr__(self, "atoms", a)
-
-    def cdf(self, x) -> np.ndarray | float:
-        """Right-continuous distribution function."""
-        pos = np.searchsorted(self.atoms, np.asarray(x, dtype=float), side="right")
-        out = pos / self.atoms.size
-        return float(out) if np.isscalar(x) else out
-
-    def mean(self) -> float:
-        return float(np.mean(self.atoms))
-
-    def variance(self) -> float:
-        return float(np.mean((self.atoms - np.mean(self.atoms)) ** 2))
-
-
 def symmetric_eigenvalues(
     matrix: np.ndarray,
     scaling: Scaling = Scaling.RAW,
@@ -127,16 +102,9 @@ def symmetric_eigenvalues(
     return SpectralSample(eigenvalues=lam, scaling=scaling, ensemble=ensemble, seed=seed)
 
 
-def esd(sample: SpectralSample) -> EmpiricalMeasure:
+def esd(sample: SpectralSample) -> EmpiricalLaw:
     """Empirical spectral distribution: mass 1/n on each eigenvalue."""
-    return EmpiricalMeasure(atoms=sample.eigenvalues)
-
-
-def empirical_stieltjes(measure: EmpiricalMeasure, z: complex) -> complex:
-    """Stieltjes transform (1/n) sum 1/(atom_i - z) for Im z > 0."""
-    if z.imag <= 0:
-        raise ValueError(f"Stieltjes transform needs Im z > 0, got z={z}")
-    return complex(np.mean(1.0 / (measure.atoms - z)))
+    return EmpiricalLaw(sample.eigenvalues)
 
 
 def low_rank_eigenvalues(
