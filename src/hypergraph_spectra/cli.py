@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import experiments, laws, metrics
+from . import experiments, laws, metrics, spectra
 from .combinatorics import (
     ModelParams,
     SamplingBudgetError,
@@ -290,10 +290,9 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("convolve needs --law2")
     try:
         return args.func(args)
-    except (SamplingBudgetError, laws.ConvergenceError, experiments.RegimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    # RegimeError and json.JSONDecodeError are ValueErrors
+    except (SamplingBudgetError, laws.ConvergenceError, spectra.EigensolverError,
+            ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

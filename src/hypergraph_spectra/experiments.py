@@ -8,12 +8,14 @@ supplies only ``trial(index, seed)``, giving its row statistics and per-trial
 arrays, and ``finish(rows, data)``, giving its aggregate and gate keys.  The
 loop owns the timer, the per-trial seeds (derived from the master seed by
 splitmix64), the rows, the stacking of arrays in trial order, the tolerance
-gate and the record.  Trials may run on a thread pool (the eigensolver
-releases the GIL); aggregation is a deterministic fold in trial order, so
-``threads`` does not change a record (checked up to n = 2000).  Records are
-bit-reproducible for a fixed config at a fixed BLAS thread count: from n in
-the low hundreds, the BLAS thread count can move the last bits of the
-eigenvalues.
+gate and the record.  The edge kinds read at most depth = k + 1 eigenvalues
+at each end and compute only those, by a Lanczos solve started from a vector
+derived from the trial seed (``spectra.extreme_eigenvalues``); the others
+solve densely.  Trials may run on a thread pool (the eigensolvers release the
+GIL); aggregation is a deterministic fold in trial order, so ``threads`` does
+not change a record (checked up to n = 2000).  Records are bit-reproducible
+for a fixed config at a fixed BLAS thread count: from n in the low hundreds,
+the BLAS thread count can move the last bits of the eigenvalues.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ from .laws import (
     truncated_moments_gaussian,
 )
 from .metrics import bl_upper_bound, hausdorff_spectra, ks_distance, w1_distance
-from .spectra import Scaling, symmetric_eigenvalues
+from .spectra import Scaling, extreme_eigenvalues, symmetric_eigenvalues
 
 __all__ = [
     "EXPERIMENT_KINDS",
@@ -150,7 +152,8 @@ class ExperimentRecord:
     """One experiment run: config snapshot, per-trial rows, aggregates.
 
     ``data`` holds raw arrays (eigenvalues, pushforward draws) that back the
-    pooled aggregates; it is persisted as CSV, not inside the JSON.
+    pooled aggregates; it is persisted as CSV, not inside the JSON.  The edge
+    kinds keep only the 2 * depth eigenvalues per trial that they compute.
     """
 
     config: dict
@@ -380,9 +383,9 @@ def run_edge_bbp(cfg: ExperimentConfig) -> ExperimentRecord:
 
     def trial(index: int, seed: int):
         h, _ = _trial_matrix(cfg, seed)
-        lam = np.linalg.eigvalsh(h)
-        stats = {keys[0]: float(lam[-1]) / root_n, keys[1]: float(lam[0]) / root_n}
-        return stats, {"eigenvalues": lam[::-1]}
+        lam = extreme_eigenvalues(h, 1, seed)
+        stats = {keys[0]: float(lam[0]) / root_n, keys[1]: float(lam[-1]) / root_n}
+        return stats, {"eigenvalues": lam}
 
     def finish(rows: list[dict], data: dict):
         aggregate = {"target": target, **_row_stats(rows, *keys)}
@@ -408,15 +411,14 @@ def _edge_trial(cfg: ExperimentConfig, matrix: str, keys, j: int, multiplier, di
     """Trial of an extreme-eigenvalue regime: the surrogate's scalar Gaussian
     U, then multiplier * lambda_{1+j} / divisor and its mirror at lambda_{n-j}
     (eigenvalues descending)."""
-    mirror = cfg.n - 1 - j
 
     def trial(index: int, seed: int):
         m, comp = _trial_matrix(cfg, seed, matrix)
-        lam = np.linalg.eigvalsh(m)[::-1]
+        lam = extreme_eigenvalues(m, j + 1, seed)
         stats = {
             "U": comp.U,
             keys[0]: multiplier * float(lam[j]) / divisor,
-            keys[1]: multiplier * float(lam[mirror]) / divisor,
+            keys[1]: multiplier * float(lam[-1 - j]) / divisor,
         }
         return stats, {"eigenvalues": lam}
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import struct
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -41,8 +40,6 @@ __all__ = [
     "edge_matrix_trace",
     "lipschitz_constants",
     "save_matrix_csv",
-    "save_matrix_binary",
-    "load_matrix_binary",
 ]
 
 
@@ -76,15 +73,6 @@ class SurrogateComponents:
     V: np.ndarray
     Z: np.ndarray
     seed: int
-
-    @property
-    def v_mean(self) -> float:
-        return float(np.mean(self.V))
-
-    @property
-    def v_variance(self) -> float:
-        """Population-normalised sample variance (1/n) * sum (V_i - Vbar)^2."""
-        return float(np.mean((self.V - np.mean(self.V)) ** 2))
 
 
 def adjacency_from_hypergraph(sample: HypergraphSample) -> np.ndarray:
@@ -179,22 +167,24 @@ def sample_surrogate(
     u = float(rng.standard_normal())
     v = rng.standard_normal(params.n)
     raw = rng.standard_normal((params.n, params.n))
-    z = (raw + raw.T) / math.sqrt(2.0)
+    z = raw + raw.T
+    z /= math.sqrt(2.0)
     comp = SurrogateComponents(U=u, V=v, Z=z, seed=seed)
-    g = surrogate_matrix(comp, cov)
+    g = surrogate_matrix(comp, cov, work=raw)  # raw is spent
     np.fill_diagonal(g, 0.0)
     return comp, g
 
 
-def surrogate_matrix(comp: SurrogateComponents, cov: CovarianceParams) -> np.ndarray:
+def surrogate_matrix(
+    comp: SurrogateComponents, cov: CovarianceParams, work: np.ndarray | None = None
+) -> np.ndarray:
     """Full surrogate matrix alpha*U*11^T + beta*(V 1^T + 1 V^T) + theta*Z,
-    diagonal included."""
-    v = comp.V
-    return (
-        cov.alpha * comp.U * np.ones((len(v), len(v)))
-        + cov.beta * (v[:, None] + v[None, :])
-        + cov.theta * comp.Z
-    )
+    diagonal included, built in place (theta*Z is written into ``work`` if given)."""
+    g = np.add.outer(comp.V, comp.V)
+    g *= cov.beta
+    g += cov.alpha * comp.U
+    g += np.multiply(cov.theta, comp.Z, out=work)
+    return g
 
 
 def laplacian(x: np.ndarray) -> np.ndarray:
@@ -258,39 +248,6 @@ def lipschitz_constants(params: ModelParams) -> tuple[float, float, float]:
     return delta_sq, gamma_sq, xi_sq
 
 
-_MAGIC = b"GHAM"
-
-
 def save_matrix_csv(matrix: np.ndarray, path: str | Path) -> None:
     """Row-major CSV of the full symmetric matrix."""
     np.savetxt(path, matrix, delimiter=",")
-
-
-def save_matrix_binary(matrix: np.ndarray, path: str | Path) -> None:
-    """Compact binary format: magic 'GHAM', u32 dimension, then the upper
-    triangle (diagonal included, row-major) as little-endian float64."""
-    matrix = np.asarray(matrix, dtype=np.float64)
-    n = matrix.shape[0]
-    if matrix.shape != (n, n):
-        raise ValueError("matrix must be square")
-    iu = np.triu_indices(n)
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<I", n))
-        fh.write(matrix[iu].astype("<f8").tobytes())
-
-
-def load_matrix_binary(path: str | Path) -> np.ndarray:
-    raw = Path(path).read_bytes()
-    if raw[:4] != _MAGIC:
-        raise ValueError(f"bad magic {raw[:4]!r}, expected {_MAGIC!r}")
-    (n,) = struct.unpack("<I", raw[4:8])
-    count = n * (n + 1) // 2
-    flat = np.frombuffer(raw[8 : 8 + 8 * count], dtype="<f8")
-    if flat.size != count:
-        raise ValueError("truncated matrix payload")
-    out = np.zeros((n, n))
-    iu = np.triu_indices(n)
-    out[iu] = flat
-    out = out + out.T - np.diag(np.diag(out))
-    return out

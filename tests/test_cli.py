@@ -1,11 +1,19 @@
 """End-to-end tests of the command-line interface."""
 
+import functools
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ElementTree
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import eigsh
 
+import hypergraph_spectra
+from hypergraph_spectra import spectra
 from hypergraph_spectra.cli import main
 from hypergraph_spectra.svgplot import histogram_svg
 
@@ -126,6 +134,18 @@ class TestExperimentCommand:
         )
         assert record["aggregate"]["passed"] is True
 
+    def test_eigensolver_failure_reported(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(spectra, "eigsh", functools.partial(eigsh, maxiter=1))
+        code = main(
+            [
+                "--out-dir", str(tmp_path), "experiment", "--kind", "edge_bbp",
+                "-n", "1500", "-r", "3", "--trials", "1", "--timestamp", "t2",
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: Lanczos solve") and "n=1500" in err
+
     def test_config_file_with_flag_overrides(self, tmp_path):
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(
@@ -231,3 +251,16 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+
+class TestSetUp:
+    def test_cli_import_defers_scipy_stats(self):
+        # only the Bernoulli edge-count draw needs scipy.stats and imports it on
+        # first use; importing it with the package would lengthen every set-up
+        src = str(Path(hypergraph_spectra.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+        code = "import sys, hypergraph_spectra.cli; print('scipy.stats' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "False"

@@ -1,7 +1,11 @@
 """Golden records for every experiment kind and regime at small n.
 
 The fixture ``data/experiment_records.json`` was recorded from the per-kind
-runners that preceded the shared trial loop in ``experiments``.  Config, row
+runners that preceded the shared trial loop in ``experiments``.  Those solved
+every spectrum densely; the ``eigenvalues`` arrays of the ten edge cases were
+later cut to the top and bottom depth values of each recorded spectrum, the
+values the Lanczos solve computes, so they are still checked against the dense
+solver's values.  Config, row
 and aggregate key order, ints, bools, strings and None must match exactly.
 Floats and ``data`` arrays must match to rtol 1e-9 (atol 1e-12 for values
 near zero), because LAPACK's last bits depend on the host and the BLAS thread

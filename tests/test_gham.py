@@ -20,9 +20,7 @@ from hypergraph_spectra.gham import (
     laplacian,
     laplacian_tilde,
     lipschitz_constants,
-    load_matrix_binary,
     sample_surrogate,
-    save_matrix_binary,
     save_matrix_csv,
     surrogate_matrix,
 )
@@ -326,21 +324,6 @@ class TestLipschitzConstants:
 
 
 class TestMatrixExport:
-    def test_binary_round_trip(self, tmp_path):
-        rng = np.random.default_rng(0)
-        x = rng.standard_normal((9, 9))
-        x = x + x.T
-        path = tmp_path / "m.bin"
-        save_matrix_binary(x, path)
-        assert path.read_bytes()[:4] == b"GHAM"
-        np.testing.assert_allclose(load_matrix_binary(path), x)
-
-    def test_bad_magic_rejected(self, tmp_path):
-        path = tmp_path / "m.bin"
-        path.write_bytes(b"XXXX" + b"\x00" * 16)
-        with pytest.raises(ValueError, match="magic"):
-            load_matrix_binary(path)
-
     def test_csv_export(self, tmp_path):
         x = np.array([[0.0, 1.5], [1.5, 0.0]])
         path = tmp_path / "m.csv"

@@ -2,11 +2,13 @@
 
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy import integrate
 
+from hypergraph_spectra.experiments import ExperimentConfig, run_experiment
 from hypergraph_spectra.laws import GaussianLaw, SemicircleLaw, semicircle_density
 from hypergraph_spectra.metrics import (
     MetricReport,
@@ -49,6 +51,44 @@ class TestKsDistance:
         m = EmpiricalMeasure([0.0, 0.7])
         law = GaussianLaw(1.0)
         assert ks_distance(m, law) == ks_distance(law, m)
+
+
+class TestKsLattice:
+    """Between two empirical laws the KS gap is a multiple of 1/(n_a n_b);
+    equal gaps must give equal floats wherever they are attained."""
+
+    def test_tied_gaps_compare_equal(self):
+        pooled = EmpiricalMeasure(np.arange(180.0))
+        spread = 3.0 * np.arange(60) + 1.0
+        late = spread.copy()
+        late[[29, 30]] = 87.0  # gap 5/180 only at 31 of 60 against 88 of 180
+        early = spread + 4.0  # gap 5/180 at 0 of 60 against 5 of 180, and later
+        ks_late = ks_distance(EmpiricalMeasure(late), pooled)
+        ks_early = ks_distance(EmpiricalMeasure(early), pooled)
+        assert ks_late == ks_early == 5 / 180
+
+    def test_exact_against_fractions(self):
+        rng = np.random.default_rng(4)
+        for _ in range(50):
+            a = rng.integers(-5, 6, size=rng.integers(1, 40)).astype(float)
+            b = rng.integers(-5, 6, size=rng.integers(1, 40)).astype(float)
+            grid = np.union1d(a, b)
+            exact = max(
+                abs(Fraction(int((a <= x).sum()), a.size) - Fraction(int((b <= x).sum()), b.size))
+                for x in grid
+            )
+            assert ks_distance(EmpiricalMeasure(a), EmpiricalMeasure(b)) == float(exact)
+
+    def test_concentration_tied_trials_have_zero_spread(self):
+        # the golden case whose three large-model KS values tie at 5/180
+        cfg = ExperimentConfig(
+            kind="concentration", n=30, r=3, trials=3, master_seed=9, scale_r_with_n=True,
+            tolerance=2.0,
+        )
+        rec = run_experiment(cfg)
+        assert [row["ks"] for row in rec.trials[3:]] == [5 / 180] * 3
+        assert rec.aggregate["std_large"] == 0.0
+        assert rec.aggregate["ratio"] == 0.0
 
 
 class TestW1Distance:

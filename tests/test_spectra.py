@@ -1,16 +1,23 @@
 """Tests for eigenvalue extraction and empirical spectral statistics."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import eigsh
 
+from hypergraph_spectra import spectra
+from hypergraph_spectra.combinatorics import ModelParams
+from hypergraph_spectra.experiments import ExperimentConfig, run_edge_bbp
+from hypergraph_spectra.gham import laplacian, sample_surrogate
 from hypergraph_spectra.spectra import (
+    EigensolverError,
     EmpiricalMeasure,
     Scaling,
     SpectralSample,
-    edge_statistics,
     esd,
+    extreme_eigenvalues,
     gaussian_max_centering,
     load_spectrum_csv,
     low_rank_eigenvalues,
@@ -191,21 +198,118 @@ class TestLowRankEigenvalues:
 
 class TestEdgeStatistics:
     def test_first(self):
-        s = SpectralSample(eigenvalues=np.array([3.0, 2.0, 1.0]))
-        assert edge_statistics(s, 1) == (3.0, 1.0)
+        m = np.diag([3.0, 2.0, 1.0])
+        assert extreme_eigenvalues(m, 1, 0).tolist() == [3.0, 1.0]
 
     def test_middle(self):
-        s = SpectralSample(eigenvalues=np.array([3.0, 2.0, 1.0]))
-        assert edge_statistics(s, 2) == (2.0, 2.0)
+        m = np.diag([3.0, 2.0, 1.0])
+        assert extreme_eigenvalues(m, 2, 0).tolist() == [3.0, 2.0, 2.0, 1.0]
 
     def test_last_swaps(self):
-        s = SpectralSample(eigenvalues=np.array([3.0, 2.0, 1.0]))
-        assert edge_statistics(s, 3) == (1.0, 3.0)
+        m = np.diag([3.0, 2.0, 1.0])
+        assert extreme_eigenvalues(m, 3, 0).tolist() == [3.0, 2.0, 1.0, 3.0, 2.0, 1.0]
 
     def test_out_of_range(self):
-        s = SpectralSample(eigenvalues=np.array([1.0]))
         with pytest.raises(ValueError):
-            edge_statistics(s, 2)
+            extreme_eigenvalues(np.eye(1), 2, 0)
+        with pytest.raises(ValueError):
+            extreme_eigenvalues(np.eye(5), 0, 0)
+
+
+def dense_extremes(m, depth):
+    lam = np.linalg.eigvalsh(m)[::-1]
+    return np.concatenate([lam[:depth], lam[lam.size - depth:]])
+
+
+def assert_agrees_with_dense(m, depth, seed=0):
+    """Lanczos extremes equal the dense solver's to 1e-10 relative; values near
+    zero are compared on the scale of the spectral norm."""
+    expected = dense_extremes(m, depth)
+    atol = 1e-10 * np.abs(expected).max()
+    np.testing.assert_allclose(
+        extreme_eigenvalues(m, depth, seed), expected, rtol=1e-10, atol=atol
+    )
+
+
+class TestExtremeEigenvalues:
+    def test_random_symmetric_matrices(self):
+        rng = np.random.default_rng(11)
+        for n in (20, 90, 300):
+            m = rng.standard_normal((n, n))
+            m = m + m.T
+            for depth in (1, 2, 4):
+                assert_agrees_with_dense(m, depth, seed=n + depth)
+
+    def test_bulk_edge_surrogate_r3(self):
+        # r = 3 has no outlier: both ends sit on the semicircle edge
+        _, g = sample_surrogate(ModelParams(n=600, r=3, p=0.5), 4)
+        assert_agrees_with_dense(g, 1)
+        assert_agrees_with_dense(g, 3)
+
+    def test_r2_laplacian_with_exact_zero_eigenvalue(self):
+        _, g = sample_surrogate(ModelParams(n=10, r=2, p=0.5), 5)
+        lap = laplacian(g)
+        assert np.abs(lap @ np.ones(10)).max() < 1e-12
+        # depth 4 at n = 10 reaches the zero eigenvalue from the top end
+        assert_agrees_with_dense(lap, 4)
+        _, g = sample_surrogate(ModelParams(n=200, r=2, p=0.5), 5)
+        assert_agrees_with_dense(laplacian(g), 2)
+
+    def test_degenerate_spectrum(self):
+        # four eigenvalues of multiplicity 15: the Krylov space from any start
+        # vector is invariant after four steps
+        rng = np.random.default_rng(0)
+        q, _ = np.linalg.qr(rng.standard_normal((60, 60)))
+        m = q @ np.diag(np.repeat([3.0, 1.0, -0.5, -2.0], 15)) @ q.T
+        m = (m + m.T) / 2
+        lam = extreme_eigenvalues(m, 2, 4)
+        np.testing.assert_allclose(lam, [3.0, 3.0, -2.0, -2.0], rtol=1e-12)
+        assert extreme_eigenvalues(m, 2, 4).tobytes() == lam.tobytes()
+
+    def test_dense_branch_at_tiny_n(self, monkeypatch):
+        def no_lanczos(*args, **kwargs):
+            raise AssertionError("Lanczos called where the dense solver should run")
+
+        monkeypatch.setattr(spectra, "eigsh", no_lanczos)
+        m = np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 2.0]])
+        root = math.sqrt(2.0)
+        np.testing.assert_allclose(extreme_eigenvalues(m, 1, 0), [2.0 + root, 2.0 - root])
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal((7, 7))
+        x = x + x.T
+        np.testing.assert_array_equal(extreme_eigenvalues(x, 3, 0), dense_extremes(x, 3))
+
+    def test_same_seed_same_bits_other_seed_same_values(self):
+        _, g = sample_surrogate(ModelParams(n=400, r=4, p=0.5), 8)
+        first = extreme_eigenvalues(g, 2, 21)
+        extreme_eigenvalues(g + np.eye(400), 2, 22)  # another solve in between
+        np.testing.assert_array_equal(extreme_eigenvalues(g, 2, 21), first)
+        np.testing.assert_allclose(extreme_eigenvalues(g, 2, 99), first, rtol=1e-12)
+
+    def test_no_convergence_raises_named_error(self, monkeypatch):
+        monkeypatch.setattr(spectra, "eigsh", functools.partial(eigsh, maxiter=1))
+        # one restart cycle of 80 Lanczos vectors cannot resolve the bulk edge
+        _, g = sample_surrogate(ModelParams(n=1500, r=3, p=0.5), 9)
+        with pytest.raises(EigensolverError) as info:
+            extreme_eigenvalues(g, 2, 0)
+        err = info.value
+        assert (err.n, err.depth, err.ncv) == (1500, 2, 80)
+        assert 0 <= err.converged < 4
+        assert "n=1500" in str(err) and "ncv=80" in str(err)
+
+    def test_edge_bbp_threads_bit_identical_with_solves_between(self):
+        base = dict(kind="edge_bbp", n=500, r=4, trials=4, master_seed=13)
+        _, g = sample_surrogate(ModelParams(n=300, r=3, p=0.5), 1)
+        records = []
+        for _ in range(2):
+            for threads in (1, 2):
+                records.append(run_edge_bbp(ExperimentConfig(**base, threads=threads)))
+                extreme_eigenvalues(g, 2, 5)
+        first = records[0]
+        for rec in records[1:]:
+            assert rec.trials == first.trials
+            assert rec.aggregate == first.aggregate
+            assert rec.data["eigenvalues"].tobytes() == first.data["eigenvalues"].tobytes()
 
 
 class TestGaussianMaxCentering:
