@@ -168,22 +168,21 @@ def sample_surrogate(
     v = rng.standard_normal(params.n)
     raw = rng.standard_normal((params.n, params.n))
     z = raw + raw.T
+    del raw
     z /= math.sqrt(2.0)
     comp = SurrogateComponents(U=u, V=v, Z=z, seed=seed)
-    g = surrogate_matrix(comp, cov, work=raw)  # raw is spent
+    g = surrogate_matrix(comp, cov)
     np.fill_diagonal(g, 0.0)
     return comp, g
 
 
-def surrogate_matrix(
-    comp: SurrogateComponents, cov: CovarianceParams, work: np.ndarray | None = None
-) -> np.ndarray:
+def surrogate_matrix(comp: SurrogateComponents, cov: CovarianceParams) -> np.ndarray:
     """Full surrogate matrix alpha*U*11^T + beta*(V 1^T + 1 V^T) + theta*Z,
-    diagonal included, built in place (theta*Z is written into ``work`` if given)."""
+    diagonal included, built in place."""
     g = np.add.outer(comp.V, comp.V)
     g *= cov.beta
     g += cov.alpha * comp.U
-    g += np.multiply(cov.theta, comp.Z, out=work)
+    g += cov.theta * comp.Z
     return g
 
 
