@@ -14,14 +14,16 @@ the fixed point of
 after which S(z) = S_1(z + h_2(omega)).  Since Im h_i >= 0 on the upper half
 plane, the damped iteration can never leave it.  Densities are recovered by
 evaluating S just above the real axis, continuing the fixed point down a
-geometric ladder of imaginary offsets; at the final offset (1e-9 by default)
-the Poisson smoothing bias is negligible even at square-root edges, so no
-extrapolation in the offset is needed.
+geometric ladder of imaginary offsets; at the final offset (the module
+constant 1e-9) the Poisson smoothing bias is negligible even at square-root
+edges, so no extrapolation in the offset is needed.  The damping, tolerance and
+iteration cap of the fixed point are module constants as well.
 """
 
 from __future__ import annotations
 
 import math
+from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -52,6 +54,16 @@ __all__ = [
 ]
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
+
+# subordination fixed point: damping, relative tolerance, iteration cap, and
+# the final imaginary offset of the density inversion
+_DAMPING = 0.5
+_TOL = 1e-11
+_MAX_ITER = 100_000
+_INVERSION_EPS = 1e-9
+
+# cap on the atoms x points block an empirical Stieltjes transform holds at once
+_STIELTJES_BLOCK = 1 << 20
 
 
 class ConvergenceError(RuntimeError):
@@ -138,7 +150,7 @@ def _require_upper_half(z: np.ndarray) -> None:
         raise ValueError("Stieltjes transforms are defined for Im z > 0 only")
 
 
-class Law:
+class Law(ABC):
     """A probability law on the real line."""
 
     def density(self, x):
@@ -164,13 +176,13 @@ class Law:
         """Interval carrying all but a negligible (< 1e-13) sliver of mass."""
         raise NotImplementedError
 
+    @abstractmethod
     def cdf_integral(self, x):
         """Antiderivative of the CDF, int_{-inf}^x F(t) dt.
 
-        Lets Wasserstein-1 areas be evaluated in closed form; subclasses
-        without one fall back to adaptive quadrature in the metrics layer.
+        Required of every law: the metrics layer assembles every Wasserstein-1
+        area from it and has no quadrature fallback.
         """
-        raise NotImplementedError
 
     def descriptor(self) -> dict:
         raise NotImplementedError
@@ -285,7 +297,12 @@ class EmpiricalLaw(Law):
     def stieltjes(self, z):
         z = np.asarray(z, dtype=complex)
         _require_upper_half(z)
-        out = np.mean(1.0 / (self.atoms[:, None] - z.ravel()[None, :]), axis=0)
+        flat = z.ravel()
+        step = max(1, _STIELTJES_BLOCK // self.atoms.size)
+        out = np.empty(flat.shape, dtype=complex)
+        for i in range(0, flat.size, step):
+            block = flat[i : i + step]
+            out[i : i + step] = np.mean(1.0 / (self.atoms[:, None] - block), axis=0)
         out = out.reshape(z.shape)
         return complex(out) if out.ndim == 0 else out
 
@@ -320,7 +337,6 @@ class GridSpec:
     lo: float | None = None
     hi: float | None = None
     points: int = 2001
-    eps: float = 1e-9
 
     def resolve(self, law1: Law, law2: Law) -> tuple[float, float]:
         if self.lo is not None and self.hi is not None:
@@ -358,33 +374,28 @@ def _shift_transform(law: Law, w: np.ndarray) -> np.ndarray:
 
 
 def free_convolution_stieltjes(
-    law1: Law,
-    law2: Law,
-    z,
-    damping: float = 0.5,
-    tol: float = 1e-11,
-    max_iter: int = 100_000,
-    omega_init: np.ndarray | None = None,
+    law1: Law, law2: Law, z, omega_init: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Stieltjes transform of law1 [+] law2 at points z in the upper half plane.
 
     Returns (S, omega) where omega is the converged second subordination
     function, reusable as a warm start at nearby z.  Raises ConvergenceError if
-    any point fails to reach ``tol`` within ``max_iter`` damped iterations.
+    any point fails to reach the relative tolerance ``_TOL`` within
+    ``_MAX_ITER`` damped iterations.
     """
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     _require_upper_half(z)
     omega = z.copy() if omega_init is None else np.array(omega_init, dtype=complex)
     active = np.ones(z.shape, dtype=bool)
     last_residual = np.zeros(z.shape)
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         za = z[active]
         oa = omega[active]
         t = za + _shift_transform(law1, za + _shift_transform(law2, oa))
         residual = np.abs(t - oa)
-        omega[active] = oa + damping * (t - oa)
+        omega[active] = oa + _DAMPING * (t - oa)
         last_residual[active] = residual
-        still = residual > tol * np.maximum(1.0, np.abs(oa))
+        still = residual > _TOL * np.maximum(1.0, np.abs(oa))
         if not still.any():
             active[active] = False
             break
@@ -393,7 +404,7 @@ def free_convolution_stieltjes(
         worst = int(np.argmax(np.where(active, last_residual, -np.inf)))
         raise ConvergenceError(
             f"subordination fixed point did not converge at z={z.flat[worst]} "
-            f"(residual {last_residual.flat[worst]:.3e} after {max_iter} iterations)",
+            f"(residual {last_residual.flat[worst]:.3e} after {_MAX_ITER} iterations)",
             z=complex(z.flat[worst]),
             residual=float(last_residual.flat[worst]),
         )
@@ -408,20 +419,13 @@ def _offset_ladder(eps: float) -> list[float]:
     return ladder
 
 
-def free_additive_convolution(
-    law1: Law,
-    law2: Law,
-    grid: GridSpec | None = None,
-    damping: float = 0.5,
-    tol: float = 1e-11,
-    max_iter: int = 100_000,
-) -> DensityGrid:
+def free_additive_convolution(law1: Law, law2: Law, grid: GridSpec | None = None) -> DensityGrid:
     """Density of the free additive convolution law1 [+] law2 on a grid.
 
     The subordination fixed point is continued from Im z = 1 down a geometric
-    ladder of offsets to ``grid.eps`` (warm-starting each rung from the last),
-    and the density read off as Im S / pi at the final offset.  The resulting
-    mass must land within 1e-3 of 1 or a ConvergenceError is raised.
+    ladder of offsets to ``_INVERSION_EPS`` (warm-starting each rung from the
+    last), and the density read off as Im S / pi at the final offset.  The
+    resulting mass must land within 1e-3 of 1 or a ConvergenceError is raised.
 
     Examples
     --------
@@ -436,13 +440,10 @@ def free_additive_convolution(
     x = np.linspace(lo, hi, spec.points)
     omega = None
     s = None
-    for eps in _offset_ladder(spec.eps):
-        z = x + 1j * eps
-        s, omega = free_convolution_stieltjes(
-            law1, law2, z, damping=damping, tol=tol, max_iter=max_iter, omega_init=omega
-        )
+    for eps in _offset_ladder(_INVERSION_EPS):
+        s, omega = free_convolution_stieltjes(law1, law2, x + 1j * eps, omega_init=omega)
     f = np.maximum(s.imag / math.pi, 0.0)
-    out = DensityGrid(x=x, f=f, eps=spec.eps)
+    out = DensityGrid(x=x, f=f, eps=_INVERSION_EPS)
     mass = out.mass()
     if not (0.999 <= mass <= 1.001):
         raise ConvergenceError(

@@ -2,9 +2,11 @@
 
 Kolmogorov-Smirnov and Wasserstein-1 are computed exactly whenever at least
 one side is an empirical measure (sup over jump points, piecewise CDF-area
-integration); the analytic-analytic cases fall back to refined grid search and
-adaptive quadrature.  The bounded-Lipschitz metric is reported only as the
-computable upper bound min(w1, 2 ks).
+integration); between two analytic laws KS uses a refined grid search and W1
+sums CDF-antiderivative differences between the located crossings.  Every law
+carries a CDF antiderivative, so no W1 path needs quadrature.  The
+bounded-Lipschitz metric is reported only as the computable upper bound
+min(w1, 2 ks).
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .laws import EmpiricalLaw, Law
 from .spectra import SpectralSample
@@ -47,13 +48,6 @@ def _atoms(dist: Law) -> np.ndarray | None:
     return dist.atoms if isinstance(dist, EmpiricalLaw) else None
 
 
-def _support(dist: Law) -> tuple[float, float]:
-    a = _atoms(dist)
-    if a is not None:
-        return float(a[0]), float(a[-1])
-    return dist.support()
-
-
 def ks_distance(a: Law, b: Law) -> float:
     """sup_x |F_a(x) - F_b(x)|.
 
@@ -80,8 +74,8 @@ def ks_distance(a: Law, b: Law) -> float:
 
 
 def _ks_analytic(a: Law, b: Law, coarse: int = 4001, tol: float = 1e-8) -> float:
-    lo = min(_support(a)[0], _support(b)[0])
-    hi = max(_support(a)[1], _support(b)[1])
+    (lo_a, hi_a), (lo_b, hi_b) = a.support(), b.support()
+    lo, hi = min(lo_a, lo_b), max(hi_a, hi_b)
     xs = np.linspace(lo, hi, coarse)
     gap = np.abs(np.asarray(a.cdf(xs)) - np.asarray(b.cdf(xs)))
     best = 0.0
@@ -112,8 +106,7 @@ def w1_distance(a: Law, b: Law) -> float:
 
     Exact piecewise integration between empirical measures; against an
     analytic law the area is assembled from the law's CDF antiderivative with
-    the level-crossing points located by bisection (falling back to adaptive
-    quadrature for laws without an antiderivative).
+    the level-crossing points located by bisection.
     """
     atoms_a, atoms_b = _atoms(a), _atoms(b)
     if atoms_a is not None and atoms_b is not None:
@@ -126,10 +119,7 @@ def w1_distance(a: Law, b: Law) -> float:
     if atoms_a is None and atoms_b is None:
         return _w1_analytic(a, b)
     emp, law = (atoms_a, b) if atoms_a is not None else (atoms_b, a)
-    try:
-        return _w1_empirical_analytic(emp, law)
-    except NotImplementedError:
-        return _w1_quad_fallback(emp, law)
+    return _w1_empirical_analytic(emp, law)
 
 
 def _bisect_level(cdf, level: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -173,58 +163,32 @@ def _w1_empirical_analytic(atoms: np.ndarray, law: Law) -> float:
 
 
 def _w1_analytic(a: Law, b: Law) -> float:
-    lo = min(_support(a)[0], _support(b)[0])
-    hi = max(_support(a)[1], _support(b)[1])
-    try:
-        xs = np.linspace(lo, hi, 8001)
-        gap = np.asarray(a.cdf(xs)) - np.asarray(b.cdf(xs))
-        sign_change = np.nonzero(np.sign(gap[:-1]) * np.sign(gap[1:]) < 0)[0]
-        breaks = [lo]
-        # grid points where the gap vanishes are crossings already resolved
-        breaks.extend(float(x) for x in xs[np.abs(gap) < 1e-15])
-        for i in sign_change:
-            # locate the crossing of F_a - F_b by bisection
-            left, right = xs[i], xs[i + 1]
-            for _ in range(80):
-                mid = 0.5 * (left + right)
-                if (float(a.cdf(mid)) - float(b.cdf(mid))) * gap[i] > 0:
-                    left = mid
-                else:
-                    right = mid
-            breaks.append(0.5 * (left + right))
-        breaks.append(hi)
-        breaks.sort()
-        total = 0.0
-        for x0, x1 in zip(breaks[:-1], breaks[1:]):
-            seg = (float(a.cdf_integral(x1)) - float(a.cdf_integral(x0))) - (
-                float(b.cdf_integral(x1)) - float(b.cdf_integral(x0))
-            )
-            total += abs(seg)
-        return float(total)
-    except NotImplementedError:
-        value, _ = integrate.quad(
-            lambda x: abs(float(a.cdf(x)) - float(b.cdf(x))), lo, hi,
-            limit=400, epsabs=1e-9,
-        )
-        return float(value)
-
-
-def _w1_quad_fallback(atoms: np.ndarray, law: Law) -> float:
-    n = atoms.size
-    lo = min(law.support()[0], float(atoms[0]))
-    hi = max(law.support()[1], float(atoms[-1]))
-    cuts = np.concatenate([[lo], atoms, [hi]])
+    (lo_a, hi_a), (lo_b, hi_b) = a.support(), b.support()
+    lo, hi = min(lo_a, lo_b), max(hi_a, hi_b)
+    xs = np.linspace(lo, hi, 8001)
+    gap = np.asarray(a.cdf(xs)) - np.asarray(b.cdf(xs))
+    sign_change = np.nonzero(np.sign(gap[:-1]) * np.sign(gap[1:]) < 0)[0]
+    breaks = [lo]
+    # grid points where the gap vanishes are crossings already resolved
+    breaks.extend(float(x) for x in xs[np.abs(gap) < 1e-15])
+    for i in sign_change:
+        # locate the crossing of F_a - F_b by bisection
+        left, right = xs[i], xs[i + 1]
+        for _ in range(80):
+            mid = 0.5 * (left + right)
+            if (float(a.cdf(mid)) - float(b.cdf(mid))) * gap[i] > 0:
+                left = mid
+            else:
+                right = mid
+        breaks.append(0.5 * (left + right))
+    breaks.append(hi)
+    breaks.sort()
     total = 0.0
-    for i in range(len(cuts) - 1):
-        left, right = float(cuts[i]), float(cuts[i + 1])
-        if right <= left:
-            continue
-        level = i / n
-        seg, _ = integrate.quad(
-            lambda x: abs(float(law.cdf(x)) - level), left, right,
-            limit=200, epsabs=1e-10,
+    for x0, x1 in zip(breaks[:-1], breaks[1:]):
+        seg = (float(a.cdf_integral(x1)) - float(a.cdf_integral(x0))) - (
+            float(b.cdf_integral(x1)) - float(b.cdf_integral(x0))
         )
-        total += seg
+        total += abs(seg)
     return float(total)
 
 
@@ -251,10 +215,10 @@ def hausdorff_spectra(a, b) -> float:
     xs, ys = np.sort(xs), np.sort(ys)
 
     def one_sided(src: np.ndarray, dst: np.ndarray) -> float:
-        pos = np.clip(np.searchsorted(dst, src), 1, dst.size - 1) if dst.size > 1 else np.zeros(src.size, dtype=int)
-        if dst.size == 1:
-            return float(np.abs(src - dst[0]).max())
-        nearest = np.minimum(np.abs(src - dst[pos - 1]), np.abs(src - dst[pos]))
-        return float(nearest.max())
+        # the nearest point of dst is one of the two neighbours of src's slot
+        pos = np.searchsorted(dst, src)
+        left = dst[np.maximum(pos - 1, 0)]
+        right = dst[np.minimum(pos, dst.size - 1)]
+        return float(np.minimum(np.abs(src - left), np.abs(src - right)).max())
 
     return max(one_sided(xs, ys), one_sided(ys, xs))

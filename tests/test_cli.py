@@ -256,11 +256,14 @@ class TestUsageErrors:
 class TestSetUp:
     def test_cli_import_defers_scipy_stats(self):
         # only the Bernoulli edge-count draw needs scipy.stats and imports it on
-        # first use; importing it with the package would lengthen every set-up
+        # first use; importing it with the package would lengthen every set-up.
+        # No metric uses quadrature, so scipy.integrate (which pulls in
+        # scipy.optimize) is never loaded at all
         src = str(Path(hypergraph_spectra.__file__).resolve().parent.parent)
         env = dict(os.environ, PYTHONPATH=src)
-        code = "import sys, hypergraph_spectra.cli; print('scipy.stats' in sys.modules)"
+        deferred = ("scipy.stats", "scipy.integrate", "scipy.optimize")
+        code = f"import sys, hypergraph_spectra.cli; print([m in sys.modules for m in {deferred}])"
         out = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
         )
-        assert out.stdout.strip() == "False"
+        assert out.stdout.strip() == str([False] * len(deferred))

@@ -1,11 +1,13 @@
 """Tests for analytic laws, Stieltjes transforms, and free convolution."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import integrate
 
+from hypergraph_spectra import laws
 from hypergraph_spectra.laws import (
     ConvergenceError,
     DensityGrid,
@@ -299,6 +301,14 @@ class TestFreeConvolution:
         assert np.all(grid.f >= 0.0)
         assert grid.x.size == 801
 
+    def test_non_convergence_raises_with_diagnostics(self, monkeypatch):
+        monkeypatch.setattr(laws, "_MAX_ITER", 1)
+        zs = np.linspace(-2, 2, 5) + 1e-3j
+        with pytest.raises(ConvergenceError, match="after 1 iterations") as info:
+            free_convolution_stieltjes(SemicircleLaw(1.0), SemicircleLaw(1.0), zs)
+        assert info.value.z.imag > 0
+        assert info.value.residual > 0
+
     def test_undersized_grid_raises(self):
         spec = GridSpec(lo=-0.5, hi=0.5, points=101)
         with pytest.raises(ConvergenceError, match="mass"):
@@ -339,6 +349,33 @@ class TestFreeConvolution:
         law = FreeConvolutionLaw(law1, law2)
         assert law.variance() == pytest.approx(law1.variance() + law2.variance())
         assert law.grid.variance() == pytest.approx(law.variance(), rel=1e-3)
+
+
+class TestEmpiricalStieltjes:
+    @pytest.mark.parametrize("block", [1, 37, 600, 1 << 20])
+    def test_blocks_match_one_shot_formula(self, monkeypatch, block):
+        # blocks need not reproduce the one-shot bits: numpy may sum a narrow
+        # block in another order
+        rng = np.random.default_rng(5)
+        law = EmpiricalLaw(rng.standard_normal(300))
+        z = (np.linspace(-3, 3, 121) + 1j * np.geomspace(1e-3, 2.0, 121)).reshape(11, 11)
+        one_shot = np.mean(1.0 / (law.atoms[:, None] - z.ravel()[None, :]), axis=0)
+        monkeypatch.setattr(laws, "_STIELTJES_BLOCK", block)
+        out = law.stieltjes(z)
+        assert out.shape == z.shape
+        np.testing.assert_allclose(out.ravel(), one_shot, rtol=1e-12)
+
+    def test_memory_bounded_on_pooled_measure(self):
+        # the one-shot atoms x points array would take 10k * 2001 * 16 B = 320 MB
+        law = EmpiricalLaw(np.random.default_rng(6).standard_normal(10_000))
+        z = np.linspace(-5.0, 5.0, 2001) + 1e-3j
+        tracemalloc.start()
+        try:
+            law.stieltjes(z)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64e6
 
 
 class TestDensityGrid:

@@ -1,5 +1,6 @@
 """Tests for distribution distances and spectral Hausdorff distance."""
 
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -156,15 +157,23 @@ class TestBlUpperBound:
 
 class TestMetricAxioms:
     def test_symmetry_and_triangle_inequality(self):
+        # the first 40 rounds add a semicircle and a Gaussian law to the three
+        # empirical ones, so the empirical-analytic and analytic-analytic paths
+        # count too (an analytic-analytic W1 takes about 50 ms, hence not all)
         rng = np.random.default_rng(21)
-        for _ in range(200):
+        scales = np.random.default_rng(22)
+        for round_ in range(200):
             sizes = rng.integers(2, 21, size=3)
             ms = [EmpiricalMeasure(rng.standard_normal(k)) for k in sizes]
+            if round_ < 40:
+                sigma2 = scales.uniform(0.2, 3.0, size=2)
+                ms += [SemicircleLaw(sigma2[0]), GaussianLaw(sigma2[1])]
             for dist in (ks_distance, w1_distance):
-                d01, d10 = dist(ms[0], ms[1]), dist(ms[1], ms[0])
-                assert abs(d01 - d10) < 1e-10
-                d02, d12 = dist(ms[0], ms[2]), dist(ms[1], ms[2])
-                assert d02 <= d01 + d12 + 1e-10
+                pairs = itertools.permutations(range(len(ms)), 2)
+                d = {(i, j): dist(ms[i], ms[j]) for i, j in pairs}
+                for i, j, k in itertools.permutations(range(len(ms)), 3):
+                    assert abs(d[i, j] - d[j, i]) < 1e-10
+                    assert d[i, k] <= d[i, j] + d[j, k] + 1e-10
 
 
 class TestRankPerturbationIntegration:
@@ -202,7 +211,7 @@ class TestHausdorff:
                 max(min(abs(x - y) for y in ys) for x in xs),
                 max(min(abs(x - y) for x in xs) for y in ys),
             )
-            assert hausdorff_spectra(xs, ys) == pytest.approx(brute, abs=1e-12)
+            assert hausdorff_spectra(xs, ys) == brute
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
