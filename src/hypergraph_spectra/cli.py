@@ -219,7 +219,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--seed", type=int, default=0, help="master seed")
     parser.add_argument("--out-dir", default=".", help="output directory")
-    parser.add_argument("--threads", type=int, default=1)
+    parser.add_argument(
+        "--threads", type=int, default=1,
+        help="experiment trial pool size, capped at the usable cores and the trial "
+        "count; above 1 every trial runs the bundled OpenBLAS at one thread",
+    )
     parser.add_argument("--format", choices=["csv", "json"], default="csv")
     sub = parser.add_subparsers(dest="command", required=True)
 

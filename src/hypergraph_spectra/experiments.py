@@ -2,26 +2,37 @@
 
 Each ``run_*`` function takes an ExperimentConfig and returns an
 ExperimentRecord holding the config snapshot, one summary row per trial,
-aggregate statistics recomputable from those rows, and raw eigenvalue arrays
-for persistence.  Every kind goes through one trial loop, ``_run``: a kind
-supplies only ``trial(index, seed)``, giving its row statistics and per-trial
-arrays, and ``finish(rows, data)``, giving its aggregate and gate keys.  The
-loop owns the timer, the per-trial seeds (derived from the master seed by
-splitmix64), the rows, the stacking of arrays in trial order, the tolerance
-gate and the record.  The edge kinds read at most depth = k + 1 eigenvalues
-at each end and compute only those, by a Lanczos solve started from a vector
-derived from the trial seed (``spectra.extreme_eigenvalues``); the others
-solve densely.  Trials may run on a thread pool (the eigensolvers release the
-GIL); aggregation is a deterministic fold in trial order, so ``threads`` does
-not change a record (checked up to n = 2000).  Records are bit-reproducible
-for a fixed config at a fixed BLAS thread count: from n in the low hundreds,
-the BLAS thread count can move the last bits of the eigenvalues.
+aggregate statistics recomputable from those rows, raw eigenvalue arrays for
+persistence, and a provenance block (versions, BLAS libraries, pool size).
+Every kind goes through one trial loop, ``_run``: a kind supplies only
+``trial(index, seed)``, giving its row statistics and per-trial arrays, and
+``finish(rows, data)``, giving its aggregate and gate keys.  The loop owns the
+timer, the per-trial seeds (derived from the master seed by splitmix64), the
+rows, the stacking of arrays in trial order, the tolerance gate and the
+record.  The edge kinds read at most depth = k + 1 eigenvalues at each end and
+compute only those, by a Lanczos solve started from a vector derived from the
+trial seed (``spectra.extreme_eigenvalues``); the others solve densely.
+
+With ``threads > 1`` trials run on a thread pool (the eigensolvers release the
+GIL) of at most as many workers as usable cores, and every trial runs the
+bundled OpenBLAS libraries at one thread, so pool and BLAS threads do not
+compete for the cores; aggregation is a deterministic fold in trial order.
+Reproducibility contract: a record is bit-reproducible for a fixed config at a
+fixed BLAS thread count per trial.  That count is the caller's when
+``threads == 1`` and one when ``threads > 1``.  From n in the low hundreds the
+dense kinds depend on it in the last bits of the eigenvalues, so a pooled
+dense record equals the serial record run at one BLAS thread; the Lanczos
+edge kinds depend on neither the BLAS thread count nor ``threads``.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import json
 import math
+import os
+import platform
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
@@ -29,6 +40,7 @@ from datetime import datetime
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from .combinatorics import (
     DEFAULT_EDGE_BUDGET,
@@ -125,6 +137,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
         if self.trials < 1:
             raise ValueError("need at least one trial")
+        if self.threads < 1:
+            raise ValueError(f"need threads >= 1, got {self.threads}")
         if self.ensemble not in (BERNOULLI, SURROGATE):
             raise ValueError(f"unknown ensemble {self.ensemble!r}")
         if self.matrix not in ("gham", "laplacian", "laplacian_tilde"):
@@ -162,6 +176,7 @@ class ExperimentRecord:
     wall_clock_s: float
     artifacts: dict = field(default_factory=dict)
     data: dict = field(default_factory=dict)
+    provenance: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
         return {
@@ -169,17 +184,81 @@ class ExperimentRecord:
             "trials": self.trials,
             "aggregate": self.aggregate,
             "wall_clock_s": self.wall_clock_s,
+            "provenance": self.provenance,
             "artifacts": self.artifacts,
         }
 
 
+@functools.cache
+def _openblas() -> tuple:
+    """(file name, get_num_threads, set_num_threads_local) for each OpenBLAS
+    bundled with numpy or scipy that exports both symbols; empty under any
+    other BLAS."""
+    found = []
+    for module, getter in (
+        (np, "scipy_openblas_get_num_threads64_"),
+        (scipy, "scipy_openblas_get_num_threads"),
+    ):
+        libs = Path(module.__file__).parent.parent / f"{module.__name__}.libs"
+        for path in sorted(libs.glob("*openblas*")):
+            try:
+                lib = ctypes.CDLL(str(path))
+                found.append((path.name, getattr(lib, getter), lib.openblas_set_num_threads_local))
+            except (OSError, AttributeError):
+                continue
+    return tuple(found)
+
+
+def _pool_size(cfg: ExperimentConfig) -> int:
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        cores = os.cpu_count() or 1
+    return min(cfg.threads, cfg.trials, cores)
+
+
 def _map_trials(cfg: ExperimentConfig, worker):
-    """Run worker(index, seed) for every trial; results in trial order."""
+    """Run worker(index, seed) for every trial; results in trial order.
+
+    With threads > 1 each pool worker sets every bundled OpenBLAS to one
+    thread.  That setting reaches the calling thread too (the count is
+    process-wide in these builds), so the caller saves the counts before the
+    pool starts and restores them once it has joined, also when a trial
+    raises.  Two pooled runs at once in one process would race on them."""
     seeds = [cfg.trial_seed(i) for i in range(cfg.trials)]
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            return list(pool.map(worker, range(cfg.trials), seeds))
-    return [worker(i, s) for i, s in zip(range(cfg.trials), seeds)]
+    if cfg.threads == 1:
+        return [worker(i, s) for i, s in zip(range(cfg.trials), seeds)]
+    blas = _openblas()
+    saved = [get() for _, get, _ in blas]
+
+    def pinned(index: int, seed: int):
+        for _, _, set_local in blas:
+            set_local(1)
+        return worker(index, seed)
+
+    try:
+        with ThreadPoolExecutor(max_workers=_pool_size(cfg)) as pool:
+            return list(pool.map(pinned, range(cfg.trials), seeds))
+    finally:
+        for (_, _, set_local), count in zip(blas, saved):
+            set_local(count)
+
+
+def _provenance(cfg: ExperimentConfig) -> dict:
+    """Versions, bundled BLAS libraries with the thread count trials ran at,
+    and the pool size; kept out of the rows and the aggregate."""
+    pooled = cfg.threads > 1
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "blas": [
+            {"library": name, "threads": 1 if pooled else get()}
+            for name, get, _ in _openblas()
+        ],
+        "workers": _pool_size(cfg) if pooled else 1,
+        "blas_pinned": pooled and bool(_openblas()),
+    }
 
 
 def _run(cfg: ExperimentConfig, trial, finish, legs=None) -> ExperimentRecord:
@@ -217,6 +296,7 @@ def _run(cfg: ExperimentConfig, trial, finish, legs=None) -> ExperimentRecord:
         aggregate=aggregate,
         wall_clock_s=time.perf_counter() - t0,
         data=data,
+        provenance=_provenance(cfg),
     )
 
 
@@ -732,6 +812,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentRecord:
             trials=[],
             aggregate=report,
             wall_clock_s=time.perf_counter() - t0,
+            provenance=_provenance(cfg),
         )
     return _RUNNERS[cfg.kind](cfg)
 

@@ -169,8 +169,12 @@ def _w1_analytic(a: Law, b: Law) -> float:
     gap = np.asarray(a.cdf(xs)) - np.asarray(b.cdf(xs))
     sign_change = np.nonzero(np.sign(gap[:-1]) * np.sign(gap[1:]) < 0)[0]
     breaks = [lo]
-    # grid points where the gap vanishes are crossings already resolved
-    breaks.extend(float(x) for x in xs[np.abs(gap) < 1e-15])
+    # grid points where the gap vanishes are crossings already resolved; a run
+    # of them is one piece, bounded by its first and last point
+    zero = np.abs(gap) < 1e-15
+    inner = zero[1:-1] & zero[:-2] & zero[2:]
+    ends = zero & ~np.concatenate([[False], inner, [False]])
+    breaks.extend(float(x) for x in xs[ends])
     for i in sign_change:
         # locate the crossing of F_a - F_b by bisection
         left, right = xs[i], xs[i + 1]

@@ -146,6 +146,16 @@ class TestExperimentCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: Lanczos solve") and "n=1500" in err
 
+    def test_threads_below_one_rejected(self, tmp_path, capsys):
+        code = main(
+            [
+                "--out-dir", str(tmp_path), "--threads", "0", "experiment", "--kind",
+                "bulk", "-n", "20", "-r", "3", "--trials", "2",
+            ]
+        )
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: need threads >= 1")
+
     def test_config_file_with_flag_overrides(self, tmp_path):
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(

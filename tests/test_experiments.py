@@ -2,10 +2,13 @@
 
 import json
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
 
+from hypergraph_spectra import experiments
 from hypergraph_spectra.combinatorics import ModelParams, SamplingBudgetError
 from hypergraph_spectra.experiments import (
     BERNOULLI,
@@ -27,7 +30,7 @@ from hypergraph_spectra.experiments import (
     universality_bound,
 )
 from hypergraph_spectra.laws import truncated_moments_gaussian
-from hypergraph_spectra.spectra import Scaling
+from hypergraph_spectra.spectra import EigensolverError, Scaling
 
 
 class TestConfig:
@@ -38,6 +41,11 @@ class TestConfig:
     def test_trials_positive(self):
         with pytest.raises(ValueError):
             ExperimentConfig(kind="bulk", n=10, r=3, trials=0)
+
+    @pytest.mark.parametrize("threads", [0, -2])
+    def test_threads_positive(self, threads):
+        with pytest.raises(ValueError, match="threads"):
+            ExperimentConfig(kind="bulk", n=10, r=3, threads=threads)
 
     def test_bernoulli_feasibility_checked(self):
         with pytest.raises(SamplingBudgetError):
@@ -79,6 +87,104 @@ class TestReproducibility:
         assert recomputed  # at least the mean/std/stderr keys
         for key, value in recomputed.items():
             assert rec.aggregate[key] == pytest.approx(value, abs=1e-12)
+
+
+def _blas_threads() -> list[int]:
+    return [get() for _, get, _ in experiments._openblas()]
+
+
+def _set_blas_threads(count: int) -> None:
+    for _, _, set_local in experiments._openblas():
+        set_local(count)
+
+
+@pytest.fixture
+def caller_blas():
+    """The bundled OpenBLAS thread counts, restored after the test."""
+    if not experiments._openblas():
+        pytest.skip("numpy and scipy do not bundle OpenBLAS here")
+    saved = _blas_threads()
+    yield
+    for (_, _, set_local), count in zip(experiments._openblas(), saved):
+        set_local(count)
+
+
+class TestTrialPool:
+    EDGE = dict(kind="edge_bbp", n=200, r=4, trials=6, master_seed=3, threads=4)
+
+    @staticmethod
+    def _spy_solves(monkeypatch, fail_seed=None) -> list:
+        """Record (thread id, BLAS thread counts) at every Lanczos solve."""
+        seen = []
+        solve = experiments.extreme_eigenvalues
+
+        def spy(matrix, depth, seed):
+            seen.append((threading.get_ident(), _blas_threads()))
+            if seed == fail_seed:
+                raise EigensolverError(matrix.shape[0], depth, 0, 0)
+            return solve(matrix, depth, seed)
+
+        monkeypatch.setattr(experiments, "extreme_eigenvalues", spy)
+        return seen
+
+    def test_pooled_trials_run_blas_at_one_thread(self, caller_blas, monkeypatch):
+        _set_blas_threads(2)
+        seen = self._spy_solves(monkeypatch)
+        run_edge_bbp(ExperimentConfig(**self.EDGE))
+        assert len(seen) == self.EDGE["trials"]
+        assert all(counts == [1] * len(experiments._openblas()) for _, counts in seen)
+
+    def test_caller_blas_threads_restored(self, caller_blas):
+        _set_blas_threads(2)
+        run_edge_bbp(ExperimentConfig(**self.EDGE))
+        assert _blas_threads() == [2] * len(experiments._openblas())
+
+    def test_caller_blas_threads_restored_when_a_trial_raises(self, caller_blas, monkeypatch):
+        _set_blas_threads(2)
+        cfg = ExperimentConfig(**self.EDGE)
+        self._spy_solves(monkeypatch, fail_seed=cfg.trial_seed(1))
+        with pytest.raises(EigensolverError):
+            run_edge_bbp(cfg)
+        assert _blas_threads() == [2] * len(experiments._openblas())
+
+    def test_pool_capped_at_usable_cores(self, monkeypatch):
+        seen = self._spy_solves(monkeypatch)
+        run_edge_bbp(ExperimentConfig(**self.EDGE))
+        if hasattr(os, "sched_getaffinity"):
+            cores = len(os.sched_getaffinity(0))
+        else:
+            cores = os.cpu_count()
+        assert len({ident for ident, _ in seen}) <= cores
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            dict(kind="edge_bbp", n=1000, r=4, trials=4, master_seed=7),
+            dict(kind="edge_regimes", n=600, r=180, trials=4, master_seed=7,
+                 regime="proportional", pushforward_draws=1000),
+        ],
+        ids=["edge_bbp", "edge_regimes"],
+    )
+    def test_edge_records_do_not_depend_on_threads(self, config):
+        # the Lanczos kinds are independent of the BLAS thread count, so the
+        # serial run at the caller's count equals the pinned pooled run
+        serial = run_experiment(ExperimentConfig(**config, threads=1))
+        pooled = run_experiment(ExperimentConfig(**config, threads=4))
+        assert serial.trials == pooled.trials
+        assert serial.aggregate == pooled.aggregate
+        for key, values in serial.data.items():
+            np.testing.assert_array_equal(values, pooled.data[key])
+
+    def test_pooled_dense_record_equals_serial_at_one_blas_thread(self, caller_blas):
+        # at n = 500 the dense solve depends on the BLAS thread count; a pooled
+        # trial runs at one thread, so it reproduces the serial run at one
+        config = dict(kind="bulk", n=500, r=2, trials=4, master_seed=13)
+        pooled = run_bulk(ExperimentConfig(**config, threads=4))
+        _set_blas_threads(1)
+        serial = run_bulk(ExperimentConfig(**config))
+        assert serial.trials == pooled.trials
+        assert serial.aggregate == pooled.aggregate
+        np.testing.assert_array_equal(serial.data["eigenvalues"], pooled.data["eigenvalues"])
 
 
 class TestRunBulk:
@@ -416,6 +522,19 @@ class TestPersistence:
         assert "mean_esd_ks" in payload["aggregate"]
         csv = np.loadtxt(run_dir / "eigenvalues.csv", delimiter=",", skiprows=1)
         assert csv.shape == (90, 3)
+
+    def test_pooled_record_carries_provenance(self, tmp_path):
+        cfg = ExperimentConfig(kind="edge_bbp", n=60, r=4, trials=3, master_seed=2, threads=2)
+        run_dir = persist_record(run_edge_bbp(cfg), tmp_path, timestamp="t")
+        payload = json.loads((run_dir / "record.json").read_text())
+        prov = payload["provenance"]
+        assert set(prov) == {"python", "numpy", "scipy", "blas", "workers", "blas_pinned"}
+        assert prov["numpy"] == np.__version__
+        assert 1 <= prov["workers"] <= 2
+        assert prov["blas_pinned"] is bool(experiments._openblas())
+        assert all(lib["threads"] == 1 for lib in prov["blas"])
+        assert not any("provenance" in row for row in payload["trials"])
+        assert "provenance" not in payload["aggregate"]
 
     def test_persist_pushforward_arrays(self, tmp_path):
         cfg = ExperimentConfig(

@@ -124,6 +124,20 @@ class TestW1Distance:
         value = w1_distance(GaussianLaw(1.0), GaussianLaw(4.0))
         assert value == pytest.approx(math.sqrt(2.0 / math.pi), abs=1e-8)
 
+    @pytest.mark.parametrize("base", [SemicircleLaw, GaussianLaw])
+    def test_identical_analytic_laws_are_one_piece(self, base):
+        # the CDF gap vanishes on the whole grid; its zero run must be one
+        # piece, not thousands of antiderivative evaluations
+        class Spy(base):
+            calls = 0
+
+            def cdf_integral(self, x):
+                Spy.calls += 1
+                return super().cdf_integral(x)
+
+        assert w1_distance(Spy(1.3), Spy(1.3)) == 0.0
+        assert Spy.calls < 100
+
 
 class TestBlUpperBound:
     def test_identical(self):
