@@ -23,8 +23,6 @@ __all__ = [
     "binomial_coefficient",
     "log_binomial",
     "average_degree",
-    "edge_overlap_count",
-    "enumerate_edges",
     "derive_seed",
     "check_edge_budget",
     "sample_hypergraph",
@@ -111,14 +109,18 @@ class HypergraphSample:
         edges = np.asarray(self.edges) if len(self.edges) else np.empty((0, r), dtype=np.int64)
         if edges.ndim != 2 or edges.shape[1] != r or edges.dtype.kind not in "iu":
             raise ValueError(f"edges must be integer rows of length {r}, got {edges.shape}")
-        if not np.all(edges[:, 1:] > edges[:, :-1]):
+        if not all(np.all(edges[:, j] < edges[:, j + 1]) for j in range(r - 1)):
             raise ValueError(f"edges must be strictly increasing {r}-subsets")
         if np.any(edges[:, 0] < 1) or np.any(edges[:, -1] > n):
             raise ValueError(f"edge vertices must lie in [1, {n}]")
-        # a stable sort is linear on rows already in order, as the sampler's are
-        edges = edges[np.argsort(_row_keys(edges, n), kind="stable")].astype(np.int64, copy=False)
-        if np.any(np.all(edges[1:] == edges[:-1], axis=1)):
+        # a stable sort is linear on sorted rows; keys are injective, so equal
+        # neighbours are duplicate rows
+        keys = _row_keys(edges, n)
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        if np.any(keys[1:] == keys[:-1]):
             raise ValueError("duplicate edges in sample")
+        edges = edges[order].astype(np.int64, copy=False)
         edges.flags.writeable = False
         object.__setattr__(self, "edges", edges)
 
@@ -142,16 +144,6 @@ def average_degree(params: ModelParams) -> float:
     return math.exp(log_binomial(params.n - 1, params.r - 1) + math.log(params.p))
 
 
-def edge_overlap_count(n: int, r: int, s: int) -> int:
-    """Number of r-subsets of {1..n} sharing exactly s vertices with a fixed one.
-
-    Equals C(r, s) * C(n-r, r-s).  Summed over s = 0..r this recovers C(n, r).
-    """
-    if not (0 <= s <= r <= n):
-        raise ValueError(f"need 0 <= s <= r <= n, got n={n}, r={r}, s={s}")
-    return math.comb(r, s) * math.comb(n - r, r - s)
-
-
 def _edge_rows(n: int, r: int) -> np.ndarray:
     """All C(n, r) r-subsets of {1..n} as increasing rows in lexicographic order."""
     rows = np.empty((1, 0), dtype=np.int64)
@@ -162,11 +154,6 @@ def _edge_rows(n: int, r: int) -> np.ndarray:
         starts = np.repeat(np.cumsum(counts) - counts - last - 1, counts)
         rows = np.column_stack([np.repeat(rows, counts, axis=0), np.arange(counts.sum()) - starts])
     return rows
-
-
-def enumerate_edges(n: int, r: int) -> list[tuple[int, ...]]:
-    """All r-subsets of {1..n} in lexicographic order.  Only for small C(n, r)."""
-    return list(map(tuple, _edge_rows(n, r).tolist()))
 
 
 _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
@@ -219,10 +206,12 @@ def _draw_subset_rows(rng: np.random.Generator, n: int, r: int, count: int) -> n
     """
     if r <= 8 and 4 * r <= n:
         # rejection on within-row collisions; collision probability is
-        # at most r^2/n <= 1/4 per row under the guard above
+        # at most C(r, 2)/n <= (r - 1)/8 per row under the guard above
         rows = rng.integers(1, n + 1, size=(count, r), dtype=np.int64)
         rows.sort(axis=1)
-        ok = np.all(rows[:, 1:] != rows[:, :-1], axis=1)
+        ok = rows[:, 1] != rows[:, 0]
+        for j in range(2, r):
+            ok &= rows[:, j] != rows[:, j - 1]
         return rows[ok]
     # random-keys method: the r smallest of n i.i.d. uniform keys index a
     # uniform r-subset; chunked to bound memory
@@ -251,34 +240,45 @@ def _row_keys(rows: np.ndarray, n: int) -> np.ndarray:
     return np.ascontiguousarray(rows, dtype=">i8").view(np.dtype((np.void, 8 * r))).ravel()
 
 
+def _first_occurrences(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Position of the first occurrence of each distinct key, and that key, in
+    key order: the smallest position in each run of equal sorted keys."""
+    order = np.argsort(keys)
+    keys = keys[order]
+    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    return np.minimum.reduceat(order, starts), keys[starts]
+
+
 def _sample_distinct_edges(
     rng: np.random.Generator, n: int, r: int, k: int, m: int
 ) -> np.ndarray:
     """First k distinct subsets of an i.i.d. uniform subset stream (uniform over
     k-subsets of the m possible edges), or the complement trick when k > m/2.
-    Returns a (k, r) array in lexicographic order."""
+    Returns a (k, r) array in lexicographic order: each round drops the keys
+    seen before and keeps the smallest first stream positions still needed, by
+    a partition cut-off.  They stay in key order, so one round needs no sort."""
     if 2 * k > m:
         # sampling the complement preserves uniformity and avoids the long
         # coupon-collector tail; m <= 2k is small enough to enumerate
         rows = _edge_rows(n, r)
-        excluded = _sample_distinct_edges(rng, n, r, m - k, m)
-        return rows[~np.isin(_row_keys(rows, n), _row_keys(excluded, n))]
+        excluded = _row_keys(_sample_distinct_edges(rng, n, r, m - k, m), n)
+        return np.delete(rows, np.searchsorted(_row_keys(rows, n), excluded), axis=0)
 
     chunks = [np.empty((0, r), dtype=np.int64)]
     seen = _row_keys(chunks[0], n)
     while len(seen) < k:
         batch = max(1024, 2 * (k - len(seen)))
         rows = _draw_subset_rows(rng, n, r, batch)
-        keys = _row_keys(rows, n)
-        # first occurrence within the batch, in stream order
-        _, first_idx = np.unique(keys, return_index=True)
-        first_idx.sort()
-        rows, keys = rows[first_idx], keys[first_idx]
+        first, keys = _first_occurrences(_row_keys(rows, n))
         fresh = ~np.isin(keys, seen)
+        first, keys = first[fresh], keys[fresh]
         take = k - len(seen)
-        chunks.append(rows[fresh][:take])
-        seen = np.concatenate([seen, keys[fresh][:take]])
-    return np.concatenate(chunks)[np.argsort(seen)]
+        if len(first) > take:
+            cut = first <= np.partition(first, take - 1)[take - 1]
+            first, keys = first[cut], keys[cut]
+        chunks.append(rows[first])
+        seen = np.concatenate([seen, keys])
+    return chunks[1] if len(chunks) == 2 else np.concatenate(chunks)[np.argsort(seen)]
 
 
 def check_edge_budget(

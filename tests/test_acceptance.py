@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 
-from hypergraph_spectra.combinatorics import ModelParams, enumerate_edges
+from hypergraph_spectra.combinatorics import ModelParams
 from hypergraph_spectra.experiments import (
     ExperimentConfig,
     run_bulk,
@@ -40,6 +40,7 @@ from hypergraph_spectra.laws import (
     stieltjes_inversion_density,
 )
 from hypergraph_spectra.spectra import low_rank_eigenvalues
+from oracles import enumerate_edges
 
 THREADS = 4
 

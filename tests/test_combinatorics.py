@@ -14,12 +14,11 @@ from hypergraph_spectra.combinatorics import (
     average_degree,
     binomial_coefficient,
     derive_seed,
-    edge_overlap_count,
-    enumerate_edges,
     load_hypergraph_json,
     sample_hypergraph,
     save_hypergraph_json,
 )
+from oracles import edge_overlap_count, enumerate_edges
 
 
 def product_binomial(n, k):

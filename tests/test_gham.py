@@ -7,7 +7,6 @@ import pytest
 
 from hypergraph_spectra.combinatorics import (
     ModelParams,
-    enumerate_edges,
     sample_hypergraph,
 )
 from hypergraph_spectra.gham import (
@@ -25,6 +24,7 @@ from hypergraph_spectra.gham import (
     surrogate_matrix,
 )
 from hypergraph_spectra.combinatorics import HypergraphSample
+from oracles import enumerate_edges
 
 
 def indicator_matrix(n, edge):
