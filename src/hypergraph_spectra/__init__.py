@@ -26,7 +26,7 @@ from .laws import (
     free_additive_convolution,
 )
 from .metrics import bl_upper_bound, hausdorff_spectra, ks_distance, w1_distance
-from .spectra import EmpiricalMeasure, Scaling, SpectralSample, esd, symmetric_eigenvalues
+from .spectra import Scaling, symmetric_eigenvalues
 
 __version__ = "0.1.0"
 
@@ -59,9 +59,6 @@ __all__ = [
     "hausdorff_spectra",
     "ks_distance",
     "w1_distance",
-    "EmpiricalMeasure",
     "Scaling",
-    "SpectralSample",
-    "esd",
     "symmetric_eigenvalues",
 ]

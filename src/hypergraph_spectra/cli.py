@@ -7,6 +7,7 @@ Exit codes: 0 ok, 1 runtime error, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -29,7 +30,7 @@ from .gham import (
     laplacian_tilde,
     sample_surrogate,
 )
-from .spectra import Scaling, esd, load_spectrum_csv, save_spectrum_csv, symmetric_eigenvalues
+from .spectra import Scaling, load_spectrum_csv, save_spectrum_csv, symmetric_eigenvalues
 from .svgplot import render_histogram_svg
 
 _SCALING_FLAGS = {
@@ -55,11 +56,19 @@ def _parse_law(text: str) -> laws.Law:
     raise ValueError(f"cannot parse law descriptor {text!r}")
 
 
+def _parse_density_law(text: str) -> laws.Law:
+    """A law descriptor whose density is evaluated; an empirical law has none."""
+    law = _parse_law(text)
+    if isinstance(law, laws.EmpiricalLaw):
+        raise ValueError(f"law {text!r} is empirical and has no density to evaluate")
+    return law
+
+
 def _parse_compare_input(text: str):
     """Comparison operand: an eigenvalue CSV path or a law descriptor."""
     path = Path(text)
     if path.exists() and path.suffix == ".csv":
-        return esd(load_spectrum_csv(path))
+        return load_spectrum_csv(path)
     return _parse_law(text)
 
 
@@ -99,24 +108,22 @@ def _build_matrix(args) -> tuple[np.ndarray, ModelParams, str, int]:
 def cmd_spectrum(args) -> int:
     matrix, params, ensemble, seed = _build_matrix(args)
     scaling = _SCALING_FLAGS[args.scaling]
-    sample = symmetric_eigenvalues(
-        matrix, scaling=scaling, r=params.r, ensemble=ensemble, seed=seed
-    )
+    lam = symmetric_eigenvalues(matrix, scaling=scaling, r=params.r)
     out = Path(args.out or Path(args.out_dir) / "spectrum.csv")
     out.parent.mkdir(parents=True, exist_ok=True)
-    save_spectrum_csv(sample, out)
-    print(f"wrote {out} ({len(sample)} eigenvalues)")
+    save_spectrum_csv(lam, out, ensemble, seed, scaling)
+    print(f"wrote {out} ({lam.size} eigenvalues)")
     if args.svg:
         overlays = []
         for desc in args.overlay or []:
-            law = _parse_law(desc)
+            law = _parse_density_law(desc)
             lo, hi = law.support()
-            lo = min(lo, float(sample.eigenvalues.min()))
-            hi = max(hi, float(sample.eigenvalues.max()))
+            lo = min(lo, float(lam.min()))
+            hi = max(hi, float(lam.max()))
             xs = np.linspace(lo, hi, 400)
             overlays.append((desc, xs, np.asarray(law.density(xs))))
         render_histogram_svg(
-            sample.eigenvalues,
+            lam,
             args.svg,
             bins=args.bins,
             overlays=overlays,
@@ -144,22 +151,20 @@ def cmd_experiment(args) -> int:
         )
         if value is not None
     }
-    if args.config:
-        payload = json.loads(Path(args.config).read_text())
-        payload.pop("schema_version", None)
-        payload.update(overrides)
-        payload.setdefault("master_seed", args.seed)
-        payload["threads"] = args.threads
-        cfg = experiments.ExperimentConfig(**payload)
-    else:
-        if args.kind is None or args.n is None or args.r is None:
-            raise ValueError("experiment needs --kind, -n and -r (or --config)")
-        payload = {
-            "master_seed": args.seed,
-            "threads": args.threads,
-            **overrides,
-        }
-        cfg = experiments.ExperimentConfig(**payload)
+    payload = json.loads(Path(args.config).read_text()) if args.config else {}
+    if not isinstance(payload, dict):
+        raise ValueError(f"config {args.config} must hold a JSON object")
+    payload.pop("schema_version", None)
+    payload.update(overrides)
+    payload.setdefault("master_seed", args.seed)
+    payload["threads"] = args.threads
+    fields = {f.name for f in dataclasses.fields(experiments.ExperimentConfig)}
+    unknown = sorted(payload.keys() - fields)
+    if unknown:
+        raise ValueError(f"unknown config keys: {', '.join(unknown)}")
+    if not {"kind", "n", "r"} <= payload.keys():
+        raise ValueError("experiment needs --kind, -n and -r (or --config)")
+    cfg = experiments.ExperimentConfig(**payload)
     record = experiments.run_experiment(cfg)
     run_dir = experiments.persist_record(record, args.out_dir, timestamp=args.timestamp)
     print(f"record: {run_dir}")
@@ -179,7 +184,7 @@ def cmd_experiment(args) -> int:
 
 def cmd_laws(args) -> int:
     if args.action == "evaluate":
-        law = _parse_law(args.law)
+        law = _parse_density_law(args.law)
         lo, hi = law.support()
         xs = np.linspace(args.lo if args.lo is not None else lo,
                          args.hi if args.hi is not None else hi, args.points)

@@ -64,8 +64,6 @@ from .laws import (
     GaussianLaw,
     Law,
     SemicircleLaw,
-    truncated_moments_bernoulli,
-    truncated_moments_gaussian,
 )
 from .metrics import bl_upper_bound, hausdorff_spectra, ks_distance, w1_distance
 from .spectra import Scaling, extreme_eigenvalues, symmetric_eigenvalues
@@ -84,10 +82,8 @@ __all__ = [
     "run_universality",
     "run_experiment",
     "bbp_edge_limit",
-    "universality_bound",
     "assumption_diagnostics",
     "edge_limit_pushforward",
-    "recompute_aggregates",
     "persist_record",
 ]
 
@@ -363,43 +359,18 @@ def _pushforward_ks(cfg: ExperimentConfig, rows: list[dict], keys, names, data: 
     }
 
 
-def recompute_aggregates(record: ExperimentRecord) -> dict:
-    """Recompute every mean_/std_/stderr_ aggregate from the per-trial rows.
-
-    Returns the recomputed subset; used to verify that stored aggregates are a
-    pure fold of the rows.
-    """
-    out = {}
-    rows = record.trials
-    for key in record.aggregate:
-        for prefix in ("mean_", "std_", "stderr_"):
-            if key.startswith(prefix):
-                stat_key = key[len(prefix):]
-                if rows and stat_key in rows[0]:
-                    out.update(
-                        {
-                            k: v
-                            for k, v in _row_stats(rows, stat_key).items()
-                            if k == key
-                        }
-                    )
-    return out
-
-
 def _run_esd(cfg: ExperimentConfig, reference: Law, matrix: str, scaling: Scaling, w1: bool):
     """Per-trial and pooled ESD of the scaled matrix against a reference law."""
     keys = ("ks", "w1") if w1 else ("ks",)
 
     def trial(index: int, seed: int):
         m, _ = _trial_matrix(cfg, seed, matrix)
-        sample = symmetric_eigenvalues(
-            m, scaling=scaling, r=cfg.r, ensemble=cfg.ensemble, seed=seed
-        )
-        measure = EmpiricalLaw(sample.eigenvalues)
+        lam = symmetric_eigenvalues(m, scaling=scaling, r=cfg.r)
+        measure = EmpiricalLaw(lam)
         stats = {"ks": ks_distance(measure, reference)}
         if w1:
             stats["w1"] = w1_distance(measure, reference)
-        return stats, {"eigenvalues": sample.eigenvalues}
+        return stats, {"eigenvalues": lam}
 
     def finish(rows: list[dict], data: dict):
         aggregate = {"reference": reference.descriptor()}
@@ -646,7 +617,7 @@ def run_concentration(cfg: ExperimentConfig) -> ExperimentRecord:
         # defaults bind this leg's values; the legs run after the loop
         def trial(index: int, seed: int, sub=sub, n_size=n_size, r_size=r_size):
             h, _ = _trial_matrix(sub, seed)
-            lam = np.linalg.eigvalsh(h)[::-1] / math.sqrt(n_size)
+            lam = symmetric_eigenvalues(h) / math.sqrt(n_size)
             return {"n": n_size, "r": r_size}, {f"eigenvalues_n{n_size}": lam}
 
         legs.append((sub, trial))
@@ -680,10 +651,10 @@ def run_universality(cfg: ExperimentConfig) -> ExperimentRecord:
     def trial(index: int, seed: int):
         hg = sample_hypergraph(params, seed, max_expected_edges=cfg.edge_budget)
         h_bern = gham_from_adjacency(adjacency_from_hypergraph(hg), params)
-        lam_bern = np.linalg.eigvalsh(h_bern)[::-1] / math.sqrt(cfg.n)
+        lam_bern = symmetric_eigenvalues(h_bern) / math.sqrt(cfg.n)
         # independent surrogate stream, offset past the Bernoulli seeds
         _, h_gauss = sample_surrogate(params, cfg.trial_seed(cfg.trials + index))
-        lam_gauss = np.linalg.eigvalsh(h_gauss)[::-1] / math.sqrt(cfg.n)
+        lam_gauss = symmetric_eigenvalues(h_gauss) / math.sqrt(cfg.n)
         stats = {
             "ks_bernoulli": ks_distance(EmpiricalLaw(lam_bern), reference),
             "ks_gaussian": ks_distance(EmpiricalLaw(lam_gauss), reference),
@@ -707,48 +678,6 @@ def run_universality(cfg: ExperimentConfig) -> ExperimentRecord:
         return aggregate, ["ks_difference"]
 
     return _run(cfg, trial, finish)
-
-
-def universality_bound(
-    params: ModelParams, z: complex, threshold: float, entry_kind: str = "bernoulli"
-) -> float:
-    """Numeric resolvent-comparison bound between the given entry distribution
-    and Gaussian entries, at spectral parameter z = u + iv:
-
-        4 max(v^-3, v^-4) r^2 (r-1)^2 M / (n^2 N) * [tail second moments]
-      + 12 max(v^-6, v^-9/2, v^-4) r^3 (r-1)^3 M / (n^{5/2} N^{3/2})
-                                                 * [truncated third moments],
-
-    where the moment brackets sum the entry law's and the Gaussian's truncated
-    moments at the given threshold (M identical summands collapse to a single
-    factor M).  M/N = n(n-1)/(r(r-1)) exactly, which keeps the evaluation
-    finite even when the binomials are astronomical.
-    """
-    v = complex(z).imag
-    if v <= 0:
-        raise ValueError(f"need Im z > 0, got z={z}")
-    if threshold <= 0:
-        raise ValueError(f"need threshold > 0, got {threshold}")
-    if entry_kind == "bernoulli":
-        m2_y, m3_y = truncated_moments_bernoulli(params.p, threshold)
-    elif entry_kind == "gaussian":
-        m2_y, m3_y = truncated_moments_gaussian(threshold)
-    else:
-        raise ValueError(f"unknown entry kind {entry_kind!r}")
-    m2_z, m3_z = truncated_moments_gaussian(threshold)
-    n, r = params.n, params.r
-    # M/(n^2 N) = (n-1)/(n r (r-1)); M/(n^{5/2} N^{3/2}) adds a factor N^{-1/2}/sqrt(n)
-    ratio1 = (n - 1) / (n * r * (r - 1))
-    ratio2 = ratio1 * math.exp(-0.5 * log_binomial(n - 2, r - 2)) / math.sqrt(n)
-    term1 = 4.0 * max(v**-3, v**-4) * (r * (r - 1)) ** 2 * ratio1 * (m2_y + m2_z)
-    term2 = (
-        12.0
-        * max(v**-6, v**-4.5, v**-4)
-        * (r * (r - 1)) ** 3
-        * ratio2
-        * (m3_y + m3_z)
-    )
-    return term1 + term2
 
 
 def assumption_diagnostics(params: ModelParams, threshold: float = 1.0) -> dict:

@@ -11,8 +11,8 @@ with its diagonal removed, reproduces that covariance structure entrywise; Z
 follows the GOE convention (off-diagonal variance 1, diagonal variance 2) so
 that the diagonal of G has the matching variance alpha^2 + 4 beta^2 + 2 theta^2.
 
-Also provided: the two Laplacian maps, exact overlap/trace identities and the
-squared Lipschitz constants of the three matrix-valued maps on weight vectors.
+Also provided: the two Laplacian maps.  The brute-force references that check
+this construction (edge-by-edge GHAM, trace identity) live with the tests.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -31,15 +30,11 @@ __all__ = [
     "SurrogateComponents",
     "adjacency_from_hypergraph",
     "gham_from_adjacency",
-    "gham_from_weights",
     "covariance_params",
     "sample_surrogate",
     "surrogate_matrix",
     "laplacian",
     "laplacian_tilde",
-    "edge_matrix_trace",
-    "lipschitz_constants",
-    "save_matrix_csv",
 ]
 
 
@@ -102,27 +97,6 @@ def gham_from_adjacency(a: np.ndarray, params: ModelParams) -> np.ndarray:
     h = (a - params.p * n_pair) / scale
     np.fill_diagonal(h, 0.0)
     return h
-
-
-def gham_from_weights(params: ModelParams, weights: np.ndarray) -> np.ndarray:
-    """Normalised adjacency matrix N^{-1/2} sum_l w_l Q_l for an explicit weight
-    vector over all C(n, r) potential edges in lexicographic order.
-
-    Q_l is the indicator matrix of edge l (ones off the diagonal on the edge's
-    vertex block).  Only feasible for small C(n, r); used by the exact identity
-    and Lipschitz checks.
-    """
-    n, r = params.n, params.r
-    m = params.num_possible_edges
-    weights = np.asarray(weights, dtype=float)
-    if weights.shape != (m,):
-        raise ValueError(f"expected {m} weights, got shape {weights.shape}")
-    h = np.zeros((n, n))
-    for w, edge in zip(weights, itertools.combinations(range(n), r)):
-        idx = np.asarray(edge)
-        h[np.ix_(idx, idx)] += w
-    np.fill_diagonal(h, 0.0)
-    return h / math.sqrt(params.edges_per_pair)
 
 
 def covariance_params(params: ModelParams) -> CovarianceParams:
@@ -197,56 +171,3 @@ def laplacian_tilde(x: np.ndarray, r: int) -> np.ndarray:
     if r < 2:
         raise ValueError(f"edge size r must be >= 2, got {r}")
     return np.diag(x.sum(axis=1)) / (r - 1) - x
-
-
-def edge_matrix_trace(e1: tuple[int, ...], e2: tuple[int, ...]) -> int:
-    """Trace of the product of the indicator matrices of two hyperedges.
-
-    Equals s^2 - s where s is the overlap |e1 & e2|; in particular it vanishes
-    for disjoint edges.
-    """
-    s = len(set(e1) & set(e2))
-    return s * s - s
-
-
-def lipschitz_constants(params: ModelParams) -> tuple[float, float, float]:
-    """Squared Lipschitz constants (delta_sq, gamma_sq, xi_sq) of the maps from
-    the weight vector to, respectively, n^{-1/2} H, (nr)^{-1/2} L_H and
-    n^{-1/2} Ltilde_H, all in Frobenius norm.
-
-    delta_sq = (1/(nN)) * sum_s (s^2 - s)            * C(r,s) C(n-r, r-s)
-    gamma_sq = (1/(nrN)) * sum_s ((r^2-2r) s + s^2)  * C(r,s) C(n-r, r-s)
-    xi_sq    = (1/(nN)) * sum_s s^2                  * C(r,s) C(n-r, r-s)
-
-    The sums are evaluated in exact integer arithmetic before the final
-    division.  The closed-form bounds delta_sq <= r^2/n, gamma_sq <= r and
-    xi_sq <= r/(r-1) + r^2/n are asserted on the way out.
-    """
-    n, r = params.n, params.r
-    n_pair = params.edges_per_pair
-    sum_delta = 0
-    sum_gamma = 0
-    sum_xi = 0
-    for s in range(r + 1):
-        count = math.comb(r, s) * math.comb(n - r, r - s)
-        sum_delta += (s * s - s) * count
-        sum_gamma += ((r * r - 2 * r) * s + s * s) * count
-        sum_xi += s * s * count
-    delta_sq = sum_delta / (n * n_pair)
-    gamma_sq = sum_gamma / (n * r * n_pair)
-    xi_sq = sum_xi / (n * n_pair)
-    slack = 1e-12
-    if delta_sq > r * r / n + slack:
-        raise ArithmeticError(f"delta_sq={delta_sq} exceeds bound r^2/n={r*r/n}")
-    if gamma_sq > r + slack:
-        raise ArithmeticError(f"gamma_sq={gamma_sq} exceeds bound r={r}")
-    if xi_sq > r / (r - 1) + r * r / n + slack:
-        raise ArithmeticError(
-            f"xi_sq={xi_sq} exceeds bound r/(r-1)+r^2/n={r/(r-1)+r*r/n}"
-        )
-    return delta_sq, gamma_sq, xi_sq
-
-
-def save_matrix_csv(matrix: np.ndarray, path: str | Path) -> None:
-    """Row-major CSV of the full symmetric matrix."""
-    np.savetxt(path, matrix, delimiter=",")

@@ -45,11 +45,8 @@ __all__ = [
     "semicircle_moment",
     "stieltjes_semicircle",
     "stieltjes_gaussian",
-    "stieltjes_inversion_density",
     "free_convolution_stieltjes",
     "free_additive_convolution",
-    "truncated_moments_bernoulli",
-    "truncated_moments_gaussian",
     "law_from_descriptor",
 ]
 
@@ -526,49 +523,6 @@ class FreeConvolutionLaw(Law):
 
     def __repr__(self):
         return f"FreeConvolutionLaw({self.law1!r}, {self.law2!r})"
-
-
-def stieltjes_inversion_density(law: Law, x, eps: float = 1e-9) -> np.ndarray:
-    """Density proxy (1/pi) Im S(x + i eps) for any law with a Stieltjes
-    transform; the reference pipeline shared by the convolution identities."""
-    x = np.asarray(x, dtype=float)
-    s = law.stieltjes(x + 1j * eps)
-    return np.maximum(np.asarray(s).imag / math.pi, 0.0)
-
-
-def truncated_moments_bernoulli(p: float, threshold: float) -> tuple[float, float]:
-    """Tail second moment and truncated third absolute moment of the
-    standardised Bernoulli variable Y = (B - p)/sqrt(p(1-p)).
-
-    Y has atoms sqrt((1-p)/p) with mass p and -sqrt(p/(1-p)) with mass 1-p.
-    Returns (E[Y^2; |Y| > K], E[|Y|^3; |Y| <= K]), both exact.
-    """
-    if not (0.0 < p < 1.0):
-        raise ValueError(f"need 0 < p < 1, got p={p}")
-    if threshold < 0:
-        raise ValueError(f"threshold must be >= 0, got {threshold}")
-    atoms = (math.sqrt((1.0 - p) / p), -math.sqrt(p / (1.0 - p)))
-    masses = (p, 1.0 - p)
-    m2_tail = sum(w * a * a for a, w in zip(atoms, masses) if abs(a) > threshold)
-    m3_trunc = sum(w * abs(a) ** 3 for a, w in zip(atoms, masses) if abs(a) <= threshold)
-    return m2_tail, m3_trunc
-
-
-def truncated_moments_gaussian(threshold: float) -> tuple[float, float]:
-    """(E[Z^2; |Z| > K], E[|Z|^3; |Z| <= K]) for standard Gaussian Z, in closed
-    form:
-
-        m2_tail  = 2 K phi(K) + 2 (1 - Phi(K)),
-        m3_trunc = 4 phi(0) - (2 K^2 + 4) phi(K).
-    """
-    if threshold < 0:
-        raise ValueError(f"threshold must be >= 0, got {threshold}")
-    k = threshold
-    phi_k = math.exp(-0.5 * k * k) / _SQRT2PI
-    upper_tail = 0.5 * math.erfc(k / math.sqrt(2.0))
-    m2_tail = 2.0 * k * phi_k + 2.0 * upper_tail
-    m3_trunc = 4.0 / _SQRT2PI - (2.0 * k * k + 4.0) * phi_k
-    return m2_tail, m3_trunc
 
 
 def law_from_descriptor(descriptor: dict) -> Law:

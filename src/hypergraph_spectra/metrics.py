@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .laws import EmpiricalLaw, Law
-from .spectra import SpectralSample
 
 __all__ = [
     "MetricReport",
@@ -210,13 +209,11 @@ def metric_report(a: Law, b: Law, notes: str = "") -> MetricReport:
     return MetricReport(ks=ks, w1=w1, bl_upper=min(w1, 2.0 * ks), notes=notes)
 
 
-def hausdorff_spectra(a, b) -> float:
+def hausdorff_spectra(a: np.ndarray, b: np.ndarray) -> float:
     """Hausdorff distance between two finite spectra (as point sets)."""
-    xs = a.eigenvalues if isinstance(a, SpectralSample) else np.asarray(a, dtype=float)
-    ys = b.eigenvalues if isinstance(b, SpectralSample) else np.asarray(b, dtype=float)
+    xs, ys = np.sort(np.asarray(a, dtype=float)), np.sort(np.asarray(b, dtype=float))
     if xs.size == 0 or ys.size == 0:
         raise ValueError("Hausdorff distance needs nonempty spectra")
-    xs, ys = np.sort(xs), np.sort(ys)
 
     def one_sided(src: np.ndarray, dst: np.ndarray) -> float:
         # the nearest point of dst is one of the two neighbours of src's slot

@@ -1,18 +1,17 @@
-"""Eigenvalue extraction and empirical spectral statistics.
+"""Eigenvalue extraction and the spectrum CSV format.
 
-A SpectralSample is a descending-sorted eigenvalue vector tagged with its
-scaling and provenance; its empirical spectral distribution is the uniform law
-on those atoms, ``laws.EmpiricalLaw`` (``EmpiricalMeasure`` here is the same
-class under its older name).  Full spectra come from LAPACK (via numpy), a few
-eigenvalues at each end from a seeded Lanczos solve (ARPACK, via scipy);
-residual-based backward-error probes live in the test suite.
+A spectrum is a plain ``ndarray`` of eigenvalues sorted descending; its
+empirical spectral distribution is the uniform law on those atoms,
+``laws.EmpiricalLaw`` (``EmpiricalMeasure`` here is the same class under its
+older name).  Every full spectrum comes from ``symmetric_eigenvalues`` (LAPACK,
+via numpy), a few eigenvalues at each end from a seeded Lanczos solve (ARPACK,
+via scipy); residual-based backward-error probes live in the test suite.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
@@ -26,14 +25,11 @@ EmpiricalMeasure = EmpiricalLaw
 
 __all__ = [
     "Scaling",
-    "SpectralSample",
     "EmpiricalMeasure",
     "symmetric_eigenvalues",
-    "esd",
     "low_rank_eigenvalues",
     "EigensolverError",
     "extreme_eigenvalues",
-    "gaussian_max_centering",
     "save_spectrum_csv",
     "load_spectrum_csv",
 ]
@@ -57,36 +53,9 @@ class Scaling(str, Enum):
         return 1.0 / math.sqrt(n * r)
 
 
-@dataclass(frozen=True)
-class SpectralSample:
-    """Eigenvalues sorted descending, with the applied scaling and provenance."""
-
-    eigenvalues: np.ndarray
-    scaling: Scaling = Scaling.RAW
-    ensemble: str = ""
-    seed: int | None = None
-
-    def __post_init__(self):
-        lam = np.asarray(self.eigenvalues, dtype=float)
-        if lam.ndim != 1 or lam.size == 0:
-            raise ValueError("eigenvalues must be a nonempty 1-d vector")
-        if not np.all(np.isfinite(lam)):
-            raise ValueError("eigenvalues must be finite")
-        if np.any(np.diff(lam) > 0):
-            raise ValueError("eigenvalues must be sorted descending")
-        object.__setattr__(self, "eigenvalues", lam)
-
-    def __len__(self) -> int:
-        return self.eigenvalues.size
-
-
 def symmetric_eigenvalues(
-    matrix: np.ndarray,
-    scaling: Scaling = Scaling.RAW,
-    r: int | None = None,
-    ensemble: str = "",
-    seed: int | None = None,
-) -> SpectralSample:
+    matrix: np.ndarray, scaling: Scaling = Scaling.RAW, r: int | None = None
+) -> np.ndarray:
     """All eigenvalues of a symmetric matrix, multiplied by the requested
     scaling factor and sorted descending.
 
@@ -102,13 +71,7 @@ def symmetric_eigenvalues(
     tol = 1e-10 * max(scale, 1.0)
     if np.abs(matrix - matrix.T).max() > tol:
         raise ValueError("matrix is not symmetric")
-    lam = np.linalg.eigvalsh(matrix)[::-1] * scaling.factor(n, r)
-    return SpectralSample(eigenvalues=lam, scaling=scaling, ensemble=ensemble, seed=seed)
-
-
-def esd(sample: SpectralSample) -> EmpiricalLaw:
-    """Empirical spectral distribution: mass 1/n on each eigenvalue."""
-    return EmpiricalLaw(sample.eigenvalues)
+    return np.linalg.eigvalsh(matrix)[::-1] * scaling.factor(n, r)
 
 
 def low_rank_eigenvalues(
@@ -165,7 +128,7 @@ def extreme_eigenvalues(matrix: np.ndarray, depth: int, seed: int) -> np.ndarray
     if not 1 <= depth <= n:
         raise ValueError(f"need 1 <= depth <= {n}, got depth={depth}")
     if 2 * depth >= n - 1:
-        lam = np.linalg.eigvalsh(matrix)[::-1]
+        lam = symmetric_eigenvalues(matrix)
         return np.concatenate([lam[:depth], lam[n - depth:]])
     rng = np.random.default_rng(derive_seed(seed, 0))
     ncv = min(n, max(_LANCZOS_NCV, 4 * depth))
@@ -178,56 +141,22 @@ def extreme_eigenvalues(matrix: np.ndarray, depth: int, seed: int) -> np.ndarray
     return np.sort(lam)[::-1]
 
 
-def gaussian_max_centering(n: int, k: int = 1) -> float:
-    """Centering constant for the k-th largest of n i.i.d. standard Gaussians:
-
-        a_n = sqrt(2 log n) - (log log n + log 4 pi) / (2 sqrt(2 log n)).
-
-    The depth k shifts only the limiting fluctuation law, not the centering.
-    Requires n >= 3 (log log n is negative or undefined below that).
-    """
-    if n < 3:
-        raise ValueError(f"centering needs n >= 3, got n={n}")
-    if k < 1:
-        raise ValueError(f"order-statistic depth must be >= 1, got k={k}")
-    root = math.sqrt(2.0 * math.log(n))
-    return root - (math.log(math.log(n)) + math.log(4.0 * math.pi)) / (2.0 * root)
-
-
-def save_spectrum_csv(sample: SpectralSample, path: str | Path) -> None:
+def save_spectrum_csv(
+    eigenvalues: np.ndarray, path: str | Path, ensemble: str, seed: int | None, scaling: Scaling
+) -> None:
     """One eigenvalue per line, preceded by a comment header carrying the
     provenance and scaling tags."""
     with open(path, "w", newline="") as fh:
-        fh.write(
-            f"# ensemble={sample.ensemble} seed={sample.seed} "
-            f"scaling={sample.scaling.value}\n"
-        )
+        fh.write(f"# ensemble={ensemble} seed={seed} scaling={scaling.value}\n")
         writer = csv.writer(fh)
         writer.writerow(["eigenvalue"])
-        for lam in sample.eigenvalues:
+        for lam in eigenvalues:
             writer.writerow([repr(float(lam))])
 
 
-def load_spectrum_csv(path: str | Path) -> SpectralSample:
-    lines = Path(path).read_text().splitlines()
-    meta = {"ensemble": "", "seed": None, "scaling": "raw"}
-    data_start = 0
-    if lines and lines[0].startswith("#"):
-        for token in lines[0].lstrip("# ").split():
-            key, _, value = token.partition("=")
-            if key in meta:
-                meta[key] = value
-        data_start = 1
-    values = [
-        float(row)
-        for row in lines[data_start:]
-        if row.strip() and row.strip() != "eigenvalue"
-    ]
-    seed = None if meta["seed"] in (None, "None", "") else int(meta["seed"])
-    lam = np.sort(np.asarray(values))[::-1]
-    return SpectralSample(
-        eigenvalues=lam,
-        scaling=Scaling(meta["scaling"]),
-        ensemble=str(meta["ensemble"]),
-        seed=seed,
-    )
+def load_spectrum_csv(path: str | Path) -> EmpiricalLaw:
+    """The empirical spectral distribution of a spectrum CSV; the header's
+    tags are skipped."""
+    rows = (row.strip() for row in Path(path).read_text().splitlines())
+    return EmpiricalLaw([float(row) for row in rows
+                         if row and not row.startswith("#") and row != "eigenvalue"])

@@ -24,11 +24,8 @@ from hypergraph_spectra.experiments import (
 )
 from hypergraph_spectra.gham import (
     covariance_params,
-    edge_matrix_trace,
-    gham_from_weights,
     laplacian,
     laplacian_tilde,
-    lipschitz_constants,
     sample_surrogate,
 )
 from hypergraph_spectra.laws import (
@@ -37,10 +34,15 @@ from hypergraph_spectra.laws import (
     SemicircleLaw,
     free_additive_convolution,
     semicircle_density,
-    stieltjes_inversion_density,
 )
 from hypergraph_spectra.spectra import low_rank_eigenvalues
-from oracles import enumerate_edges
+from oracles import (
+    edge_matrix_trace,
+    enumerate_edges,
+    gham_from_weights,
+    lipschitz_constants,
+    stieltjes_inversion_density,
+)
 
 THREADS = 4
 

@@ -90,6 +90,17 @@ class TestSpectrum:
         code = main(["spectrum", "--input", str(bad), "--out", str(tmp_path / "s.csv")])
         assert code == 1
 
+    def test_empirical_overlay_rejected(self, tmp_path, capsys):
+        code = main(
+            [
+                "spectrum", "--surrogate", "-n", "20", "-r", "3",
+                "--out", str(tmp_path / "s.csv"), "--svg", str(tmp_path / "s.svg"),
+                "--overlay", '{"kind": "empirical", "atoms": [0.0]}',
+            ]
+        )
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: law")
+
 
 class TestSvgHistogram:
     def test_bin_mass_normalised(self):
@@ -192,6 +203,13 @@ class TestExperimentCommand:
         assert code == 1
         assert "sqrt(log n)" in capsys.readouterr().err
 
+    def test_unknown_config_key_rejected(self, tmp_path, capsys):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"kind": "bulk", "n": 30, "r": 3, "trails": 2}))
+        code = main(["--out-dir", str(tmp_path), "experiment", "--config", str(cfg_file)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: unknown config keys: trails")
+
 
 class TestLawsCommand:
     def test_evaluate_semicircle(self, tmp_path):
@@ -202,6 +220,16 @@ class TestLawsCommand:
         assert code == 0
         data = np.loadtxt(out, delimiter=",")
         assert data.shape == (101, 2)
+
+    def test_evaluate_empirical_law_rejected(self, tmp_path, capsys):
+        code = main(
+            [
+                "laws", "evaluate", "--law", '{"kind": "empirical", "atoms": [0.0, 1.0]}',
+                "--out", str(tmp_path / "law.csv"),
+            ]
+        )
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: law")
 
     def test_convolve_requires_second_law(self, capsys):
         with pytest.raises(SystemExit) as exc:

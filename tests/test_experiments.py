@@ -18,7 +18,6 @@ from hypergraph_spectra.experiments import (
     bbp_edge_limit,
     edge_limit_pushforward,
     persist_record,
-    recompute_aggregates,
     run_bulk,
     run_concentration,
     run_edge_bbp,
@@ -27,10 +26,9 @@ from hypergraph_spectra.experiments import (
     run_laplacian_bulk,
     run_laplacian_edge,
     run_universality,
-    universality_bound,
 )
-from hypergraph_spectra.laws import truncated_moments_gaussian
 from hypergraph_spectra.spectra import EigensolverError, Scaling
+from oracles import recompute_aggregates
 
 
 class TestConfig:
@@ -445,46 +443,6 @@ class TestWignerSpecialisation:
         rec = run_bulk(cfg)
         pooled = EmpiricalMeasure(rec.data["eigenvalues"].ravel())
         assert ks_distance(pooled, SemicircleLaw(1.0)) < 0.05
-
-
-class TestUniversalityBound:
-    def test_bounded_entries_have_no_tail_term(self):
-        # symmetric Bernoulli entries at p = 1/2 sit at +-1: the entry tail
-        # vanishes for thresholds >= 1 and the bound reduces to the Gaussian
-        # tail plus the third-moment block
-        params = ModelParams(40, 3, 0.5)
-        z = 1j
-        value = universality_bound(params, z, threshold=1.5, entry_kind="bernoulli")
-        m2_z, m3_z = truncated_moments_gaussian(1.5)
-        n, r = 40, 3
-        ratio1 = (n - 1) / (n * r * (r - 1))
-        n_pair = math.comb(n - 2, r - 2)
-        term1 = 4.0 * (r * (r - 1)) ** 2 * ratio1 * (0.0 + m2_z)
-        m3_y = 1.0  # |Y|^3 = 1 on both atoms, all mass below 1.5
-        term2 = (
-            12.0 * (r * (r - 1)) ** 3 * ratio1 / math.sqrt(n_pair * n) * (m3_y + m3_z)
-        )
-        assert value == pytest.approx(term1 + term2, rel=1e-12)
-
-    def test_monotone_in_r(self):
-        values = [
-            universality_bound(ModelParams(40, r, 0.5), 1j, 1.0) for r in range(3, 9)
-        ]
-        assert all(b > a for a, b in zip(values, values[1:]))
-
-    def test_decreasing_in_n(self):
-        small = universality_bound(ModelParams(20, 3, 0.5), 1j, 1.0)
-        large = universality_bound(ModelParams(80, 3, 0.5), 1j, 1.0)
-        assert large < small
-
-    def test_domain_errors(self):
-        params = ModelParams(20, 3, 0.5)
-        with pytest.raises(ValueError):
-            universality_bound(params, 1.0 - 1j, 1.0)
-        with pytest.raises(ValueError):
-            universality_bound(params, 1j, 0.0)
-        with pytest.raises(ValueError):
-            universality_bound(params, 1j, 1.0, entry_kind="poisson")
 
 
 class TestDiagnostics:

@@ -13,18 +13,14 @@ from hypergraph_spectra.gham import (
     SurrogateComponents,
     adjacency_from_hypergraph,
     covariance_params,
-    edge_matrix_trace,
     gham_from_adjacency,
-    gham_from_weights,
     laplacian,
     laplacian_tilde,
-    lipschitz_constants,
     sample_surrogate,
-    save_matrix_csv,
     surrogate_matrix,
 )
 from hypergraph_spectra.combinatorics import HypergraphSample
-from oracles import enumerate_edges
+from oracles import edge_matrix_trace, enumerate_edges, gham_from_weights, lipschitz_constants
 
 
 def indicator_matrix(n, edge):
@@ -322,10 +318,3 @@ class TestLipschitzConstants:
             assert d_l <= math.sqrt(gamma_sq) * step * (1 + slack)
             assert d_lt <= math.sqrt(xi_sq) * step * (1 + slack)
 
-
-class TestMatrixExport:
-    def test_csv_export(self, tmp_path):
-        x = np.array([[0.0, 1.5], [1.5, 0.0]])
-        path = tmp_path / "m.csv"
-        save_matrix_csv(x, path)
-        np.testing.assert_allclose(np.loadtxt(path, delimiter=","), x)

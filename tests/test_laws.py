@@ -24,11 +24,9 @@ from hypergraph_spectra.laws import (
     semicircle_density,
     semicircle_moment,
     stieltjes_gaussian,
-    stieltjes_inversion_density,
     stieltjes_semicircle,
-    truncated_moments_bernoulli,
-    truncated_moments_gaussian,
 )
+from oracles import stieltjes_inversion_density
 
 
 def count_dyck_paths(k):
@@ -208,48 +206,6 @@ class TestStieltjesGaussian:
     def test_maps_to_upper_half_plane(self):
         zs = (np.linspace(-8, 8, 33)[:, None] + 1j * np.logspace(-3, 1, 7)[None, :]).ravel()
         assert np.all(stieltjes_gaussian(1.0, zs).imag > 0)
-
-
-class TestTruncatedMomentsBernoulli:
-    def test_symmetric_atoms_inside_threshold(self):
-        m2_tail, m3_trunc = truncated_moments_bernoulli(0.5, 1.0)
-        assert m2_tail == 0.0
-        assert m3_trunc == pytest.approx(1.0)
-
-    def test_zero_threshold_puts_all_mass_in_tail(self):
-        m2_tail, m3_trunc = truncated_moments_bernoulli(0.5, 0.0)
-        assert m2_tail == pytest.approx(1.0)
-        assert m3_trunc == 0.0
-
-    def test_asymmetric_atoms(self):
-        m2_tail, m3_trunc = truncated_moments_bernoulli(0.1, 2.0)
-        assert m2_tail == pytest.approx(0.9)
-        assert m3_trunc == pytest.approx(0.9 / 27, abs=1e-12)
-
-    def test_degenerate_p_rejected(self):
-        for p in (0.0, 1.0):
-            with pytest.raises(ValueError):
-                truncated_moments_bernoulli(p, 1.0)
-
-
-class TestTruncatedMomentsGaussian:
-    def test_zero_threshold(self):
-        m2_tail, m3_trunc = truncated_moments_gaussian(0.0)
-        assert m2_tail == pytest.approx(1.0)
-        assert m3_trunc == pytest.approx(0.0, abs=1e-15)
-
-    def test_infinite_threshold_limit(self):
-        m2_tail, m3_trunc = truncated_moments_gaussian(40.0)
-        assert m2_tail == pytest.approx(0.0, abs=1e-12)
-        assert m3_trunc == pytest.approx(2.0 * math.sqrt(2.0 / math.pi), rel=1e-12)
-
-    def test_unit_threshold_against_quadrature(self):
-        m2_tail, m3_trunc = truncated_moments_gaussian(1.0)
-        phi = GaussianLaw(1.0).density
-        tail, _ = integrate.quad(lambda x: x * x * phi(x), 1.0, np.inf)
-        trunc, _ = integrate.quad(lambda x: abs(x) ** 3 * phi(x), -1.0, 1.0)
-        assert m2_tail == pytest.approx(2.0 * tail, abs=1e-10)
-        assert m3_trunc == pytest.approx(trunc, abs=1e-10)
 
 
 class TestFreeConvolution:

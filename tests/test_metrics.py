@@ -19,7 +19,7 @@ from hypergraph_spectra.metrics import (
     metric_report,
     w1_distance,
 )
-from hypergraph_spectra.spectra import EmpiricalMeasure, SpectralSample
+from hypergraph_spectra.spectra import EmpiricalMeasure
 
 
 class TestKsDistance:
@@ -207,7 +207,7 @@ class TestRankPerturbationIntegration:
 
 class TestHausdorff:
     def test_identical(self):
-        s = SpectralSample(eigenvalues=np.array([3.0, 1.0, -2.0]))
+        s = np.array([3.0, 1.0, -2.0])
         assert hausdorff_spectra(s, s) == 0.0
 
     def test_single_points(self):

@@ -1,4 +1,5 @@
-"""Tests for eigenvalue extraction and empirical spectral statistics."""
+"""Tests for eigenvalue extraction, empirical spectral distributions and the
+spectrum CSV format."""
 
 import functools
 import math
@@ -11,14 +12,12 @@ from hypergraph_spectra import spectra
 from hypergraph_spectra.combinatorics import ModelParams
 from hypergraph_spectra.experiments import ExperimentConfig, run_edge_bbp
 from hypergraph_spectra.gham import laplacian, sample_surrogate
+from hypergraph_spectra.laws import EmpiricalLaw
 from hypergraph_spectra.spectra import (
     EigensolverError,
     EmpiricalMeasure,
     Scaling,
-    SpectralSample,
-    esd,
     extreme_eigenvalues,
-    gaussian_max_centering,
     load_spectrum_csv,
     low_rank_eigenvalues,
     save_spectrum_csv,
@@ -44,27 +43,27 @@ def cubic_eigenvalues(m):
 
 class TestSymmetricEigenvalues:
     def test_identity(self):
-        sample = symmetric_eigenvalues(np.eye(3))
-        np.testing.assert_allclose(sample.eigenvalues, [1.0, 1.0, 1.0])
+        lam = symmetric_eigenvalues(np.eye(3))
+        np.testing.assert_allclose(lam, [1.0, 1.0, 1.0])
 
     def test_swap_matrix(self):
-        sample = symmetric_eigenvalues(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        np.testing.assert_allclose(sample.eigenvalues, [1.0, -1.0], atol=1e-12)
+        lam = symmetric_eigenvalues(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        np.testing.assert_allclose(lam, [1.0, -1.0], atol=1e-12)
 
     def test_random_3x3_against_cubic_oracle(self):
         rng = np.random.default_rng(2)
         for _ in range(50):
             m = rng.standard_normal((3, 3))
             m = m + m.T
-            sample = symmetric_eigenvalues(m)
-            np.testing.assert_allclose(sample.eigenvalues, cubic_eigenvalues(m), atol=1e-9)
+            lam = symmetric_eigenvalues(m)
+            np.testing.assert_allclose(lam, cubic_eigenvalues(m), atol=1e-9)
 
     def test_trace_and_frobenius_identities(self):
         rng = np.random.default_rng(5)
         for n in (10, 40):
             m = rng.standard_normal((n, n))
             m = m + m.T
-            lam = symmetric_eigenvalues(m).eigenvalues
+            lam = symmetric_eigenvalues(m)
             op = np.abs(lam).max()
             assert abs(lam.sum() - np.trace(m)) <= 1e-9 * op * n
             assert abs((lam**2).sum() - (m**2).sum()) <= 1e-9 * op**2 * n
@@ -75,7 +74,7 @@ class TestSymmetricEigenvalues:
         n = 60
         m = rng.standard_normal((n, n))
         m = m + m.T
-        lam = symmetric_eigenvalues(m).eigenvalues
+        lam = symmetric_eigenvalues(m)
         w, v = np.linalg.eigh(m)
         np.testing.assert_allclose(lam, w[::-1], atol=1e-12 * np.abs(w).max() * n)
         res = np.linalg.norm(m @ v - v * w, axis=0)
@@ -84,9 +83,9 @@ class TestSymmetricEigenvalues:
     def test_scaling_factors(self):
         m = np.diag([4.0, 1.0])
         by_n = symmetric_eigenvalues(m, scaling=Scaling.BY_N)
-        np.testing.assert_allclose(by_n.eigenvalues, [2.0, 0.5])
+        np.testing.assert_allclose(by_n, [2.0, 0.5])
         by_nr = symmetric_eigenvalues(m, scaling=Scaling.BY_SQRT_NR, r=2)
-        np.testing.assert_allclose(by_nr.eigenvalues, [2.0, 0.5])
+        np.testing.assert_allclose(by_nr, [2.0, 0.5])
         with pytest.raises(ValueError):
             symmetric_eigenvalues(m, scaling=Scaling.BY_SQRT_NR)
 
@@ -103,25 +102,24 @@ class TestSymmetricEigenvalues:
         rng = np.random.default_rng(1)
         m = rng.standard_normal((20, 20))
         m = m + m.T
-        lam = symmetric_eigenvalues(m).eigenvalues
+        lam = symmetric_eigenvalues(m)
         assert np.all(np.diff(lam) <= 0)
 
 
 class TestEsd:
     def test_point_mass(self):
-        sample = SpectralSample(eigenvalues=np.array([0.0, 0.0]))
-        measure = esd(sample)
+        measure = EmpiricalLaw(np.array([0.0, 0.0]))
         assert measure.cdf(0.0) == 1.0
         assert measure.cdf(-1e-9) == 0.0
 
     def test_two_atoms(self):
-        measure = esd(SpectralSample(eigenvalues=np.array([1.0, -1.0])))
+        measure = EmpiricalLaw(np.array([1.0, -1.0]))
         assert measure.cdf(0.0) == 0.5
 
     def test_single_trial_eesd_is_esd(self):
         # the averaged-CDF estimator over one trial is the trial's own ESD
         lam = np.array([2.0, 0.5, -1.0])
-        measure = esd(SpectralSample(eigenvalues=lam))
+        measure = EmpiricalLaw(lam)
         grid = np.linspace(-2, 3, 50)
         single = np.searchsorted(np.sort(lam), grid, side="right") / 3
         np.testing.assert_array_equal(measure.cdf(grid), single)
@@ -312,30 +310,6 @@ class TestExtremeEigenvalues:
             assert rec.data["eigenvalues"].tobytes() == first.data["eigenvalues"].tobytes()
 
 
-class TestGaussianMaxCentering:
-    def test_value_n1000(self):
-        assert gaussian_max_centering(1000) == pytest.approx(3.11647, abs=1e-5)
-
-    def test_monotone_from_16(self):
-        values = [gaussian_max_centering(n) for n in range(16, 4000, 7)]
-        assert values[0] > 0
-        assert np.all(np.diff(values) > 0)
-
-    def test_small_n_rejected(self):
-        with pytest.raises(ValueError):
-            gaussian_max_centering(2)
-
-    def test_gumbel_mean_monte_carlo(self):
-        # sample mean of the max of 1000 Gaussians is near a_n plus the
-        # Gumbel mean correction gamma / sqrt(2 log n)
-        rng = np.random.default_rng(42)
-        n, trials = 1000, 5000
-        maxima = rng.standard_normal((trials, n)).max(axis=1)
-        gamma_euler = 0.5772156649015329
-        predicted = gaussian_max_centering(n) + gamma_euler / math.sqrt(2 * math.log(n))
-        assert abs(maxima.mean() - predicted) < 0.1
-
-
 def sorted_w2_squared(lam_a, lam_b):
     """Squared Wasserstein-2 between two same-size spectra: sorted matching."""
     return float(np.mean((np.sort(lam_a) - np.sort(lam_b)) ** 2))
@@ -391,26 +365,41 @@ class TestMatrixInequalities:
 
 class TestSpectrumCsv:
     def test_round_trip_with_provenance(self, tmp_path):
-        sample = SpectralSample(
-            eigenvalues=np.array([2.5, 0.0, -1.25]),
-            scaling=Scaling.BY_SQRT_N,
-            ensemble="gaussian_surrogate",
-            seed=77,
-        )
+        lam = np.array([2.5, 0.0, -1.25])
         path = tmp_path / "spec.csv"
-        save_spectrum_csv(sample, path)
+        save_spectrum_csv(lam, path, "gaussian_surrogate", 77, Scaling.BY_SQRT_N)
         text = path.read_text()
         assert text.startswith("#")
         assert "scaling=by_sqrt_n" in text and "seed=77" in text
         loaded = load_spectrum_csv(path)
-        np.testing.assert_array_equal(loaded.eigenvalues, sample.eigenvalues)
-        assert loaded.scaling == sample.scaling
-        assert loaded.ensemble == sample.ensemble
-        assert loaded.seed == 77
+        np.testing.assert_array_equal(loaded.atoms, lam[::-1])
 
     def test_row_count(self, tmp_path):
         lam = np.sort(np.random.default_rng(0).standard_normal(17))[::-1]
         path = tmp_path / "spec.csv"
-        save_spectrum_csv(SpectralSample(eigenvalues=lam), path)
+        save_spectrum_csv(lam, path, "", None, Scaling.RAW)
         rows = [l for l in path.read_text().splitlines() if l and not l.startswith("#")]
         assert len(rows) - 1 == 17  # header + one eigenvalue per line
+
+    @pytest.mark.parametrize(
+        "lam, tags, expected",
+        [
+            (
+                [2.5, 0.1, -0.0, -1.0 / 3.0],
+                ("gaussian_surrogate", 77, Scaling.BY_SQRT_N),
+                "# ensemble=gaussian_surrogate seed=77 scaling=by_sqrt_n\neigenvalue\r\n"
+                "2.5\r\n0.1\r\n-0.0\r\n-0.3333333333333333\r\n",
+            ),
+            (
+                [1e-300, -2e20],
+                ("", None, Scaling.RAW),
+                "# ensemble= seed=None scaling=raw\neigenvalue\r\n1e-300\r\n-2e+20\r\n",
+            ),
+        ],
+    )
+    def test_pinned_bytes(self, tmp_path, lam, tags, expected):
+        # the expected text was written by the previous, object-based writer;
+        # the values are literals, so no LAPACK bits enter
+        path = tmp_path / "spec.csv"
+        save_spectrum_csv(np.array(lam), path, *tags)
+        assert path.read_bytes() == expected.encode()
