@@ -11,13 +11,12 @@ the fixed point of
 
     T(omega) = z + h_1(z + h_2(omega)),
 
-after which S(z) = S_1(z + h_2(omega)).  Since Im h_i >= 0 on the upper half
-plane, the damped iteration can never leave it.  Densities are recovered by
-evaluating S just above the real axis, continuing the fixed point down a
-geometric ladder of imaginary offsets; at the final offset (the module
-constant 1e-9) the Poisson smoothing bias is negligible even at square-root
-edges, so no extrapolation in the offset is needed.  The damping, tolerance and
-iteration cap of the fixed point are module constants as well.
+after which S(z) = S_1(z + h_2(omega)).  Since Im h_i >= 0, T maps the upper
+half plane into itself, and Belinschi and Bercovici (2007, J. Anal. Math. 101)
+prove that its plain iterates converge there from any start, so no damping or
+warm start is needed.  Densities are read off as Im S / pi in one solve at the
+inversion offset (a module constant, 1e-9), where the Poisson smoothing bias is
+negligible even at square-root edges.
 """
 
 from __future__ import annotations
@@ -52,9 +51,8 @@ __all__ = [
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 
-# subordination fixed point: damping, relative tolerance, iteration cap, and
-# the final imaginary offset of the density inversion
-_DAMPING = 0.5
+# subordination fixed point: relative tolerance, iteration cap, and the
+# imaginary offset of the density inversion
 _TOL = 1e-11
 _MAX_ITER = 100_000
 _INVERSION_EPS = 1e-9
@@ -366,62 +364,59 @@ class DensityGrid:
 
 
 def _shift_transform(law: Law, w: np.ndarray) -> np.ndarray:
-    # h(w) = F(w) - w with F = -1/S; Nevanlinna representation gives Im h >= 0
-    return -1.0 / law.stieltjes(w) - w
+    # h(w) = F(w) - w with F = -1/S; Nevanlinna representation gives Im h >= 0,
+    # but rounding can put a point on or below the real axis: it maps to nan
+    inside = np.isfinite(w) & (w.imag > 0)
+    if inside.all():
+        return -1.0 / law.stieltjes(w) - w
+    return np.where(inside, -1.0 / law.stieltjes(np.where(inside, w, 1j)) - w, np.nan)
 
 
-def free_convolution_stieltjes(
-    law1: Law, law2: Law, z, omega_init: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def free_convolution_stieltjes(law1: Law, law2: Law, z) -> tuple[np.ndarray, np.ndarray]:
     """Stieltjes transform of law1 [+] law2 at points z in the upper half plane.
 
-    Returns (S, omega) where omega is the converged second subordination
-    function, reusable as a warm start at nearby z.  Raises ConvergenceError if
-    any point fails to reach the relative tolerance ``_TOL`` within
-    ``_MAX_ITER`` damped iterations.
+    Returns (S, omega), omega the second subordination function reached by
+    plain iteration of T from omega = z.  Raises ConvergenceError if a point
+    misses the relative tolerance ``_TOL`` within ``_MAX_ITER`` iterations, or
+    if rounding carries its iterate off the upper half plane (it cannot return).
     """
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     _require_upper_half(z)
-    omega = z.copy() if omega_init is None else np.array(omega_init, dtype=complex)
+    omega = z.copy()
+    residual = np.full(z.shape, np.inf)
     active = np.ones(z.shape, dtype=bool)
-    last_residual = np.zeros(z.shape)
-    for _ in range(_MAX_ITER):
-        za = z[active]
-        oa = omega[active]
+    why = f"after {_MAX_ITER} iterations"
+    for iteration in range(1, _MAX_ITER + 1):
+        za, oa = z[active], omega[active]
         t = za + _shift_transform(law1, za + _shift_transform(law2, oa))
-        residual = np.abs(t - oa)
-        omega[active] = oa + _DAMPING * (t - oa)
-        last_residual[active] = residual
-        still = residual > _TOL * np.maximum(1.0, np.abs(oa))
-        if not still.any():
-            active[active] = False
+        lost = ~(np.isfinite(t) & (t.imag > 0))
+        if lost.any():
+            active[active] = lost
+            why = f"iterate left the upper half plane at iteration {iteration}"
             break
-        active[active] = still
+        step = np.abs(t - oa)
+        omega[active] = t
+        residual[active] = step
+        active[active] = step > _TOL * np.maximum(1.0, np.abs(oa))
+        if not active.any():
+            break
     if active.any():
-        worst = int(np.argmax(np.where(active, last_residual, -np.inf)))
+        worst = int(np.argmax(np.where(active, residual, -np.inf)))
         raise ConvergenceError(
             f"subordination fixed point did not converge at z={z.flat[worst]} "
-            f"(residual {last_residual.flat[worst]:.3e} after {_MAX_ITER} iterations)",
+            f"(residual {residual.flat[worst]:.3e}; {why})",
             z=complex(z.flat[worst]),
-            residual=float(last_residual.flat[worst]),
+            residual=float(residual.flat[worst]),
         )
     s = law1.stieltjes(z + _shift_transform(law2, omega))
     return s, omega
 
 
-def _offset_ladder(eps: float) -> list[float]:
-    ladder = [1.0]
-    while ladder[-1] > eps:
-        ladder.append(max(ladder[-1] * 0.2, eps))
-    return ladder
-
-
 def free_additive_convolution(law1: Law, law2: Law, grid: GridSpec | None = None) -> DensityGrid:
     """Density of the free additive convolution law1 [+] law2 on a grid.
 
-    The subordination fixed point is continued from Im z = 1 down a geometric
-    ladder of offsets to ``_INVERSION_EPS`` (warm-starting each rung from the
-    last), and the density read off as Im S / pi at the final offset.  The
+    One solve of the subordination fixed point at ``x + 1j * _INVERSION_EPS``,
+    started from omega = z, and the density read off as Im S / pi.  The
     resulting mass must land within 1e-3 of 1 or a ConvergenceError is raised.
 
     Examples
@@ -435,10 +430,7 @@ def free_additive_convolution(law1: Law, law2: Law, grid: GridSpec | None = None
     spec = grid or GridSpec()
     lo, hi = spec.resolve(law1, law2)
     x = np.linspace(lo, hi, spec.points)
-    omega = None
-    s = None
-    for eps in _offset_ladder(_INVERSION_EPS):
-        s, omega = free_convolution_stieltjes(law1, law2, x + 1j * eps, omega_init=omega)
+    s, _ = free_convolution_stieltjes(law1, law2, x + 1j * _INVERSION_EPS)
     f = np.maximum(s.imag / math.pi, 0.0)
     out = DensityGrid(x=x, f=f, eps=_INVERSION_EPS)
     mass = out.mass()

@@ -210,6 +210,21 @@ class TestExperimentCommand:
         assert code == 1
         assert capsys.readouterr().err.startswith("error: unknown config keys: trails")
 
+    @pytest.mark.parametrize("key,value", [("n", "30"), ("trials", "2")])
+    def test_config_value_of_wrong_type_rejected(self, tmp_path, capsys, key, value):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"kind": "bulk", "n": 30, "r": 3, "trials": 2, key: value}))
+        code = main(["--out-dir", str(tmp_path), "experiment", "--config", str(cfg_file)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: config key {key!r} must be a JSON int")
+
+    def test_config_int_for_float_and_null_for_optional_accepted(self, tmp_path):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(
+            json.dumps({"kind": "bulk", "n": 20, "r": 3, "p": 1, "trials": 1, "tolerance": None})
+        )
+        assert main(["--out-dir", str(tmp_path), "experiment", "--config", str(cfg_file)]) == 0
+
 
 class TestLawsCommand:
     def test_evaluate_semicircle(self, tmp_path):

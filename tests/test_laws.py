@@ -8,6 +8,7 @@ import pytest
 from scipy import integrate
 
 from hypergraph_spectra import laws
+from hypergraph_spectra.experiments import ExperimentConfig, _laplacian_reference
 from hypergraph_spectra.laws import (
     ConvergenceError,
     DensityGrid,
@@ -210,12 +211,12 @@ class TestStieltjesGaussian:
 
 class TestFreeConvolution:
     def test_semicircle_stability(self):
-        # sc(1) [+] sc(1) = sc(2), sup density error < 1e-4 on [-3, 3]
-        grid = free_additive_convolution(SemicircleLaw(1.0), SemicircleLaw(1.0))
-        mask = np.abs(grid.x) <= 3.0
-        reference = semicircle_density(2.0, grid.x[mask])
-        assert np.abs(grid.f[mask] - reference).max() < 1e-4
-        assert 0.999 <= grid.mass() <= 1.001
+        # sc(a) [+] sc(b) = sc(a + b), sup density error < 1e-4 on the whole
+        # grid, square-root edges included
+        for a, b in ((1.0, 1.0), (0.25, 1.0), (1.0, 3.0), (2.0, 0.1)):
+            grid = free_additive_convolution(SemicircleLaw(a), SemicircleLaw(b))
+            assert np.abs(grid.f - semicircle_density(a + b, grid.x)).max() < 1e-4, (a, b)
+            assert 0.999 <= grid.mass() <= 1.001
 
     def test_point_mass_identity(self):
         # mu [+] delta_0 = mu through the identical inversion pipeline
@@ -264,6 +265,48 @@ class TestFreeConvolution:
             free_convolution_stieltjes(SemicircleLaw(1.0), SemicircleLaw(1.0), zs)
         assert info.value.z.imag > 0
         assert info.value.residual > 0
+
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_iterate_off_upper_half_plane_raises_with_diagnostics(self, monkeypatch, swap):
+        # two atoms [+] a narrow semicircle: rounding carries an iterate onto the
+        # real axis, where no Stieltjes transform is defined
+        monkeypatch.setattr(laws, "_MAX_ITER", 50)
+        pair = (EmpiricalLaw([-1.0, 1.0]), SemicircleLaw(0.25))
+        with pytest.raises(ConvergenceError) as info:
+            free_additive_convolution(*(pair[::-1] if swap else pair))
+        assert info.value.z.imag > 0
+        assert info.value.residual > 0
+
+    def test_stieltjes_evaluations_per_operand_bounded(self):
+        # one undamped solve at the inversion offset; the damped solve down a
+        # ladder of offsets took 670 552 evaluations per operand
+        operands = (GaussianLaw(0.5), SemicircleLaw(1.0))
+        counts = [0, 0]
+        for i, law in enumerate(operands):
+
+            def stieltjes(z, i=i, evaluate=law.stieltjes):
+                counts[i] += np.size(z)
+                return evaluate(z)
+
+            law.stieltjes = stieltjes
+        free_additive_convolution(*operands)
+        assert 0 < min(counts) and max(counts) <= 50_000
+
+    def test_every_laplacian_reference_converges(self):
+        # the references laplacian_bulk scores against: G(r-1) [+] sc(1),
+        # G(1/(r-1)) [+] sc(1) at fixed r, and G(1) [+] G(c) at c = r/n
+        cases = [
+            dict(matrix=matrix, regime="fixed_r", n=40, r=r)
+            for matrix in ("laplacian", "laplacian_tilde")
+            for r in range(2, 41)
+        ] + [
+            dict(matrix="laplacian", scaling="by_sqrt_nr", regime="proportional", n=100, r=r)
+            for r in range(2, 100, 4)
+        ]
+        for case in cases:
+            law = _laplacian_reference(ExperimentConfig(kind="laplacian_bulk", **case))
+            assert isinstance(law, FreeConvolutionLaw)
+            assert abs(law.grid.mass() - 1.0) <= 1e-3, case
 
     def test_undersized_grid_raises(self):
         spec = GridSpec(lo=-0.5, hi=0.5, points=101)
