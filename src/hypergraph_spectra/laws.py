@@ -2,7 +2,8 @@
 
 Laws expose density / cdf / Stieltjes transform / moments behind a small class
 hierarchy: semicircle and centered Gaussian families, finite empirical laws
-(which cover point masses), and lazily-solved free additive convolutions.
+(which cover point masses), and lazily-solved free additive convolutions.  The
+Gaussian cdf and Stieltjes transform import ``scipy.special`` at their first call.
 
 The free additive convolution of two laws is computed through the standard
 pair of subordination functions: writing F_i(w) = -1/S_i(w) for the reciprocal
@@ -27,7 +28,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.special import erf, wofz
 
 __all__ = [
     "Law",
@@ -135,6 +135,7 @@ def stieltjes_gaussian(sigma2: float, z) -> np.ndarray | complex:
         raise ValueError(f"variance must be positive, got {sigma2}")
     z = np.asarray(z, dtype=complex)
     _require_upper_half(z)
+    from scipy.special import wofz  # deferred: slow to import
     s = math.sqrt(sigma2)
     out = 1j * math.sqrt(math.pi / 2.0) * wofz(z / (s * math.sqrt(2.0))) / s
     return complex(out) if out.ndim == 0 else out
@@ -236,6 +237,7 @@ class GaussianLaw(Law):
         return float(out) if out.ndim == 0 else out
 
     def cdf(self, x):
+        from scipy.special import erf  # deferred: slow to import
         x = np.asarray(x, dtype=float)
         out = 0.5 * (1.0 + erf(x / math.sqrt(2.0 * self.sigma2)))
         return float(out) if out.ndim == 0 else out

@@ -5,7 +5,7 @@ empirical spectral distribution is the uniform law on those atoms,
 ``laws.EmpiricalLaw`` (``EmpiricalMeasure`` here is the same class under its
 older name).  Every full spectrum comes from ``symmetric_eigenvalues`` (LAPACK,
 via numpy), a few eigenvalues at each end from a seeded Lanczos solve (ARPACK,
-via scipy); residual-based backward-error probes live in the test suite.
+via ``scipy.sparse.linalg``, which the solve imports at its first call).
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from enum import Enum
 from pathlib import Path
 
 import numpy as np
-from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from .combinatorics import derive_seed
 from .laws import EmpiricalLaw
@@ -65,11 +64,11 @@ def symmetric_eigenvalues(
     n = matrix.shape[0]
     if matrix.shape != (n, n):
         raise ValueError("matrix must be square")
-    if not np.all(np.isfinite(matrix)):
+    scale = np.abs(matrix).max()  # nan or inf when any entry is
+    if not math.isfinite(scale):
         raise ValueError("matrix entries must be finite")
-    scale = np.abs(matrix).max()
-    tol = 1e-10 * max(scale, 1.0)
-    if np.abs(matrix - matrix.T).max() > tol:
+    residual = matrix - matrix.T
+    if np.abs(residual, out=residual).max() > 1e-10 * max(scale, 1.0):
         raise ValueError("matrix is not symmetric")
     return np.linalg.eigvalsh(matrix)[::-1] * scaling.factor(n, r)
 
@@ -130,6 +129,7 @@ def extreme_eigenvalues(matrix: np.ndarray, depth: int, seed: int) -> np.ndarray
     if 2 * depth >= n - 1:
         lam = symmetric_eigenvalues(matrix)
         return np.concatenate([lam[:depth], lam[n - depth:]])
+    from scipy.sparse.linalg import ArpackNoConvergence, eigsh  # deferred: slow to import
     rng = np.random.default_rng(derive_seed(seed, 0))
     ncv = min(n, max(_LANCZOS_NCV, 4 * depth))
     v0 = rng.uniform(-1.0, 1.0, n)

@@ -4,8 +4,8 @@ overlays.  No plotting dependencies; output is plain XML with inline styling.
 
 from __future__ import annotations
 
+from html import escape
 from pathlib import Path
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -59,7 +59,7 @@ def histogram_svg(
     if title:
         parts.append(
             f'<text x="{_WIDTH / 2:.1f}" y="24" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="15">{escape(title)}</text>'
+            f'font-family="sans-serif" font-size="15">{escape(title, quote=False)}</text>'
         )
     # histogram bars
     for c, left, right in zip(counts, edges[:-1], edges[1:]):
@@ -93,7 +93,7 @@ def histogram_svg(
         )
     parts.append(
         f'<text x="{_MARGIN_L + plot_w / 2:.1f}" y="{_HEIGHT - 8}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="12">{escape(xlabel)}</text>'
+        f'font-family="sans-serif" font-size="12">{escape(xlabel, quote=False)}</text>'
     )
     # overlays
     for i, (label, xs, ys) in enumerate(overlays):
@@ -108,7 +108,7 @@ def histogram_svg(
             parts.append(
                 f'<text x="{_WIDTH - _MARGIN_R - 8}" y="{_MARGIN_T + 16 + 16 * i}" '
                 f'text-anchor="end" font-family="sans-serif" font-size="12" '
-                f'fill="{color}">{escape(label)}</text>'
+                f'fill="{color}">{escape(label, quote=False)}</text>'
             )
     parts.append("</svg>")
     return "\n".join(parts)

@@ -1,19 +1,21 @@
 """End-to-end tests of the command-line interface."""
 
 import functools
+import hashlib
 import json
 import os
 import subprocess
 import sys
+import textwrap
 import xml.etree.ElementTree as ElementTree
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 from scipy.sparse.linalg import eigsh
 
 import hypergraph_spectra
-from hypergraph_spectra import spectra
 from hypergraph_spectra.cli import main
 from hypergraph_spectra.svgplot import histogram_svg
 
@@ -115,6 +117,20 @@ class TestSvgHistogram:
         with pytest.raises(ValueError):
             histogram_svg(np.zeros(10), bins=3)
 
+    def test_markup_in_text_escaped_as_before(self):
+        # & < > become entities and quotes stay literal, as xml.sax.saxutils.escape
+        # wrote them; the digest is of that rendering
+        values = np.random.default_rng(0).standard_normal(200)
+        xs = np.linspace(-3.0, 3.0, 7)
+        text = histogram_svg(
+            values, bins=20, overlays=[("""a & <b> "c" 'd'""", xs, np.exp(-xs * xs / 2))],
+            title="""T & <t> "q" 's'""", xlabel="""x&y<z>"w"'v'""",
+        )
+        assert """>T &amp; &lt;t&gt; "q" 's'</text>""" in text
+        ElementTree.fromstring(text)
+        digest = "e8de7f751e4cee894c88e2053be263e31d1b1e7fd13de5e3b305e7978523eb4a"
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
 
 class TestExperimentCommand:
     def test_diagnostics_prints_ratio(self, tmp_path, capsys):
@@ -146,7 +162,7 @@ class TestExperimentCommand:
         assert record["aggregate"]["passed"] is True
 
     def test_eigensolver_failure_reported(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(spectra, "eigsh", functools.partial(eigsh, maxiter=1))
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", functools.partial(eigsh, maxiter=1))
         code = main(
             [
                 "--out-dir", str(tmp_path), "experiment", "--kind", "edge_bbp",
@@ -306,17 +322,64 @@ class TestUsageErrors:
         assert exc.value.code == 2
 
 
+def fresh_interpreter(code: str) -> str:
+    """Standard output of ``code`` run by a new interpreter on this package."""
+    src = str(Path(hypergraph_spectra.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    return out.stdout.strip()
+
+
 class TestSetUp:
     def test_cli_import_defers_scipy_stats(self):
-        # only the Bernoulli edge-count draw needs scipy.stats and imports it on
-        # first use; importing it with the package would lengthen every set-up.
-        # No metric uses quadrature, so scipy.integrate (which pulls in
-        # scipy.optimize) is never loaded at all
-        src = str(Path(hypergraph_spectra.__file__).resolve().parent.parent)
-        env = dict(os.environ, PYTHONPATH=src)
-        deferred = ("scipy.stats", "scipy.integrate", "scipy.optimize")
+        # only the Bernoulli edge-count draw needs scipy.stats, only Gaussian laws
+        # need scipy.special and only the Lanczos solve needs scipy.sparse.linalg;
+        # each is imported on first use, since importing it with the package would
+        # lengthen every set-up.  No metric uses quadrature, so scipy.integrate
+        # (which pulls in scipy.optimize) is never loaded at all, and the SVG
+        # writer escapes text without xml.sax (which pulls in urllib.request)
+        deferred = ("scipy.stats", "scipy.integrate", "scipy.optimize", "scipy.special",
+                    "scipy.sparse.linalg", "xml.sax", "urllib.request")
         code = f"import sys, hypergraph_spectra.cli; print([m in sys.modules for m in {deferred}])"
-        out = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-        )
-        assert out.stdout.strip() == str([False] * len(deferred))
+        assert fresh_interpreter(code) == str([False] * len(deferred))
+
+    def test_experiments_load_only_the_scipy_they_use(self):
+        # the surrogate bulk kind is scored against a semicircle and solves densely;
+        # edge_bbp solves by Lanczos against a closed-form edge
+        code = textwrap.dedent("""\
+            import sys
+            from hypergraph_spectra.experiments import ExperimentConfig, run_experiment
+            mods = ("scipy.special", "scipy.sparse.linalg")
+            run_experiment(ExperimentConfig(kind="bulk", n=300, r=3, trials=1))
+            print([m in sys.modules for m in mods])
+            run_experiment(ExperimentConfig(kind="edge_bbp", n=300, r=3, trials=1))
+            print([m in sys.modules for m in mods])
+        """)
+        assert fresh_interpreter(code).splitlines() == ["[False, False]", "[False, True]"]
+
+    def test_concurrent_first_lanczos_solves_match_serial(self):
+        # two threads reach the deferred scipy.sparse.linalg import of the Lanczos
+        # solve at once; then a pooled edge_bbp, whose runner imports it before the
+        # pool starts, against the serial record
+        code = textwrap.dedent("""\
+            import sys
+            from concurrent.futures import ThreadPoolExecutor
+            from hypergraph_spectra.combinatorics import ModelParams
+            from hypergraph_spectra.experiments import ExperimentConfig, run_experiment
+            from hypergraph_spectra.gham import sample_surrogate
+            from hypergraph_spectra.spectra import extreme_eigenvalues
+            gs = [sample_surrogate(ModelParams(n=300, r=3, p=0.5), s)[1] for s in (1, 2)]
+            assert "scipy.sparse.linalg" not in sys.modules
+            with ThreadPoolExecutor(2) as pool:
+                pooled = list(pool.map(lambda g: extreme_eigenvalues(g, 2, 5), gs))
+            serial = [extreme_eigenvalues(g, 2, 5) for g in gs]
+            print([a.tobytes() == b.tobytes() for a, b in zip(pooled, serial)])
+            base = dict(kind="edge_bbp", n=300, r=3, trials=2, master_seed=6)
+            pooled = run_experiment(ExperimentConfig(**base, threads=2))
+            serial = run_experiment(ExperimentConfig(**base, threads=1))
+            print([pooled.trials == serial.trials, pooled.aggregate == serial.aggregate,
+                   pooled.data["eigenvalues"].tobytes() == serial.data["eigenvalues"].tobytes()])
+        """)
+        assert fresh_interpreter(code).splitlines() == ["[True, True]", "[True, True, True]"]

@@ -6,9 +6,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 from scipy.sparse.linalg import eigsh
 
-from hypergraph_spectra import spectra
 from hypergraph_spectra.combinatorics import ModelParams
 from hypergraph_spectra.experiments import ExperimentConfig, run_edge_bbp
 from hypergraph_spectra.gham import laplacian, sample_surrogate
@@ -97,6 +97,29 @@ class TestSymmetricEigenvalues:
     def test_asymmetric_rejected(self):
         with pytest.raises(ValueError, match="symmetric"):
             symmetric_eigenvalues(np.array([[0.0, 1.0], [2.0, 0.0]]))
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+    def test_each_nonfinite_entry_rejected(self, entry):
+        # on or off the diagonal, and before the symmetry check
+        for i, j in ((0, 0), (0, 2), (2, 1)):
+            m = np.eye(3)
+            m[i, j] = entry
+            with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+                symmetric_eigenvalues(m)
+
+    def test_symmetry_tolerance_relative_to_largest_entry(self):
+        # asymmetry up to 1e-10 * max(max |entry|, 1) is accepted; the input is
+        # left as it was
+        m = np.array([[1e6, 1.0], [1.0 + 5e-5, 0.0]])
+        before = m.copy()
+        symmetric_eigenvalues(m)
+        np.testing.assert_array_equal(m, before)
+        m[1, 0] = 1.0 + 2e-4
+        with pytest.raises(ValueError, match="^matrix is not symmetric$"):
+            symmetric_eigenvalues(m)
+        with pytest.raises(ValueError, match="^matrix is not symmetric$"):
+            symmetric_eigenvalues(np.array([[0.0, 1.0], [1.0 + 2e-10, 0.0]]))
+        symmetric_eigenvalues(np.array([[0.0, 1.0], [1.0 + 5e-11, 0.0]]))
 
     def test_sorted_descending_invariant(self):
         rng = np.random.default_rng(1)
@@ -268,7 +291,7 @@ class TestExtremeEigenvalues:
         def no_lanczos(*args, **kwargs):
             raise AssertionError("Lanczos called where the dense solver should run")
 
-        monkeypatch.setattr(spectra, "eigsh", no_lanczos)
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_lanczos)
         m = np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 2.0]])
         root = math.sqrt(2.0)
         np.testing.assert_allclose(extreme_eigenvalues(m, 1, 0), [2.0 + root, 2.0 - root])
@@ -285,7 +308,7 @@ class TestExtremeEigenvalues:
         np.testing.assert_allclose(extreme_eigenvalues(g, 2, 99), first, rtol=1e-12)
 
     def test_no_convergence_raises_named_error(self, monkeypatch):
-        monkeypatch.setattr(spectra, "eigsh", functools.partial(eigsh, maxiter=1))
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", functools.partial(eigsh, maxiter=1))
         # one restart cycle of 80 Lanczos vectors cannot resolve the bulk edge
         _, g = sample_surrogate(ModelParams(n=1500, r=3, p=0.5), 9)
         with pytest.raises(EigensolverError) as info:
