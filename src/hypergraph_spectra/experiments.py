@@ -83,7 +83,6 @@ __all__ = [
     "run_experiment",
     "bbp_edge_limit",
     "assumption_diagnostics",
-    "edge_limit_pushforward",
     "persist_record",
 ]
 
@@ -120,7 +119,6 @@ class ExperimentConfig:
     k: int = 1
     regime: str | None = None
     tolerance: float | None = None
-    pushforward_draws: int = 100_000
     scale_r_with_n: bool = False
     threads: int = 1
     edge_budget: float = DEFAULT_EDGE_BUDGET
@@ -161,8 +159,8 @@ class ExperimentConfig:
 class ExperimentRecord:
     """One experiment run: config snapshot, per-trial rows, aggregates.
 
-    ``data`` holds raw arrays (eigenvalues, pushforward draws) that back the
-    pooled aggregates; it is persisted as CSV, not inside the JSON.  The edge
+    ``data`` holds the per-trial eigenvalue arrays that back the pooled
+    aggregates; it is persisted as CSV, not inside the JSON.  The edge
     kinds keep only the 2 * depth eigenvalues per trial that they compute.
     """
 
@@ -347,16 +345,27 @@ def _abs_errors(aggregate: dict, keys: tuple[str, str], target: float) -> dict:
     }
 
 
-def _pushforward_ks(cfg: ExperimentConfig, rows: list[dict], keys, names, data: dict) -> dict:
-    """Two-sample KS of the (max, min) row statistics against a pushforward
-    sample of the proportional-regime edge limits; the draws go into data."""
-    push_seed = cfg.trial_seed(cfg.trials)  # disjoint from trial seeds
-    draws = edge_limit_pushforward(cfg.r / cfg.n, cfg.pushforward_draws, push_seed)
-    data["pushforward_max"], data["pushforward_min"] = draws
-    return {
-        name: ks_distance(EmpiricalLaw([row[key] for row in rows]), EmpiricalLaw(push))
-        for name, key, push in zip(names, keys, draws)
-    }
+def _edge_limit_ks(c: float, rows: list[dict], keys, names) -> dict:
+    """KS of the (max, min) row statistics against the exact proportional-regime
+    edge limits g+-(z) = (c/2) z +- sqrt((c^2/4) z^2 + c(1-c)), z standard
+    Gaussian.  Each branch is strictly increasing in z, with inverse
+    z = (y^2 - c(1-c)) / (c y) on its side of zero, and KS is invariant under
+    such a map: it is the KS of the back-mapped z against N(0, 1)."""
+    if not (0.0 < c < 1.0):
+        raise ValueError(f"need 0 < c < 1, got c={c}")
+    out = {}
+    for name, key, sign in zip(names, keys, (1.0, -1.0)):
+        y = np.asarray([row[key] for row in rows], dtype=float)
+        wrong = y[sign * y <= 0.0]
+        if wrong.size:
+            side = "positive" if sign > 0 else "negative"
+            raise ValueError(
+                f"{key} must be {side} on every trial to invert the edge limit, "
+                f"got {wrong.size} trial(s) such as {float(wrong[0])}"
+            )
+        z = (y * y - c * (1.0 - c)) / (c * y)
+        out[name] = ks_distance(EmpiricalLaw(z), GaussianLaw(1.0))
+    return out
 
 
 def _run_esd(cfg: ExperimentConfig, reference: Law, matrix: str, scaling: Scaling, w1: bool):
@@ -449,18 +458,6 @@ def run_edge_bbp(cfg: ExperimentConfig) -> ExperimentRecord:
     return _run(cfg, trial, finish)
 
 
-def edge_limit_pushforward(c: float, draws: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Monte-Carlo sample of the proportional-regime edge limits
-    (c/2) z +- sqrt((c^2/4) z^2 + c(1-c)) for standard Gaussian z."""
-    if not (0.0 < c < 1.0):
-        raise ValueError(f"need 0 < c < 1, got c={c}")
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal(draws)
-    half = 0.5 * c * z
-    disc = np.sqrt(half * half + c * (1.0 - c))
-    return half + disc, half - disc
-
-
 def _edge_trial(cfg: ExperimentConfig, matrix: str, keys, j: int, multiplier, divisor):
     """Trial of an extreme-eigenvalue regime: the surrogate's scalar Gaussian
     U, then multiplier * lambda_{1+j} / divisor and its mirror at lambda_{n-j}
@@ -483,10 +480,10 @@ def _edge_trial(cfg: ExperimentConfig, matrix: str, keys, j: int, multiplier, di
 def run_edge_regimes(cfg: ExperimentConfig) -> ExperimentRecord:
     """Extreme-eigenvalue experiments for the surrogate across growth regimes.
 
-    regime='proportional': lambda_1/n is compared in distribution (two-sample
-    KS) against a pushforward Monte-Carlo sample of the limit functional of a
-    standard Gaussian; per-trial rows also record the scalar Gaussian U that
-    generated the trial.
+    regime='proportional': lambda_1/n and lambda_n/n are compared in
+    distribution (exact one-sample KS) against the laws of the limit
+    functionals (c/2) z +- sqrt((c^2/4) z^2 + c(1-c)) of a standard Gaussian z;
+    per-trial rows also record the scalar Gaussian U that generated the trial.
     regime='sqrt_nr': mean lambda_1/sqrt(nr) against 1 (and the minimum
     against -1).
     regime='secondary': the (1+k)-th eigenvalues scaled by sqrt(n) against
@@ -512,7 +509,7 @@ def run_edge_regimes(cfg: ExperimentConfig) -> ExperimentRecord:
         aggregate: dict = {"regime": regime}
         if target is None:
             names = ("ks_lambda_max", "ks_lambda_min")
-            aggregate.update(_pushforward_ks(cfg, rows, keys, names, data))
+            aggregate.update(_edge_limit_ks(r / n, rows, keys, names))
             aggregate.update(_row_stats(rows, *keys))
             return aggregate, ["ks_lambda_max"]
         aggregate["target"] = target
@@ -553,7 +550,7 @@ def run_laplacian_edge(cfg: ExperimentConfig) -> ExperimentRecord:
       A    -- lambda_k(L) / (n sqrt(2 log n)), centering sqrt(c(1-c))
       B_i  -- (r-1) lambda_1(Ltilde) / (n sqrt(2 log n)), same centering;
               requires r << sqrt(log n)
-      B_ii -- lambda_1(Ltilde)/n against the proportional-regime pushforward
+      B_ii -- lambda_1(Ltilde)/n against the exact proportional-regime edge law
       C_i  -- (r-1) lambda_{1+k}(Ltilde) / (n sqrt(2 log n)), same centering;
               requires r << sqrt(n)
       C_ii -- lambda_{1+k}(Ltilde) / sqrt(n), centering 2(1 - c);
@@ -585,10 +582,11 @@ def run_laplacian_edge(cfg: ExperimentConfig) -> ExperimentRecord:
         aggregate = {"regime": cfg.regime, **_row_stats(rows, *keys)}
         if target is None:
             names = ("ks_stat_max", "ks_stat_min")
-            aggregate.update(_pushforward_ks(cfg, rows, keys, names, data))
+            aggregate.update(_edge_limit_ks(c, rows, keys, names))
             aggregate["note"] = (
-                "reference pushforward uses (c/2) z + sqrt((c^2/4) z^2 + c(1-c)), the "
-                "same functional as the adjacency edge limit (z^2 under the radical)"
+                "reference is the exact law of (c/2) z + sqrt((c^2/4) z^2 + c(1-c)) for "
+                "standard Gaussian z, the same functional as the adjacency edge limit "
+                "(z^2 under the radical)"
             )
             return aggregate, ["ks_stat_max"]
         aggregate["target"] = target
@@ -754,7 +752,7 @@ def persist_record(
     record: ExperimentRecord, out_dir: str | Path, timestamp: str | None = None
 ) -> Path:
     """Write a record to <out_dir>/runs/<kind>/<timestamp>-<seed>/ as JSON,
-    with eigenvalue and pushforward arrays as CSV side files."""
+    with each per-trial eigenvalue array as a CSV side file."""
     stamp = timestamp or datetime.now().strftime("%Y%m%dT%H%M%S")
     kind = record.config["kind"]
     seed = record.config["master_seed"]
@@ -763,12 +761,9 @@ def persist_record(
     for name, array in record.data.items():
         path = run_dir / f"{name}.csv"
         arr = np.asarray(array)
-        if arr.ndim == 1:
-            np.savetxt(path, arr, delimiter=",", header="value")
-        else:
-            trial_idx = np.repeat(np.arange(arr.shape[0]), arr.shape[1])
-            flat = np.column_stack([trial_idx, np.tile(np.arange(arr.shape[1]), arr.shape[0]), arr.ravel()])
-            np.savetxt(path, flat, delimiter=",", header="trial,index,value")
+        trial_idx = np.repeat(np.arange(arr.shape[0]), arr.shape[1])
+        flat = np.column_stack([trial_idx, np.tile(np.arange(arr.shape[1]), arr.shape[0]), arr.ravel()])
+        np.savetxt(path, flat, delimiter=",", header="trial,index,value")
         record.artifacts[name] = str(path)
     (run_dir / "record.json").write_text(json.dumps(record.to_json_dict(), indent=2))
     return run_dir

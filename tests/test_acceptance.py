@@ -127,7 +127,7 @@ class TestAcceptance:
         ok = ks < 0.1
         report(
             4, "proportional edge law", ok,
-            f"two-sample ks(lambda_1/n, pushforward) = {ks:.4f} (<0.1)",
+            f"ks(lambda_1/n, exact edge law) = {ks:.4f} (<0.1)",
         )
         assert ks < 0.1
 

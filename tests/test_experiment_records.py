@@ -63,7 +63,7 @@ CASES = {
                         tolerance=0.5),
     "edge_regimes_proportional": dict(
         kind="edge_regimes", n=60, r=20, trials=4, master_seed=7, regime="proportional",
-        pushforward_draws=500, tolerance=0.9,
+        tolerance=0.9,
     ),
     "edge_regimes_sqrt_nr": dict(
         kind="edge_regimes", n=60, r=20, trials=3, master_seed=7, regime="sqrt_nr",
@@ -83,7 +83,7 @@ CASES = {
     ),
     "laplacian_edge_B_ii": dict(
         kind="laplacian_edge", n=60, r=20, trials=4, master_seed=8, regime="B_ii",
-        pushforward_draws=500, tolerance=0.9,
+        tolerance=0.9,
     ),
     "laplacian_edge_C_i": dict(
         kind="laplacian_edge", n=100, r=2, trials=2, master_seed=8, regime="C_i",

@@ -7,6 +7,7 @@ import threading
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from hypergraph_spectra import experiments
 from hypergraph_spectra.combinatorics import ModelParams, SamplingBudgetError
@@ -16,7 +17,6 @@ from hypergraph_spectra.experiments import (
     RegimeError,
     assumption_diagnostics,
     bbp_edge_limit,
-    edge_limit_pushforward,
     persist_record,
     run_bulk,
     run_concentration,
@@ -159,7 +159,7 @@ class TestTrialPool:
         [
             dict(kind="edge_bbp", n=1000, r=4, trials=4, master_seed=7),
             dict(kind="edge_regimes", n=600, r=180, trials=4, master_seed=7,
-                 regime="proportional", pushforward_draws=1000),
+                 regime="proportional"),
         ],
         ids=["edge_bbp", "edge_regimes"],
     )
@@ -283,16 +283,61 @@ class TestEdgeBbp:
 
 
 class TestEdgeRegimes:
-    def test_pushforward_moments(self):
-        c = 0.5
-        plus, minus = edge_limit_pushforward(c, 200_000, 3)
-        # E[lambda_max * lambda_min] = -c(1-c) exactly (product of the roots)
-        assert np.mean(plus * minus) == pytest.approx(-c * (1 - c), abs=4e-3)
-        assert np.all(plus >= minus)
+    @staticmethod
+    def _exact_ks(y, c):
+        # scipy's one-sample KS against P(g(z) <= y) = Phi((y^2 - c(1-c)) / (c y)),
+        # the law of the branch of the edge limit on y's side of zero
+        return stats.kstest(
+            y, lambda v: stats.norm.cdf((v * v - c * (1 - c)) / (c * v))
+        ).statistic
 
-    def test_pushforward_domain(self):
-        with pytest.raises(ValueError):
-            edge_limit_pushforward(0.0, 10, 0)
+    @pytest.mark.parametrize("c", [0.05, 0.3, 0.5, 0.9])
+    def test_edge_limit_ks_matches_kstest(self, c):
+        rng = np.random.default_rng(int(100 * c))
+        # statistics from the limit law itself and from a law far from it
+        z = rng.standard_normal(40)
+        half = 0.5 * c * z
+        disc = np.sqrt(half * half + c * (1 - c))
+        for y_max, y_min in ((half + disc, half - disc),
+                             (rng.uniform(0.01, 2.0, 40), -rng.uniform(0.01, 2.0, 40))):
+            rows = [{"max": a, "min": b} for a, b in zip(y_max, y_min)]
+            got = experiments._edge_limit_ks(c, rows, ("max", "min"), ("ks_max", "ks_min"))
+            assert list(got) == ["ks_max", "ks_min"]
+            assert got["ks_max"] == pytest.approx(self._exact_ks(y_max, c), abs=1e-12)
+            assert got["ks_min"] == pytest.approx(self._exact_ks(y_min, c), abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "config, keys, names",
+        [
+            (dict(kind="edge_regimes", regime="proportional", master_seed=7),
+             ("lambda_max_over_n", "lambda_min_over_n"), ("ks_lambda_max", "ks_lambda_min")),
+            (dict(kind="laplacian_edge", regime="B_ii", master_seed=8),
+             ("stat_max", "stat_min"), ("ks_stat_max", "ks_stat_min")),
+        ],
+        ids=["edge_regimes", "laplacian_edge_B_ii"],
+    )
+    def test_records_score_the_exact_edge_law(self, config, keys, names):
+        rec = run_experiment(ExperimentConfig(n=60, r=20, trials=4, **config))
+        for key, name in zip(keys, names):
+            y = np.array([row[key] for row in rec.trials])
+            assert rec.aggregate[name] == pytest.approx(self._exact_ks(y, 20 / 60), abs=1e-12)
+        assert list(rec.data) == ["eigenvalues"]
+
+    @pytest.mark.parametrize("c", [0.0, 1.0, -0.2, 1.5])
+    def test_edge_limit_ks_domain(self, c):
+        rows = [{"max": 0.5, "min": -0.5}] * 3
+        with pytest.raises(ValueError, match="0 < c < 1"):
+            experiments._edge_limit_ks(c, rows, ("max", "min"), ("a", "b"))
+
+    @pytest.mark.parametrize(
+        "y_max, y_min",
+        [(0.0, -0.5), (-0.1, -0.5), (0.5, 0.0), (0.5, 0.2)],
+        ids=["max_zero", "max_negative", "min_zero", "min_positive"],
+    )
+    def test_edge_limit_ks_rejects_wrong_signed_statistics(self, y_max, y_min):
+        rows = [{"max": 0.5, "min": -0.5}, {"max": y_max, "min": y_min}]
+        with pytest.raises(ValueError, match="must be (positive|negative) on every trial"):
+            experiments._edge_limit_ks(0.3, rows, ("max", "min"), ("a", "b"))
 
     def test_sqrt_nr_regime(self):
         n = 2000
@@ -494,16 +539,15 @@ class TestPersistence:
         assert not any("provenance" in row for row in payload["trials"])
         assert "provenance" not in payload["aggregate"]
 
-    def test_persist_pushforward_arrays(self, tmp_path):
+    def test_persisted_proportional_record_holds_only_eigenvalues(self, tmp_path):
         cfg = ExperimentConfig(
-            kind="edge_regimes", n=60, r=30, trials=3, master_seed=5,
-            regime="proportional", pushforward_draws=1000,
+            kind="edge_regimes", n=60, r=30, trials=3, master_seed=5, regime="proportional",
         )
         rec = run_edge_regimes(cfg)
         run_dir = persist_record(rec, tmp_path, timestamp="t")
-        draws = np.loadtxt(run_dir / "pushforward_max.csv", skiprows=1)
-        assert draws.shape == (1000,)
-        json.loads((run_dir / "record.json").read_text())  # serialisable
+        assert sorted(p.name for p in run_dir.iterdir()) == ["eigenvalues.csv", "record.json"]
+        payload = json.loads((run_dir / "record.json").read_text())
+        assert set(payload["artifacts"]) == {"eigenvalues"}
 
     def test_dispatch_diagnostics_kind(self):
         cfg = ExperimentConfig(kind="diagnostics", n=20, r=3, p=0.1)

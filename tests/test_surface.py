@@ -16,7 +16,7 @@ PACKAGE = Path(hypergraph_spectra.__file__).parent
 
 # name -> why it stays public although nothing in the package reads it yet
 ALLOWED = {
-    "low_rank_eigenvalues": "ROADMAP item 2 scores edge trials against it",
+    "low_rank_eigenvalues": "ROADMAP item 4 scores edge trials against it",
     "EmpiricalMeasure": "alias imported by perfbench/test_perfbench.py",
 }
 
