@@ -267,6 +267,11 @@ def _run(cfg: ExperimentConfig, trial, finish, legs=None) -> ExperimentRecord:
     (sub-config, trial) pairs for a kind that samples several model sizes; by
     default the one leg is (cfg, trial).
     """
+    if cfg.ensemble == BERNOULLI or cfg.kind == "universality":
+        # import the edge-count draw's module before the pool, as the edge kinds do
+        # with the Lanczos module: a first import inside a pool worker while another
+        # allocates n x n blocks can fragment the heap
+        import scipy.stats  # noqa: F401
     t0 = time.perf_counter()
     rows: list[dict] = []
     data: dict[str, np.ndarray] = {}
@@ -296,18 +301,23 @@ def _run(cfg: ExperimentConfig, trial, finish, legs=None) -> ExperimentRecord:
 
 def _trial_matrix(cfg: ExperimentConfig, seed: int, matrix: str = "gham"):
     """One draw of the normalised adjacency matrix, or of one of its
-    Laplacians, plus the surrogate components when applicable."""
+    Laplacians, plus the surrogate's scalar Gaussian U (None for hypergraphs).
+
+    The surrogate's components are dropped before a Laplacian is built, so
+    their n x n Z is not held beside the matrix and the Laplacian."""
     params = cfg.model_params()
     if cfg.ensemble == SURROGATE:
         comp, h = sample_surrogate(params, seed)
+        u = comp.U
+        del comp
     else:
         hg = sample_hypergraph(params, seed, max_expected_edges=cfg.edge_budget)
-        comp, h = None, gham_from_adjacency(adjacency_from_hypergraph(hg), params)
+        u, h = None, gham_from_adjacency(adjacency_from_hypergraph(hg), params)
     if matrix == "laplacian":
-        return laplacian(h), comp
+        return laplacian(h), u
     if matrix == "laplacian_tilde":
-        return laplacian_tilde(h, cfg.r), comp
-    return h, comp
+        return laplacian_tilde(h, cfg.r), u
+    return h, u
 
 
 def _pooled_measure(eigs: np.ndarray) -> EmpiricalLaw:
@@ -465,10 +475,10 @@ def _edge_trial(cfg: ExperimentConfig, matrix: str, keys, j: int, multiplier, di
     import scipy.sparse.linalg  # noqa: F401  (before the pool, as in run_edge_bbp)
 
     def trial(index: int, seed: int):
-        m, comp = _trial_matrix(cfg, seed, matrix)
+        m, u = _trial_matrix(cfg, seed, matrix)
         lam = extreme_eigenvalues(m, j + 1, seed)
         stats = {
-            "U": comp.U,
+            "U": u,
             keys[0]: multiplier * float(lam[j]) / divisor,
             keys[1]: multiplier * float(lam[-1 - j]) / divisor,
         }

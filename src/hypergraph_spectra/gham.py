@@ -11,8 +11,10 @@ with its diagonal removed, reproduces that covariance structure entrywise; Z
 follows the GOE convention (off-diagonal variance 1, diagonal variance 2) so
 that the diagonal of G has the matching variance alpha^2 + 4 beta^2 + 2 theta^2.
 
-Also provided: the two Laplacian maps.  The brute-force references that check
-this construction (edge-by-edge GHAM, trace identity) live with the tests.
+``sample_surrogate`` holds two n x n float64 arrays at its peak, Z and G,
+plus one block-sized temporary.  Also provided: the two Laplacian maps.  The
+brute-force references that check this construction (edge-by-edge GHAM, trace
+identity, the full surrogate matrix) live with the tests.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ __all__ = [
     "gham_from_adjacency",
     "covariance_params",
     "sample_surrogate",
-    "surrogate_matrix",
     "laplacian",
     "laplacian_tilde",
 ]
@@ -125,6 +126,11 @@ def covariance_params(params: ModelParams) -> CovarianceParams:
     )
 
 
+# side of the square blocks the surrogate is symmetrised and assembled in: a
+# block pair's temporaries stay in cache and small beside the two n x n arrays
+_BLOCK = 256
+
+
 def sample_surrogate(
     params: ModelParams, seed: int
 ) -> tuple[SurrogateComponents, np.ndarray]:
@@ -133,31 +139,42 @@ def sample_surrogate(
 
     Entrywise G'_ij = alpha*U + beta*(V_i + V_j) + theta*Z_ij for i != j, which
     matches the normalised adjacency matrix of a Gaussian-weight hypergraph in
-    distribution.  The full matrix (diagonal kept) is available via
-    ``surrogate_matrix``.
+    distribution.  The normals are drawn into the array that becomes Z, which
+    is symmetrised in place, and G' is written block by block beside it: the
+    peak is these two n x n arrays and one block.
     """
     cov = covariance_params(params)
     rng = np.random.default_rng(seed)
     u = float(rng.standard_normal())
     v = rng.standard_normal(params.n)
-    raw = rng.standard_normal((params.n, params.n))
-    z = raw + raw.T
-    del raw
-    z /= math.sqrt(2.0)
-    comp = SurrogateComponents(U=u, V=v, Z=z, seed=seed)
-    g = surrogate_matrix(comp, cov)
+    z = rng.standard_normal((params.n, params.n))
+    g = np.empty_like(z)
+    shift = cov.alpha * u
+    root2 = math.sqrt(2.0)
+    for i in range(0, params.n, _BLOCK):
+        bi = slice(i, i + _BLOCK)
+        for j in range(i, params.n, _BLOCK):
+            bj = slice(j, j + _BLOCK)
+            # each entry is ((V_i + V_j) beta + alpha U) + theta (raw_ij + raw_ji)/sqrt(2),
+            # in the operation order of the whole-matrix formula: the blocking
+            # does not change a bit
+            gb = g[bi, bj]
+            np.add.outer(v[bi], v[bj], out=gb)
+            gb *= cov.beta
+            gb += shift
+            zb = z[bi, bj] + z[bj, bi].T
+            zb /= root2
+            z[bi, bj] = zb
+            zb *= cov.theta
+            gb += zb
+            del zb  # the one block-sized temporary; freed before the next is made
+            # a diagonal block is already symmetric (IEEE addition commutes);
+            # mirroring it onto itself would only cost an overlap copy
+            if j != i:
+                z[bj, bi] = z[bi, bj].T
+                g[bj, bi] = gb.T
     np.fill_diagonal(g, 0.0)
-    return comp, g
-
-
-def surrogate_matrix(comp: SurrogateComponents, cov: CovarianceParams) -> np.ndarray:
-    """Full surrogate matrix alpha*U*11^T + beta*(V 1^T + 1 V^T) + theta*Z,
-    diagonal included, built in place."""
-    g = np.add.outer(comp.V, comp.V)
-    g *= cov.beta
-    g += cov.alpha * comp.U
-    g += cov.theta * comp.Z
-    return g
+    return SurrogateComponents(U=u, V=v, Z=z, seed=seed), g
 
 
 def laplacian(x: np.ndarray) -> np.ndarray:

@@ -68,7 +68,9 @@ def symmetric_eigenvalues(
     if not math.isfinite(scale):
         raise ValueError("matrix entries must be finite")
     residual = matrix - matrix.T
-    if np.abs(residual, out=residual).max() > 1e-10 * max(scale, 1.0):
+    asymmetry = np.abs(residual, out=residual).max()
+    del residual  # the LAPACK solve copies the matrix: free this n x n array first
+    if asymmetry > 1e-10 * max(scale, 1.0):
         raise ValueError("matrix is not symmetric")
     return np.linalg.eigvalsh(matrix)[::-1] * scaling.factor(n, r)
 

@@ -1,10 +1,12 @@
 """Brute-force and closed-form reference code that only the tests use: counting
-oracles, the GHAM built edge by edge from a weight vector, the trace identity
-and Lipschitz constants of the matrix maps, the Stieltjes-inversion density,
-and the aggregate fold of an experiment record."""
+oracles, the GHAM built edge by edge from a weight vector, the full surrogate
+matrix built densely from its components, the trace identity and Lipschitz
+constants of the matrix maps, the Stieltjes-inversion density, the aggregate
+fold of an experiment record, and the traced memory peak of a call."""
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 
@@ -43,6 +45,16 @@ def gham_from_weights(params, weights: np.ndarray) -> np.ndarray:
         h[np.ix_(idx, idx)] += w
     np.fill_diagonal(h, 0.0)
     return h / math.sqrt(params.edges_per_pair)
+
+
+def surrogate_matrix(comp, cov) -> np.ndarray:
+    """Full surrogate matrix alpha*U*11^T + beta*(V 1^T + 1 V^T) + theta*Z,
+    diagonal included, built in place."""
+    g = np.add.outer(comp.V, comp.V)
+    g *= cov.beta
+    g += cov.alpha * comp.U
+    g += cov.theta * comp.Z
+    return g
 
 
 def edge_matrix_trace(e1: tuple[int, ...], e2: tuple[int, ...]) -> int:
@@ -120,3 +132,16 @@ def recompute_aggregates(record) -> dict:
             std = float(values.std(ddof=1))
             out[key] = std if prefix == "std" else std / math.sqrt(values.size)
     return out
+
+
+def traced_peak(fn, *args) -> int:
+    """Peak bytes that tracemalloc (which sees numpy's data buffers) traces
+    during fn(*args), result included.  A first untraced call leaves lazy
+    imports and caches out of the figure."""
+    fn(*args)
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -359,6 +359,28 @@ class TestSetUp:
         """)
         assert fresh_interpreter(code).splitlines() == ["[False, False]", "[False, True]"]
 
+    @pytest.mark.parametrize("kind, ensemble", [
+        ("universality", "gaussian_surrogate"), ("bulk", "bernoulli_hypergraph")])
+    def test_pooled_hypergraph_trials_import_scipy_stats_before_the_pool(self, kind, ensemble):
+        # the Bernoulli edge-count draw needs scipy.stats; first imported inside a
+        # pool worker it can fragment the heap, so the runner imports it first
+        code = textwrap.dedent(f"""\
+            import sys
+            from hypergraph_spectra import experiments
+            seen = []
+
+            class Pool(experiments.ThreadPoolExecutor):
+                def __init__(self, *args, **kwargs):
+                    seen.append("scipy.stats" in sys.modules)
+                    super().__init__(*args, **kwargs)
+
+            experiments.ThreadPoolExecutor = Pool
+            experiments.run_experiment(experiments.ExperimentConfig(
+                kind="{kind}", ensemble="{ensemble}", n=30, r=3, trials=2, threads=2))
+            print(seen)
+        """)
+        assert fresh_interpreter(code) == "[True]"
+
     def test_concurrent_first_lanczos_solves_match_serial(self):
         # two threads reach the deferred scipy.sparse.linalg import of the Lanczos
         # solve at once; then a pooled edge_bbp, whose runner imports it before the

@@ -28,7 +28,7 @@ from hypergraph_spectra.experiments import (
     run_universality,
 )
 from hypergraph_spectra.spectra import EigensolverError, Scaling
-from oracles import recompute_aggregates
+from oracles import recompute_aggregates, traced_peak
 
 
 class TestConfig:
@@ -259,6 +259,14 @@ class TestLaplacianBulk:
             ks[n] = rec.aggregate["mean_esd_ks"]
         assert ks[400] < 0.15
         assert ks[900] < ks[400]
+
+    def test_surrogate_trial_peak_is_two_matrices(self):
+        # the surrogate's Z is released before the Laplacian is built, so at no
+        # point are Z, the GHAM and the Laplacian held at once
+        n = 1000
+        cfg = ExperimentConfig(kind="laplacian_bulk", n=n, r=3, matrix="laplacian_tilde")
+        peak = traced_peak(experiments._trial_matrix, cfg, 5, "laplacian_tilde")
+        assert peak <= 2.1 * 8 * n * n
 
 
 class TestEdgeBbp:

@@ -1,5 +1,6 @@
 """Tests for matrix construction, covariance structure, and exact identities."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -17,10 +18,16 @@ from hypergraph_spectra.gham import (
     laplacian,
     laplacian_tilde,
     sample_surrogate,
-    surrogate_matrix,
 )
 from hypergraph_spectra.combinatorics import HypergraphSample
-from oracles import edge_matrix_trace, enumerate_edges, gham_from_weights, lipschitz_constants
+from oracles import (
+    edge_matrix_trace,
+    enumerate_edges,
+    gham_from_weights,
+    lipschitz_constants,
+    surrogate_matrix,
+    traced_peak,
+)
 
 
 def indicator_matrix(n, edge):
@@ -179,12 +186,49 @@ class TestSurrogate:
         np.testing.assert_allclose(g1, g1.T)
 
     def test_entry_formula(self):
-        params = ModelParams(9, 4, 0.5)
-        cov = covariance_params(params)
-        comp, g = sample_surrogate(params, 42)
-        i, j = 2, 5
-        expected = cov.alpha * comp.U + cov.beta * (comp.V[i] + comp.V[j]) + cov.theta * comp.Z[i, j]
-        assert g[i, j] == pytest.approx(expected, rel=1e-12)
+        # the blocked build against the dense formula, to the bit; n = 513
+        # crosses the block edges
+        for n, seed in ((9, 42), (513, 2)):
+            params = ModelParams(n, 4, 0.5)
+            comp, g = sample_surrogate(params, seed)
+            expected = surrogate_matrix(comp, covariance_params(params))
+            np.fill_diagonal(expected, 0.0)
+            assert g.tobytes() == expected.tobytes()
+            assert comp.Z.tobytes() == comp.Z.T.copy().tobytes()
+
+    # SHA-256 of G' and of Z as the dense build (draw, Z = (raw + raw.T)/sqrt(2),
+    # then G) produced them at p = 0.5.  n = 300 and 513 cross the block edges,
+    # r = 2 has alpha = beta = 0, and n = 400, r = 200 has alpha, beta > 0
+    GOLDEN = [
+        (2, 2, 0,
+         "834dd1935d9bb0e3b73aff27aff14d9872c68661ad399135f46159be3f6665cd",
+         "fda367da98deecee11fe04634ebfab03e1668fb813aaa87cc76771bf10c1899d"),
+        (12, 4, 7,
+         "fb3bd68d5b68726aaa9a8e4106826d2a60dfaa05b062a2b2da6aa30e5995363f",
+         "df55ff31c898682ab75e619e7dd2f6653c3cd7471d0980a8440b8dd51f933693"),
+        (300, 3, 1,
+         "b0ddc26d8fde3d02a771afee5b33bdb64d8e4dbf538a73d418f693d8aa4e780f",
+         "dc2396d2708eb5a45d24a8ed791b75092981218dab3204c81844f4203713bc11"),
+        (513, 4, 2,
+         "3885c4a2404b2c742eaa7483a2f1af9e58223bd92c11d4bb2bbdfef198e8cb32",
+         "b27f37690c49ebc9927bcce6d56b59f64d5c211dec5c6ff621367f41a799677e"),
+        (400, 200, 3,
+         "d8c77dc5e802c64dfaea9b4700caf46b57eb84ee7bd31c5ab802798bcb5f102a",
+         "0085494f4a46afb60e5219bc26b48c8f360f183e1711ec1b756810d17d28e770"),
+    ]
+
+    @pytest.mark.parametrize("n, r, seed, g_digest, z_digest", GOLDEN)
+    def test_golden_bits(self, n, r, seed, g_digest, z_digest):
+        comp, g = sample_surrogate(ModelParams(n, r, 0.5), seed)
+        assert hashlib.sha256(g.tobytes()).hexdigest() == g_digest
+        assert hashlib.sha256(comp.Z.tobytes()).hexdigest() == z_digest
+
+    def test_peak_is_two_matrices(self):
+        # Z and G' plus a block-sized temporary; the dense build held the draw
+        # beside them, about 3 * 8n^2 bytes
+        n = 1000
+        peak = traced_peak(sample_surrogate, ModelParams(n, 4, 0.5), 1)
+        assert peak <= 2.1 * 8 * n * n
 
     def test_goe_diagonal_variance_convention(self):
         # Z has off-diagonal variance 1 and diagonal variance 2

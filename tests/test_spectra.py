@@ -3,6 +3,7 @@ spectrum CSV format."""
 
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -127,6 +128,27 @@ class TestSymmetricEigenvalues:
         m = m + m.T
         lam = symmetric_eigenvalues(m)
         assert np.all(np.diff(lam) <= 0)
+
+    def test_symmetry_check_freed_before_the_solve(self, monkeypatch):
+        # the LAPACK call copies the matrix, so nothing n x n of the check may
+        # still be held when it starts
+        n = 500
+        _, g = sample_surrogate(ModelParams(n, 3, 0.5), 4)
+        solve = np.linalg.eigvalsh
+        held = []
+
+        def traced_solve(a):
+            held.append(tracemalloc.get_traced_memory()[0])
+            return solve(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", traced_solve)
+        tracemalloc.start()
+        try:
+            symmetric_eigenvalues(g)
+        finally:
+            tracemalloc.stop()
+        assert len(held) == 1
+        assert held[0] <= 0.1 * 8 * n * n
 
 
 class TestEsd:
