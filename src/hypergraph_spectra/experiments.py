@@ -9,9 +9,11 @@ Every kind goes through one trial loop, ``_run``: a kind supplies only
 ``finish(rows, data)``, giving its aggregate and gate keys.  The loop owns the
 timer, the per-trial seeds (derived from the master seed by splitmix64), the
 rows, the stacking of arrays in trial order, the tolerance gate and the
-record.  The edge kinds read at most depth = k + 1 eigenvalues at each end and
-compute only those, by a Lanczos solve started from a vector derived from the
-trial seed (``spectra.extreme_eigenvalues``); the others solve densely.
+record.  The three edge kinds are rows of one (kind, regime) table,
+``_edge_table``, all run by ``run_edge``: each reads at most depth = k + 1
+eigenvalues at each end and computes only those, by a Lanczos solve started
+from a vector derived from the trial seed (``spectra.extreme_eigenvalues``).
+The other kinds solve densely.
 
 With ``threads > 1`` trials run on a thread pool (the eigensolvers release the
 GIL) of at most as many workers as usable cores, and every trial runs the
@@ -75,9 +77,7 @@ __all__ = [
     "RegimeError",
     "run_bulk",
     "run_laplacian_bulk",
-    "run_edge_bbp",
-    "run_edge_regimes",
-    "run_laplacian_edge",
+    "run_edge",
     "run_concentration",
     "run_universality",
     "run_experiment",
@@ -137,8 +137,9 @@ class ExperimentConfig:
             raise ValueError(f"unknown ensemble {self.ensemble!r}")
         if self.matrix not in ("gham", "laplacian", "laplacian_tilde"):
             raise ValueError(f"unknown matrix kind {self.matrix!r}")
-        if isinstance(self.scaling, str):
-            self.scaling = Scaling(self.scaling)
+        if self.k < 1:
+            raise ValueError(f"need k >= 1, got k={self.k}")
+        self.scaling = Scaling(self.scaling)
         params = self.model_params()  # validates (n, r, p)
         if self.ensemble == BERNOULLI:
             check_edge_budget(params, self.edge_budget)
@@ -347,14 +348,6 @@ def _row_stats(rows: list[dict], *keys: str) -> dict:
     return out
 
 
-def _abs_errors(aggregate: dict, keys: tuple[str, str], target: float) -> dict:
-    """Distances of the mean (max, min) statistics to +target and -target."""
-    return {
-        "abs_error_max": abs(aggregate[f"mean_{keys[0]}"] - target),
-        "abs_error_min": abs(aggregate[f"mean_{keys[1]}"] + target),
-    }
-
-
 def _edge_limit_ks(c: float, rows: list[dict], keys, names) -> dict:
     """KS of the (max, min) row statistics against the exact proportional-regime
     edge limits g+-(z) = (c/2) z +- sqrt((c^2/4) z^2 + c(1-c)), z standard
@@ -443,93 +436,66 @@ def bbp_edge_limit(r: int) -> float:
     return math.sqrt(r - 2) + 1.0 / math.sqrt(r - 2)
 
 
-def run_edge_bbp(cfg: ExperimentConfig) -> ExperimentRecord:
-    """Extreme eigenvalues of the surrogate at fixed r: lambda_1/sqrt(n) and
-    lambda_n/sqrt(n) against the phase-transition limit at r = 3."""
-    _require_surrogate(cfg)
-    # import the Lanczos module before the pool: first imported in a worker while another
-    # allocates n x n blocks, it fragmented the heap (peak RSS +7% in pooled runs, n = 2000)
-    import scipy.sparse.linalg  # noqa: F401
-    target = bbp_edge_limit(cfg.r)
-    keys = ("lambda_max_scaled", "lambda_min_scaled")
-    root_n = math.sqrt(cfg.n)
+_PROPORTIONAL_NOTE = (
+    "reference is the exact law of (c/2) z + sqrt((c^2/4) z^2 + c(1-c)) for "
+    "standard Gaussian z, the same functional as the adjacency edge limit "
+    "(z^2 under the radical)"
+)
 
-    def trial(index: int, seed: int):
-        h, _ = _trial_matrix(cfg, seed)
-        lam = extreme_eigenvalues(h, 1, seed)
-        stats = {keys[0]: float(lam[0]) / root_n, keys[1]: float(lam[-1]) / root_n}
-        return stats, {"eigenvalues": lam}
-
-    def finish(rows: list[dict], data: dict):
-        aggregate = {"target": target, **_row_stats(rows, *keys)}
-        aggregate.update(_abs_errors(aggregate, keys, target))
-        return aggregate, ["abs_error_max", "abs_error_min"]
-
-    return _run(cfg, trial, finish)
+# the regime that a kind runs when cfg.regime is None; laplacian_edge has none
+_EDGE_DEFAULT_REGIME = {"edge_bbp": "fixed_r", "edge_regimes": "proportional"}
 
 
-def _edge_trial(cfg: ExperimentConfig, matrix: str, keys, j: int, multiplier, divisor):
-    """Trial of an extreme-eigenvalue regime: the surrogate's scalar Gaussian
-    U, then multiplier * lambda_{1+j} / divisor and its mirror at lambda_{n-j}
-    (eigenvalues descending)."""
-    import scipy.sparse.linalg  # noqa: F401  (before the pool, as in run_edge_bbp)
+def _edge_table(cfg: ExperimentConfig) -> dict:
+    """kind -> regime -> (matrix, row keys, order-statistic position j,
+    multiplier, divisor, target) for the extreme-eigenvalue kinds.
 
-    def trial(index: int, seed: int):
-        m, u = _trial_matrix(cfg, seed, matrix)
-        lam = extreme_eigenvalues(m, j + 1, seed)
-        stats = {
-            "U": u,
-            keys[0]: multiplier * float(lam[j]) / divisor,
-            keys[1]: multiplier * float(lam[-1 - j]) / divisor,
-        }
-        return stats, {"eigenvalues": lam}
-
-    return trial
-
-
-def run_edge_regimes(cfg: ExperimentConfig) -> ExperimentRecord:
-    """Extreme-eigenvalue experiments for the surrogate across growth regimes.
-
-    regime='proportional': lambda_1/n and lambda_n/n are compared in
-    distribution (exact one-sample KS) against the laws of the limit
-    functionals (c/2) z +- sqrt((c^2/4) z^2 + c(1-c)) of a standard Gaussian z;
-    per-trial rows also record the scalar Gaussian U that generated the trial.
-    regime='sqrt_nr': mean lambda_1/sqrt(nr) against 1 (and the minimum
-    against -1).
-    regime='secondary': the (1+k)-th eigenvalues scaled by sqrt(n) against
-    +-2(1 - r/n), with the observed fluctuation scale reported.
+    A trial records multiplier * lambda_{1+j} / divisor and its mirror at
+    lambda_{n-j} (eigenvalues descending).  The mean of each is scored against
+    +-target or, for target None, the trials are scored in distribution (exact
+    one-sample KS) against the proportional-regime edge law
+    (c/2) z +- sqrt((c^2/4) z^2 + c(1-c)) of a standard Gaussian z, c = r/n.
+      edge_bbp      fixed_r      lambda_1/sqrt(n), target 2 up to r = 3, then
+                                 sqrt(r-2) + 1/sqrt(r-2) (the BBP transition)
+      edge_regimes  proportional lambda_1/n against the exact edge law
+                    sqrt_nr      lambda_1/sqrt(nr), target 1
+                    secondary    lambda_{1+k}/sqrt(n), target 2(1 - c)
+      laplacian_edge (side conditions checked with explicit constants)
+                    A            lambda_k(L) / (n sqrt(2 log n)), target sqrt(c(1-c))
+                    B_i          (r-1) lambda_1(Ltilde) / (n sqrt(2 log n)), same
+                                 target; requires r << sqrt(log n)
+                    B_ii         lambda_1(Ltilde)/n against the exact edge law
+                    C_i          (r-1) lambda_{1+k}(Ltilde) / (n sqrt(2 log n)), same
+                                 target; requires r << sqrt(n)
+                    C_ii         lambda_{1+k}(Ltilde) / sqrt(n), target 2(1 - c);
+                                 requires r >> sqrt(n log n)
     """
-    _require_surrogate(cfg)
-    regime = cfg.regime or "proportional"
     n, r, k = cfg.n, cfg.r, cfg.k
-    # regime -> (row keys, order-statistic position, divisor, target)
-    table = {
-        "proportional": (("lambda_max_over_n", "lambda_min_over_n"), 0, n, None),
-        "sqrt_nr": (("lambda_max_scaled", "lambda_min_scaled"), 0, math.sqrt(n * r), 1.0),
-        "secondary": (
-            ("lambda_sub_max_scaled", "lambda_sub_min_scaled"), k, math.sqrt(n),
-            2.0 * (1.0 - r / n),
-        ),
-    }
-    if regime not in table:
-        raise RegimeError(f"unknown edge regime {regime!r}")
-    keys, j, divisor, target = table[regime]
-
-    def finish(rows: list[dict], data: dict):
-        aggregate: dict = {"regime": regime}
-        if target is None:
-            names = ("ks_lambda_max", "ks_lambda_min")
-            aggregate.update(_edge_limit_ks(r / n, rows, keys, names))
-            aggregate.update(_row_stats(rows, *keys))
-            return aggregate, ["ks_lambda_max"]
-        aggregate["target"] = target
-        if regime == "secondary":
-            aggregate["k"] = k
-        aggregate.update(_row_stats(rows, *keys))
-        aggregate.update(_abs_errors(aggregate, keys, target))
-        return aggregate, ["abs_error_max", "abs_error_min"]
-
-    return _run(cfg, _edge_trial(cfg, "gham", keys, j, 1, divisor), finish)
+    c = r / n
+    root_n = math.sqrt(n)
+    log_scale = n * math.sqrt(2.0 * math.log(n))
+    centering = math.sqrt(c * (1.0 - c))
+    scaled = ("lambda_max_scaled", "lambda_min_scaled")
+    stat = ("stat_max", "stat_min")
+    tilde = "laplacian_tilde"
+    return {
+        "edge_bbp": {"fixed_r": ("gham", scaled, 0, 1, root_n, bbp_edge_limit(r))},
+        "edge_regimes": {
+            "proportional": ("gham", ("lambda_max_over_n", "lambda_min_over_n"), 0, 1, n, None),
+            "sqrt_nr": ("gham", scaled, 0, 1, math.sqrt(n * r), 1.0),
+            "secondary": (
+                "gham", ("lambda_sub_max_scaled", "lambda_sub_min_scaled"), k, 1, root_n,
+                2.0 * (1.0 - c),
+            ),
+        },
+        "laplacian_edge": {
+            "A": ("laplacian", stat, k - 1, 1, log_scale, centering),
+            "B_i": (tilde, stat, 0, r - 1, log_scale, centering),
+            "B_ii": (tilde, stat, 0, 1, n, None),
+            "C_i": (tilde, stat, k, r - 1, log_scale, centering),
+            "C_ii": (tilde, stat, k, 1, root_n, 2.0 * (1.0 - c)),
+        },
+    }[cfg.kind]
 
 
 def _check_laplacian_edge_regime(cfg: ExperimentConfig) -> None:
@@ -552,58 +518,49 @@ def _check_laplacian_edge_regime(cfg: ExperimentConfig) -> None:
         )
 
 
-def run_laplacian_edge(cfg: ExperimentConfig) -> ExperimentRecord:
-    """Extreme eigenvalues of the Laplacian matrices of the surrogate.
-
-    Regimes (selected by cfg.regime, side conditions validated with explicit
-    constants):
-      A    -- lambda_k(L) / (n sqrt(2 log n)), centering sqrt(c(1-c))
-      B_i  -- (r-1) lambda_1(Ltilde) / (n sqrt(2 log n)), same centering;
-              requires r << sqrt(log n)
-      B_ii -- lambda_1(Ltilde)/n against the exact proportional-regime edge law
-      C_i  -- (r-1) lambda_{1+k}(Ltilde) / (n sqrt(2 log n)), same centering;
-              requires r << sqrt(n)
-      C_ii -- lambda_{1+k}(Ltilde) / sqrt(n), centering 2(1 - c);
-              requires r >> sqrt(n log n)
-    """
+def run_edge(cfg: ExperimentConfig) -> ExperimentRecord:
+    """The kinds edge_bbp, edge_regimes and laplacian_edge: one (kind, regime)
+    row of ``_edge_table``.  A row of the record holds the surrogate's scalar
+    Gaussian U and the two statistics; the aggregate holds the regime, their
+    mean, std and stderr, then the target and the absolute errors of the
+    means, or the KS distances to the exact edge law and a note."""
     _require_surrogate(cfg)
-    n, r, k = cfg.n, cfg.r, cfg.k
-    c = r / n
-    tilde = "laplacian_tilde"
-    log_scale = n * math.sqrt(2.0 * math.log(n))
-    centering = math.sqrt(c * (1.0 - c))
-    # regime -> (matrix, order-statistic position, multiplier, divisor, target)
-    table = {
-        "A": ("laplacian", k - 1, 1, log_scale, centering),
-        "B_i": (tilde, 0, r - 1, log_scale, centering),
-        "B_ii": (tilde, 0, 1, n, None),
-        "C_i": (tilde, k, r - 1, log_scale, centering),
-        "C_ii": (tilde, k, 1, math.sqrt(n), 2.0 * (1.0 - c)),
-    }
-    if cfg.regime not in table:
+    table = _edge_table(cfg)
+    regime = cfg.regime or _EDGE_DEFAULT_REGIME.get(cfg.kind)
+    if regime not in table:
         raise RegimeError(
-            f"laplacian_edge regime must be one of {tuple(table)}, got {cfg.regime!r}"
+            f"{cfg.kind} regime must be one of {tuple(table)}, got {cfg.regime!r}"
         )
     _check_laplacian_edge_regime(cfg)
-    matrix, j, multiplier, divisor, target = table[cfg.regime]
-    keys = ("stat_max", "stat_min")
+    matrix, keys, j, multiplier, divisor, target = table[regime]
+    # import the Lanczos module before the pool: first imported in a worker while another
+    # allocates n x n blocks, it fragmented the heap (peak RSS +7% in pooled runs, n = 2000)
+    import scipy.sparse.linalg  # noqa: F401
+
+    def trial(index: int, seed: int):
+        m, u = _trial_matrix(cfg, seed, matrix)
+        lam = extreme_eigenvalues(m, j + 1, seed)
+        stats = {
+            "U": u,
+            keys[0]: multiplier * float(lam[j]) / divisor,
+            keys[1]: multiplier * float(lam[-1 - j]) / divisor,
+        }
+        return stats, {"eigenvalues": lam}
 
     def finish(rows: list[dict], data: dict):
-        aggregate = {"regime": cfg.regime, **_row_stats(rows, *keys)}
+        aggregate = {"regime": regime, **_row_stats(rows, *keys)}
         if target is None:
-            names = ("ks_stat_max", "ks_stat_min")
-            aggregate.update(_edge_limit_ks(c, rows, keys, names))
-            aggregate["note"] = (
-                "reference is the exact law of (c/2) z + sqrt((c^2/4) z^2 + c(1-c)) for "
-                "standard Gaussian z, the same functional as the adjacency edge limit "
-                "(z^2 under the radical)"
-            )
-            return aggregate, ["ks_stat_max"]
+            # lambda_max_over_n -> ks_lambda_max, stat_max -> ks_stat_max
+            names = tuple("ks_" + key.removesuffix("_over_n") for key in keys)
+            aggregate.update(_edge_limit_ks(cfg.r / cfg.n, rows, keys, names))
+            aggregate["note"] = _PROPORTIONAL_NOTE
+            return aggregate, [names[0]]
         aggregate["target"] = target
-        aggregate.update(_abs_errors(aggregate, keys, target))
+        aggregate["abs_error_max"] = abs(aggregate[f"mean_{keys[0]}"] - target)
+        aggregate["abs_error_min"] = abs(aggregate[f"mean_{keys[1]}"] + target)
         return aggregate, ["abs_error_max", "abs_error_min"]
 
-    return _run(cfg, _edge_trial(cfg, matrix, keys, j, multiplier, divisor), finish)
+    return _run(cfg, trial, finish)
 
 
 def run_concentration(cfg: ExperimentConfig) -> ExperimentRecord:
@@ -734,9 +691,9 @@ def _require_surrogate(cfg: ExperimentConfig) -> None:
 _RUNNERS = {
     "bulk": run_bulk,
     "laplacian_bulk": run_laplacian_bulk,
-    "edge_bbp": run_edge_bbp,
-    "edge_regimes": run_edge_regimes,
-    "laplacian_edge": run_laplacian_edge,
+    "edge_bbp": run_edge,
+    "edge_regimes": run_edge,
+    "laplacian_edge": run_edge,
     "concentration": run_concentration,
     "universality": run_universality,
 }

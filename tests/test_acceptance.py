@@ -16,10 +16,8 @@ from hypergraph_spectra.experiments import (
     ExperimentConfig,
     run_bulk,
     run_concentration,
-    run_edge_bbp,
-    run_edge_regimes,
+    run_edge,
     run_laplacian_bulk,
-    run_laplacian_edge,
     run_universality,
 )
 from hypergraph_spectra.gham import (
@@ -99,7 +97,7 @@ class TestAcceptance:
             cfg = ExperimentConfig(
                 kind="edge_bbp", n=2000, r=r, trials=30, master_seed=7, threads=THREADS
             )
-            agg = run_edge_bbp(cfg).aggregate
+            agg = run_edge(cfg).aggregate
             stats[r] = agg
             assert abs(agg["mean_lambda_max_scaled"] - target) < 0.15
             assert abs(agg["mean_lambda_min_scaled"] + target) < 0.15
@@ -122,7 +120,7 @@ class TestAcceptance:
             kind="edge_regimes", n=1000, r=500, trials=200, master_seed=2,
             regime="proportional", threads=THREADS,
         )
-        rec = run_edge_regimes(cfg)
+        rec = run_edge(cfg)
         ks = rec.aggregate["ks_lambda_max"]
         ok = ks < 0.1
         report(
@@ -309,7 +307,7 @@ class TestAcceptance:
             kind="laplacian_edge", n=1000, r=200, trials=50, master_seed=31,
             regime="A", threads=THREADS,
         )
-        rec = run_laplacian_edge(cfg)
+        rec = run_edge(cfg)
         err = rec.aggregate["abs_error_max"]
         ok = err < 0.08
         report(

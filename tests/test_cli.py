@@ -219,6 +219,24 @@ class TestExperimentCommand:
         assert code == 1
         assert "sqrt(log n)" in capsys.readouterr().err
 
+    def test_k_below_one_rejected(self, tmp_path, capsys):
+        # at k = 0 the secondary regimes would score lambda_1, the outlier
+        code = main(
+            [
+                "--out-dir", str(tmp_path), "experiment", "--kind", "edge_regimes",
+                "-n", "200", "-r", "6", "--trials", "2", "--regime", "secondary", "--k", "0",
+            ]
+        )
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: need k >= 1")
+
+    def test_config_scaling_of_wrong_type_rejected(self, tmp_path, capsys):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"kind": "bulk", "n": 30, "r": 3, "scaling": 5}))
+        code = main(["--out-dir", str(tmp_path), "experiment", "--config", str(cfg_file)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: 5 is not a valid Scaling")
+
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps({"kind": "bulk", "n": 30, "r": 3, "trails": 2}))

@@ -5,8 +5,9 @@ runners that preceded the shared trial loop in ``experiments``.  Those solved
 every spectrum densely; the ``eigenvalues`` arrays of the ten edge cases were
 later cut to the top and bottom depth values of each recorded spectrum, the
 values the Lanczos solve computes, so they are still checked against the dense
-solver's values.  Config, row
-and aggregate key order, ints, bools, strings and None must match exactly.
+solver's values.  When the edge kinds became rows of one table, their records'
+keys were moved, added (``U``, ``regime``, ``note``) or removed (``k``) in
+place; no value was re-recorded.  Config, row and aggregate key order, ints, bools, strings and None must match exactly.
 Floats and ``data`` arrays must match to rtol 1e-9 (atol 1e-12 for values
 near zero), because LAPACK's last bits depend on the host and the BLAS thread
 count.

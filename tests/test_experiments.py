@@ -20,11 +20,9 @@ from hypergraph_spectra.experiments import (
     persist_record,
     run_bulk,
     run_concentration,
-    run_edge_bbp,
-    run_edge_regimes,
+    run_edge,
     run_experiment,
     run_laplacian_bulk,
-    run_laplacian_edge,
     run_universality,
 )
 from hypergraph_spectra.spectra import EigensolverError, Scaling
@@ -80,7 +78,7 @@ class TestReproducibility:
 
     def test_aggregates_recomputable_from_rows(self):
         cfg = ExperimentConfig(kind="edge_bbp", n=60, r=4, trials=6, master_seed=2)
-        rec = run_edge_bbp(cfg)
+        rec = run_edge(cfg)
         recomputed = recompute_aggregates(rec)
         assert recomputed  # at least the mean/std/stderr keys
         for key, value in recomputed.items():
@@ -128,13 +126,13 @@ class TestTrialPool:
     def test_pooled_trials_run_blas_at_one_thread(self, caller_blas, monkeypatch):
         _set_blas_threads(2)
         seen = self._spy_solves(monkeypatch)
-        run_edge_bbp(ExperimentConfig(**self.EDGE))
+        run_edge(ExperimentConfig(**self.EDGE))
         assert len(seen) == self.EDGE["trials"]
         assert all(counts == [1] * len(experiments._openblas()) for _, counts in seen)
 
     def test_caller_blas_threads_restored(self, caller_blas):
         _set_blas_threads(2)
-        run_edge_bbp(ExperimentConfig(**self.EDGE))
+        run_edge(ExperimentConfig(**self.EDGE))
         assert _blas_threads() == [2] * len(experiments._openblas())
 
     def test_caller_blas_threads_restored_when_a_trial_raises(self, caller_blas, monkeypatch):
@@ -142,12 +140,12 @@ class TestTrialPool:
         cfg = ExperimentConfig(**self.EDGE)
         self._spy_solves(monkeypatch, fail_seed=cfg.trial_seed(1))
         with pytest.raises(EigensolverError):
-            run_edge_bbp(cfg)
+            run_edge(cfg)
         assert _blas_threads() == [2] * len(experiments._openblas())
 
     def test_pool_capped_at_usable_cores(self, monkeypatch):
         seen = self._spy_solves(monkeypatch)
-        run_edge_bbp(ExperimentConfig(**self.EDGE))
+        run_edge(ExperimentConfig(**self.EDGE))
         if hasattr(os, "sched_getaffinity"):
             cores = len(os.sched_getaffinity(0))
         else:
@@ -160,8 +158,10 @@ class TestTrialPool:
             dict(kind="edge_bbp", n=1000, r=4, trials=4, master_seed=7),
             dict(kind="edge_regimes", n=600, r=180, trials=4, master_seed=7,
                  regime="proportional"),
+            dict(kind="laplacian_edge", n=600, r=60, k=2, trials=4, master_seed=7,
+                 regime="A"),
         ],
-        ids=["edge_bbp", "edge_regimes"],
+        ids=["edge_bbp", "edge_regimes", "laplacian_edge"],
     )
     def test_edge_records_do_not_depend_on_threads(self, config):
         # the Lanczos kinds are independent of the BLAS thread count, so the
@@ -269,6 +269,60 @@ class TestLaplacianBulk:
         assert peak <= 2.1 * 8 * n * n
 
 
+# every (kind, regime) row of the edge table, at tiny n, with its row keys and
+# the aggregate keys after the row statistics
+TARGET = ("target", "abs_error_max", "abs_error_min")
+EDGE_ROWS = [
+    (dict(kind="edge_bbp", regime="fixed_r", n=40, r=4),
+     ("lambda_max_scaled", "lambda_min_scaled"), TARGET),
+    (dict(kind="edge_regimes", regime="proportional", n=40, r=12),
+     ("lambda_max_over_n", "lambda_min_over_n"), ("ks_lambda_max", "ks_lambda_min", "note")),
+    (dict(kind="edge_regimes", regime="sqrt_nr", n=40, r=12),
+     ("lambda_max_scaled", "lambda_min_scaled"), TARGET),
+    (dict(kind="edge_regimes", regime="secondary", n=40, r=4, k=2),
+     ("lambda_sub_max_scaled", "lambda_sub_min_scaled"), TARGET),
+    (dict(kind="laplacian_edge", regime="A", n=40, r=8, k=2),
+     ("stat_max", "stat_min"), TARGET),
+    (dict(kind="laplacian_edge", regime="B_i", n=40, r=3, side_factor_small=2.0),
+     ("stat_max", "stat_min"), TARGET),
+    (dict(kind="laplacian_edge", regime="B_ii", n=40, r=12),
+     ("stat_max", "stat_min"), ("ks_stat_max", "ks_stat_min", "note")),
+    (dict(kind="laplacian_edge", regime="C_i", n=40, r=2, side_factor_small=1.0),
+     ("stat_max", "stat_min"), TARGET),
+    (dict(kind="laplacian_edge", regime="C_ii", n=40, r=30, k=2, side_factor_large=1.0),
+     ("stat_max", "stat_min"), TARGET),
+]
+
+
+class TestEdgeTable:
+    def test_rows_cover_the_table(self):
+        rows = {
+            (kind, regime)
+            for kind in ("edge_bbp", "edge_regimes", "laplacian_edge")
+            for regime in experiments._edge_table(ExperimentConfig(kind=kind, n=40, r=4))
+        }
+        assert rows == {(c["kind"], c["regime"]) for c, _, _ in EDGE_ROWS}
+        assert len(rows) == 9
+
+    @pytest.mark.parametrize(
+        "config, keys, tail", EDGE_ROWS,
+        ids=[f"{c['kind']}-{c['regime']}" for c, _, _ in EDGE_ROWS],
+    )
+    def test_one_runner_layout(self, config, keys, tail):
+        rec = run_edge(ExperimentConfig(trials=3, master_seed=5, **config))
+        for row in rec.trials:
+            assert list(row) == ["trial", "seed", "U", *keys]
+            assert isinstance(row["U"], float)
+        stats = [f"{s}_{key}" for key in keys for s in ("mean", "std", "stderr")]
+        assert list(rec.aggregate) == ["regime", *stats, *tail]
+        assert rec.aggregate["regime"] == config["regime"]
+
+    def test_edge_bbp_rejects_other_regimes(self):
+        cfg = ExperimentConfig(kind="edge_bbp", n=40, r=4, trials=2, regime="bogus")
+        with pytest.raises(RegimeError, match="fixed_r"):
+            run_edge(cfg)
+
+
 class TestEdgeBbp:
     def test_limit_values(self):
         assert bbp_edge_limit(2) == 2.0
@@ -281,11 +335,11 @@ class TestEdgeBbp:
             kind="edge_bbp", n=30, r=3, p=0.4, trials=2, ensemble=BERNOULLI
         )
         with pytest.raises(ValueError, match="surrogate"):
-            run_edge_bbp(cfg)
+            run_edge(cfg)
 
     def test_smoke_run(self):
         cfg = ExperimentConfig(kind="edge_bbp", n=150, r=4, trials=4, master_seed=12)
-        rec = run_edge_bbp(cfg)
+        rec = run_edge(cfg)
         assert rec.aggregate["target"] == pytest.approx(1.5 * math.sqrt(2.0))
         assert {"lambda_max_scaled", "lambda_min_scaled"} <= set(rec.trials[0])
 
@@ -353,7 +407,7 @@ class TestEdgeRegimes:
         cfg = ExperimentConfig(
             kind="edge_regimes", n=n, r=r, trials=8, master_seed=3, regime="sqrt_nr"
         )
-        rec = run_edge_regimes(cfg)
+        rec = run_edge(cfg)
         assert abs(rec.aggregate["mean_lambda_max_scaled"] - 1.0) < 0.1
         assert abs(rec.aggregate["mean_lambda_min_scaled"] + 1.0) < 0.1
 
@@ -362,7 +416,7 @@ class TestEdgeRegimes:
         cfg = ExperimentConfig(
             kind="edge_regimes", n=n, r=r, trials=8, master_seed=3, regime="secondary", k=1
         )
-        rec = run_edge_regimes(cfg)
+        rec = run_edge(cfg)
         target = 2.0 * (1.0 - r / n)
         assert rec.aggregate["target"] == pytest.approx(target)
         assert abs(rec.aggregate["mean_lambda_sub_max_scaled"] - target) < 0.1
@@ -372,7 +426,7 @@ class TestEdgeRegimes:
     def test_unknown_regime(self):
         cfg = ExperimentConfig(kind="edge_regimes", n=30, r=3, trials=2, regime="bogus")
         with pytest.raises(RegimeError):
-            run_edge_regimes(cfg)
+            run_edge(cfg)
 
 
 class TestLaplacianEdge:
@@ -381,20 +435,20 @@ class TestLaplacianEdge:
             kind="laplacian_edge", n=1000, r=3, trials=2, regime="B_i"
         )
         with pytest.raises(RegimeError, match=r"sqrt\(log n\)"):
-            run_laplacian_edge(cfg)
+            run_edge(cfg)
 
     def test_side_condition_c_ii(self):
         cfg = ExperimentConfig(
             kind="laplacian_edge", n=1000, r=100, trials=2, regime="C_ii"
         )
         with pytest.raises(RegimeError, match=r"sqrt\(n log n\)"):
-            run_laplacian_edge(cfg)
+            run_edge(cfg)
 
     def test_side_condition_c_i_passes_when_small(self):
         cfg = ExperimentConfig(
             kind="laplacian_edge", n=900, r=5, trials=2, master_seed=1, regime="C_i"
         )
-        rec = run_laplacian_edge(cfg)
+        rec = run_edge(cfg)
         assert rec.aggregate["target"] == pytest.approx(
             math.sqrt((5 / 900) * (1 - 5 / 900))
         )
@@ -402,13 +456,13 @@ class TestLaplacianEdge:
     def test_regime_required(self):
         cfg = ExperimentConfig(kind="laplacian_edge", n=100, r=10, trials=2)
         with pytest.raises(RegimeError):
-            run_laplacian_edge(cfg)
+            run_edge(cfg)
 
     def test_b_ii_records_functional_note(self):
         cfg = ExperimentConfig(
             kind="laplacian_edge", n=200, r=60, trials=5, master_seed=8, regime="B_ii"
         )
-        rec = run_laplacian_edge(cfg)
+        rec = run_edge(cfg)
         assert "z^2 under the radical" in rec.aggregate["note"]
         assert "ks_stat_max" in rec.aggregate
 
@@ -418,7 +472,7 @@ class TestLaplacianEdge:
         cfg = ExperimentConfig(
             kind="laplacian_edge", n=n, r=r, trials=6, master_seed=4, regime="C_ii", k=1
         )
-        rec = run_laplacian_edge(cfg)
+        rec = run_edge(cfg)
         target = 2.0 * (1.0 - r / n)
         assert abs(rec.aggregate["mean_stat_max"] - target) < 0.1
 
@@ -536,7 +590,7 @@ class TestPersistence:
 
     def test_pooled_record_carries_provenance(self, tmp_path):
         cfg = ExperimentConfig(kind="edge_bbp", n=60, r=4, trials=3, master_seed=2, threads=2)
-        run_dir = persist_record(run_edge_bbp(cfg), tmp_path, timestamp="t")
+        run_dir = persist_record(run_edge(cfg), tmp_path, timestamp="t")
         payload = json.loads((run_dir / "record.json").read_text())
         prov = payload["provenance"]
         assert set(prov) == {"python", "numpy", "scipy", "blas", "workers", "blas_pinned"}
@@ -551,7 +605,7 @@ class TestPersistence:
         cfg = ExperimentConfig(
             kind="edge_regimes", n=60, r=30, trials=3, master_seed=5, regime="proportional",
         )
-        rec = run_edge_regimes(cfg)
+        rec = run_edge(cfg)
         run_dir = persist_record(rec, tmp_path, timestamp="t")
         assert sorted(p.name for p in run_dir.iterdir()) == ["eigenvalues.csv", "record.json"]
         payload = json.loads((run_dir / "record.json").read_text())
