@@ -41,35 +41,12 @@ _SCALING_FLAGS = {
 }
 
 
-def _parse_law(text: str) -> laws.Law:
-    """Law descriptor: inline JSON, a path to a JSON file, or the shorthand
-    kind:sigma2 (e.g. 'semicircle:0.64')."""
-    text = text.strip()
-    if text.startswith("{"):
-        return laws.law_from_descriptor(json.loads(text))
-    path = Path(text)
-    if path.suffix == ".json" and path.exists():
-        return laws.law_from_descriptor(json.loads(path.read_text()))
-    kind, _, arg = text.partition(":")
-    if kind in ("semicircle", "gaussian"):
-        return laws.law_from_descriptor({"kind": kind, "sigma2": float(arg or 1.0)})
-    raise ValueError(f"cannot parse law descriptor {text!r}")
-
-
-def _parse_density_law(text: str) -> laws.Law:
-    """A law descriptor whose density is evaluated; an empirical law has none."""
-    law = _parse_law(text)
-    if isinstance(law, laws.EmpiricalLaw):
-        raise ValueError(f"law {text!r} is empirical and has no density to evaluate")
-    return law
-
-
 def _parse_compare_input(text: str):
     """Comparison operand: an eigenvalue CSV path or a law descriptor."""
     path = Path(text)
     if path.exists() and path.suffix == ".csv":
         return load_spectrum_csv(path)
-    return _parse_law(text)
+    return laws.law_from_descriptor(text)
 
 
 def cmd_sample(args) -> int:
@@ -116,7 +93,7 @@ def cmd_spectrum(args) -> int:
     if args.svg:
         overlays = []
         for desc in args.overlay or []:
-            law = _parse_density_law(desc)
+            law = laws.law_from_descriptor(desc)
             lo, hi = law.support()
             lo = min(lo, float(lam.min()))
             hi = max(hi, float(lam.max()))
@@ -191,7 +168,7 @@ def cmd_experiment(args) -> int:
 
 def cmd_laws(args) -> int:
     if args.action == "evaluate":
-        law = _parse_density_law(args.law)
+        law = laws.law_from_descriptor(args.law)
         lo, hi = law.support()
         xs = np.linspace(args.lo if args.lo is not None else lo,
                          args.hi if args.hi is not None else hi, args.points)
@@ -205,7 +182,7 @@ def cmd_laws(args) -> int:
         print(f"wrote {out}")
         return 0
     # convolve
-    law1, law2 = _parse_law(args.law), _parse_law(args.law2)
+    law1, law2 = laws.law_from_descriptor(args.law), laws.law_from_descriptor(args.law2)
     spec = laws.GridSpec(lo=args.lo, hi=args.hi, points=args.points)
     grid = laws.free_additive_convolution(law1, law2, spec)
     out = Path(args.out or Path(args.out_dir) / "convolution.csv")

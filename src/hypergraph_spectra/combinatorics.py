@@ -233,10 +233,9 @@ def _row_keys(rows: np.ndarray, n: int) -> np.ndarray:
     when (n+1)^r < 2^63, else each row's big-endian bytes as one void scalar."""
     r = rows.shape[1]
     if r * math.log2(n + 1) < 63:
-        codes = np.zeros(len(rows), dtype=np.uint64)
-        for j in range(r):
-            codes = codes * np.uint64(n + 1) + rows[:, j].astype(np.uint64)
-        return codes
+        # int64 on both sides: uint64 @ int64 would promote to float64
+        weights = (n + 1) ** np.arange(r - 1, -1, -1, dtype=np.int64)
+        return (rows.astype(np.int64, copy=False) @ weights).view(np.uint64)
     return np.ascontiguousarray(rows, dtype=">i8").view(np.dtype((np.void, 8 * r))).ravel()
 
 

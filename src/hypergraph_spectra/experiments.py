@@ -140,7 +140,12 @@ class ExperimentConfig:
         if self.k < 1:
             raise ValueError(f"need k >= 1, got k={self.k}")
         self.scaling = Scaling(self.scaling)
+        if self.kind != "laplacian_bulk" and (self.matrix, self.scaling) != ("gham", Scaling.BY_SQRT_N):
+            raise ValueError(f"only laplacian_bulk reads matrix and scaling; {self.kind} needs "
+                             f"gham and by_sqrt_n, got {self.matrix} and {self.scaling.value}")
         params = self.model_params()  # validates (n, r, p)
+        if self.k >= self.n:
+            raise ValueError(f"need k < n={self.n}, got k={self.k}")
         if self.ensemble == BERNOULLI:
             check_edge_budget(params, self.edge_budget)
 

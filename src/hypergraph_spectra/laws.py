@@ -1,9 +1,13 @@
 """Analytic limit laws on the real line and their free additive convolution.
 
-Laws expose density / cdf / Stieltjes transform / moments behind a small class
-hierarchy: semicircle and centered Gaussian families, finite empirical laws
-(which cover point masses), and lazily-solved free additive convolutions.  The
-Gaussian cdf and Stieltjes transform import ``scipy.special`` at their first call.
+Every law implements one abstract interface, ``Law``: density, cdf, the
+antiderivative of the cdf, Stieltjes transform, variance, support and a JSON
+descriptor.  The kinds are the semicircle and centered Gaussian families,
+finite empirical laws (which cover point masses; they have no density), and
+lazily-solved free additive convolutions.  ``law_from_descriptor`` is the one
+parser: it takes a descriptor dict, inline JSON, a ``.json`` path or the
+shorthand kind:sigma2.  The Gaussian cdf and Stieltjes transform import
+``scipy.special`` at their first call.
 
 The free additive convolution of two laws is computed through the standard
 pair of subordination functions: writing F_i(w) = -1/S_i(w) for the reciprocal
@@ -22,6 +26,7 @@ negligible even at square-root edges.
 
 from __future__ import annotations
 
+import json
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -38,12 +43,6 @@ __all__ = [
     "DensityGrid",
     "GridSpec",
     "ConvergenceError",
-    "catalan",
-    "semicircle_density",
-    "semicircle_cdf",
-    "semicircle_moment",
-    "stieltjes_semicircle",
-    "stieltjes_gaussian",
     "free_convolution_stieltjes",
     "free_additive_convolution",
     "law_from_descriptor",
@@ -73,74 +72,6 @@ class ConvergenceError(RuntimeError):
         self.residual = residual
 
 
-def catalan(k: int) -> int:
-    """k-th Catalan number C(2k, k)/(k+1), exact."""
-    if k < 0:
-        raise ValueError(f"Catalan index must be >= 0, got {k}")
-    return math.comb(2 * k, k) // (k + 1)
-
-
-def semicircle_density(sigma2: float, x) -> np.ndarray | float:
-    """Semicircle density sqrt(4 sigma^2 - x^2) / (2 pi sigma^2) on [-2s, 2s]."""
-    if sigma2 <= 0:
-        raise ValueError(f"variance must be positive, got {sigma2}")
-    x = np.asarray(x, dtype=float)
-    inside = np.clip(4.0 * sigma2 - x * x, 0.0, None)
-    out = np.sqrt(inside) / (2.0 * math.pi * sigma2)
-    return float(out) if out.ndim == 0 else out
-
-
-def semicircle_cdf(sigma2: float, x) -> np.ndarray | float:
-    if sigma2 <= 0:
-        raise ValueError(f"variance must be positive, got {sigma2}")
-    s = math.sqrt(sigma2)
-    x = np.asarray(x, dtype=float)
-    t = np.clip(x / (2.0 * s), -1.0, 1.0)
-    out = 0.5 + t * np.sqrt(1.0 - t * t) / math.pi + np.arcsin(t) / math.pi
-    return float(out) if out.ndim == 0 else out
-
-
-def semicircle_moment(sigma2: float, order: int) -> float:
-    """Moment of the semicircle law: sigma^(2k) * Catalan(k) at order 2k, zero
-    at odd orders."""
-    if order < 0:
-        raise ValueError(f"moment order must be >= 0, got {order}")
-    if order % 2 == 1:
-        return 0.0
-    k = order // 2
-    return float(sigma2**k * catalan(k))
-
-
-def stieltjes_semicircle(sigma2: float, z) -> np.ndarray | complex:
-    """Closed-form Stieltjes transform (-z + sqrt(z^2 - 4 sigma^2)) / (2 sigma^2),
-    on the branch mapping the upper half plane to itself."""
-    if sigma2 <= 0:
-        raise ValueError(f"variance must be positive, got {sigma2}")
-    z = np.asarray(z, dtype=complex)
-    _require_upper_half(z)
-    root = np.sqrt(z * z - 4.0 * sigma2)
-    cand = (-z + root) / (2.0 * sigma2)
-    out = np.where(cand.imag > 0, cand, (-z - root) / (2.0 * sigma2))
-    return complex(out) if out.ndim == 0 else out
-
-
-def stieltjes_gaussian(sigma2: float, z) -> np.ndarray | complex:
-    """Stieltjes transform of the centered Gaussian, via the Faddeeva function:
-
-        S(z) = i sqrt(pi/2) w(z / sqrt(2))       (unit variance),
-
-    rescaled by S_sigma(z) = S_1(z/sigma)/sigma for general variance.
-    """
-    if sigma2 <= 0:
-        raise ValueError(f"variance must be positive, got {sigma2}")
-    z = np.asarray(z, dtype=complex)
-    _require_upper_half(z)
-    from scipy.special import wofz  # deferred: slow to import
-    s = math.sqrt(sigma2)
-    out = 1j * math.sqrt(math.pi / 2.0) * wofz(z / (s * math.sqrt(2.0))) / s
-    return complex(out) if out.ndim == 0 else out
-
-
 def _require_upper_half(z: np.ndarray) -> None:
     if np.any(np.asarray(z).imag <= 0):
         raise ValueError("Stieltjes transforms are defined for Im z > 0 only")
@@ -149,58 +80,70 @@ def _require_upper_half(z: np.ndarray) -> None:
 class Law(ABC):
     """A probability law on the real line."""
 
+    @abstractmethod
     def density(self, x):
-        raise NotImplementedError
+        """Lebesgue density; a law without one raises ValueError."""
 
+    @abstractmethod
     def cdf(self, x):
-        raise NotImplementedError
-
-    def stieltjes(self, z):
-        raise NotImplementedError
-
-    def moment(self, order: int) -> float:
-        raise NotImplementedError
-
-    def mean(self) -> float:
-        return self.moment(1)
-
-    def variance(self) -> float:
-        mu = self.mean()
-        return self.moment(2) - mu * mu
-
-    def support(self) -> tuple[float, float]:
-        """Interval carrying all but a negligible (< 1e-13) sliver of mass."""
-        raise NotImplementedError
+        """Distribution function F(x) = P(X <= x)."""
 
     @abstractmethod
     def cdf_integral(self, x):
-        """Antiderivative of the CDF, int_{-inf}^x F(t) dt.
+        """Antiderivative int_{-inf}^x F(t) dt of the CDF: the metrics layer
+        builds every Wasserstein-1 area from it, with no quadrature fallback."""
 
-        Required of every law: the metrics layer assembles every Wasserstein-1
-        area from it and has no quadrature fallback.
-        """
+    @abstractmethod
+    def stieltjes(self, z):
+        """Stieltjes transform int dmu(t) / (t - z), for Im z > 0."""
 
+    @abstractmethod
+    def variance(self) -> float:
+        """Variance of the law."""
+
+    @abstractmethod
+    def support(self) -> tuple[float, float]:
+        """Interval carrying all but a negligible (< 1e-13) sliver of mass."""
+
+    @abstractmethod
     def descriptor(self) -> dict:
-        raise NotImplementedError
+        """JSON-ready description that ``law_from_descriptor`` rebuilds."""
 
 
 class SemicircleLaw(Law):
+    """Semicircle law of variance sigma2, supported on [-2s, 2s]."""
+
     def __init__(self, sigma2: float):
         if sigma2 <= 0:
             raise ValueError(f"variance must be positive, got {sigma2}")
         self.sigma2 = float(sigma2)
 
     def density(self, x):
-        return semicircle_density(self.sigma2, x)
+        # sqrt(4 sigma^2 - x^2) / (2 pi sigma^2) on the support
+        x = np.asarray(x, dtype=float)
+        inside = np.clip(4.0 * self.sigma2 - x * x, 0.0, None)
+        out = np.sqrt(inside) / (2.0 * math.pi * self.sigma2)
+        return float(out) if out.ndim == 0 else out
 
     def cdf(self, x):
-        return semicircle_cdf(self.sigma2, x)
+        s = math.sqrt(self.sigma2)
+        x = np.asarray(x, dtype=float)
+        t = np.clip(x / (2.0 * s), -1.0, 1.0)
+        out = 0.5 + t * np.sqrt(1.0 - t * t) / math.pi + np.arcsin(t) / math.pi
+        return float(out) if out.ndim == 0 else out
 
     def stieltjes(self, z):
-        return stieltjes_semicircle(self.sigma2, z)
+        # closed form (-z + sqrt(z^2 - 4 sigma^2)) / (2 sigma^2), on the branch
+        # mapping the upper half plane to itself
+        z = np.asarray(z, dtype=complex)
+        _require_upper_half(z)
+        root = np.sqrt(z * z - 4.0 * self.sigma2)
+        cand = (-z + root) / (2.0 * self.sigma2)
+        out = np.where(cand.imag > 0, cand, (-z - root) / (2.0 * self.sigma2))
+        return complex(out) if out.ndim == 0 else out
 
-    def moment(self, order: int) -> float:
-        return semicircle_moment(self.sigma2, order)
+    def variance(self) -> float:
+        return self.sigma2
 
     def support(self) -> tuple[float, float]:
         edge = 2.0 * math.sqrt(self.sigma2)
@@ -212,7 +155,7 @@ class SemicircleLaw(Law):
         edge = 2.0 * math.sqrt(self.sigma2)
         x = np.asarray(x, dtype=float)
         xc = np.clip(x, -edge, edge)
-        inner = xc * semicircle_cdf(self.sigma2, xc) + np.clip(
+        inner = xc * self.cdf(xc) + np.clip(
             4.0 * self.sigma2 - xc * xc, 0.0, None
         ) ** 1.5 / (6.0 * math.pi * self.sigma2)
         out = inner + np.clip(x - edge, 0.0, None)
@@ -226,6 +169,8 @@ class SemicircleLaw(Law):
 
 
 class GaussianLaw(Law):
+    """Centered Gaussian law of variance sigma2."""
+
     def __init__(self, sigma2: float):
         if sigma2 <= 0:
             raise ValueError(f"variance must be positive, got {sigma2}")
@@ -243,15 +188,17 @@ class GaussianLaw(Law):
         return float(out) if out.ndim == 0 else out
 
     def stieltjes(self, z):
-        return stieltjes_gaussian(self.sigma2, z)
+        # via the Faddeeva function, S(z) = i sqrt(pi/2) w(z / sqrt(2)) at unit
+        # variance, rescaled by S_sigma(z) = S_1(z/sigma)/sigma
+        z = np.asarray(z, dtype=complex)
+        _require_upper_half(z)
+        from scipy.special import wofz  # deferred: slow to import
+        s = math.sqrt(self.sigma2)
+        out = 1j * math.sqrt(math.pi / 2.0) * wofz(z / (s * math.sqrt(2.0))) / s
+        return complex(out) if out.ndim == 0 else out
 
-    def moment(self, order: int) -> float:
-        if order % 2 == 1:
-            return 0.0
-        k = order // 2
-        # (2k-1)!! = (2k)! / (2^k k!)
-        double_factorial = math.factorial(2 * k) // (2**k * math.factorial(k))
-        return float(self.sigma2**k) * double_factorial
+    def variance(self) -> float:
+        return self.sigma2
 
     def support(self) -> tuple[float, float]:
         # +-8.5 sigma leaves < 1e-16 mass outside
@@ -284,7 +231,7 @@ class EmpiricalLaw(Law):
         self.atoms = np.sort(a)
 
     def density(self, x):
-        raise TypeError("an atomic law has no Lebesgue density")
+        raise ValueError(f"law {self!r} is atomic and has no Lebesgue density")
 
     def cdf(self, x):
         pos = np.searchsorted(self.atoms, np.asarray(x, dtype=float), side="right")
@@ -303,8 +250,9 @@ class EmpiricalLaw(Law):
         out = out.reshape(z.shape)
         return complex(out) if out.ndim == 0 else out
 
-    def moment(self, order: int) -> float:
-        return float(np.mean(self.atoms**order))
+    def variance(self) -> float:
+        mu = float(np.mean(self.atoms))
+        return float(np.mean(self.atoms**2)) - mu * mu
 
     def support(self) -> tuple[float, float]:
         return (float(self.atoms[0]), float(self.atoms[-1]))
@@ -374,11 +322,11 @@ def _shift_transform(law: Law, w: np.ndarray) -> np.ndarray:
     return np.where(inside, -1.0 / law.stieltjes(np.where(inside, w, 1j)) - w, np.nan)
 
 
-def free_convolution_stieltjes(law1: Law, law2: Law, z) -> tuple[np.ndarray, np.ndarray]:
+def free_convolution_stieltjes(law1: Law, law2: Law, z) -> np.ndarray:
     """Stieltjes transform of law1 [+] law2 at points z in the upper half plane.
 
-    Returns (S, omega), omega the second subordination function reached by
-    plain iteration of T from omega = z.  Raises ConvergenceError if a point
+    The second subordination function omega is reached by plain iteration of
+    T from omega = z.  Raises ConvergenceError if a point
     misses the relative tolerance ``_TOL`` within ``_MAX_ITER`` iterations, or
     if rounding carries its iterate off the upper half plane (it cannot return).
     """
@@ -410,8 +358,7 @@ def free_convolution_stieltjes(law1: Law, law2: Law, z) -> tuple[np.ndarray, np.
             z=complex(z.flat[worst]),
             residual=float(residual.flat[worst]),
         )
-    s = law1.stieltjes(z + _shift_transform(law2, omega))
-    return s, omega
+    return law1.stieltjes(z + _shift_transform(law2, omega))
 
 
 def free_additive_convolution(law1: Law, law2: Law, grid: GridSpec | None = None) -> DensityGrid:
@@ -432,7 +379,7 @@ def free_additive_convolution(law1: Law, law2: Law, grid: GridSpec | None = None
     spec = grid or GridSpec()
     lo, hi = spec.resolve(law1, law2)
     x = np.linspace(lo, hi, spec.points)
-    s, _ = free_convolution_stieltjes(law1, law2, x + 1j * _INVERSION_EPS)
+    s = free_convolution_stieltjes(law1, law2, x + 1j * _INVERSION_EPS)
     f = np.maximum(s.imag / math.pi, 0.0)
     out = DensityGrid(x=x, f=f, eps=_INVERSION_EPS)
     mass = out.mass()
@@ -451,17 +398,16 @@ class FreeConvolutionLaw(Law):
     always computed directly from the subordination system (no interpolation).
     """
 
-    def __init__(self, law1: Law, law2: Law, grid: GridSpec | None = None):
+    def __init__(self, law1: Law, law2: Law):
         self.law1 = law1
         self.law2 = law2
-        self._spec = grid
         self._grid: DensityGrid | None = None
         self._cdf_values: np.ndarray | None = None
 
     @property
     def grid(self) -> DensityGrid:
         if self._grid is None:
-            self._grid = free_additive_convolution(self.law1, self.law2, self._spec)
+            self._grid = free_additive_convolution(self.law1, self.law2)
         return self._grid
 
     def density(self, x):
@@ -479,16 +425,8 @@ class FreeConvolutionLaw(Law):
         return float(out) if out.ndim == 0 else out
 
     def stieltjes(self, z):
-        s, _ = free_convolution_stieltjes(self.law1, self.law2, z)
+        s = free_convolution_stieltjes(self.law1, self.law2, z)
         return complex(s[0]) if np.isscalar(z) or np.asarray(z).ndim == 0 else s
-
-    def moment(self, order: int) -> float:
-        g = self.grid
-        return float(np.trapezoid(g.x**order * g.f, g.x) / g.mass())
-
-    def mean(self) -> float:
-        # free convolution adds means
-        return self.law1.mean() + self.law2.mean()
 
     def variance(self) -> float:
         # second free cumulants (variances) add
@@ -519,8 +457,22 @@ class FreeConvolutionLaw(Law):
         return f"FreeConvolutionLaw({self.law1!r}, {self.law2!r})"
 
 
-def law_from_descriptor(descriptor: dict) -> Law:
-    """Rebuild a law from its JSON descriptor."""
+def law_from_descriptor(descriptor: dict | str) -> Law:
+    """Build a law from its descriptor: a dict as ``Law.descriptor`` writes
+    it, or a string holding inline JSON, the path of a ``.json`` file, or the
+    shorthand kind:sigma2 of a semicircle or Gaussian ('semicircle:0.64';
+    sigma2 defaults to 1)."""
+    if isinstance(descriptor, str):
+        text = descriptor.strip()
+        if text.startswith("{"):
+            return law_from_descriptor(json.loads(text))
+        path = Path(text)
+        if path.suffix == ".json" and path.exists():
+            return law_from_descriptor(json.loads(path.read_text()))
+        kind, _, arg = text.partition(":")
+        if kind not in ("semicircle", "gaussian"):
+            raise ValueError(f"cannot parse law descriptor {text!r}")
+        descriptor = {"kind": kind, "sigma2": float(arg or 1.0)}
     kind = descriptor.get("kind")
     if kind == "semicircle":
         return SemicircleLaw(descriptor["sigma2"])

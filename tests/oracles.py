@@ -1,5 +1,5 @@
 """Brute-force and closed-form reference code that only the tests use: counting
-oracles, the GHAM built edge by edge from a weight vector, the full surrogate
+oracles, the Catalan numbers, the GHAM built edge by edge from a weight vector, the full surrogate
 matrix built densely from its components, the trace identity and Lipschitz
 constants of the matrix maps, the Stieltjes-inversion density, the aggregate
 fold of an experiment record, and the traced memory peak of a call."""
@@ -24,6 +24,14 @@ def edge_overlap_count(n: int, r: int, s: int) -> int:
     if not (0 <= s <= r <= n):
         raise ValueError(f"need 0 <= s <= r <= n, got n={n}, r={r}, s={s}")
     return math.comb(r, s) * math.comb(n - r, r - s)
+
+
+def catalan(k: int) -> int:
+    """k-th Catalan number C(2k, k)/(k+1), exact: the 2k-th moment of the
+    unit semicircle law."""
+    if k < 0:
+        raise ValueError(f"Catalan index must be >= 0, got {k}")
+    return math.comb(2 * k, k) // (k + 1)
 
 
 def gham_from_weights(params, weights: np.ndarray) -> np.ndarray:

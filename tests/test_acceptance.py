@@ -31,7 +31,6 @@ from hypergraph_spectra.laws import (
     GaussianLaw,
     SemicircleLaw,
     free_additive_convolution,
-    semicircle_density,
 )
 from hypergraph_spectra.spectra import low_rank_eigenvalues
 from oracles import (
@@ -146,7 +145,7 @@ class TestAcceptance:
     def test_c06_free_convolution_solver(self):
         grid = free_additive_convolution(SemicircleLaw(1.0), SemicircleLaw(1.0))
         mask = np.abs(grid.x) <= 3.0
-        sup_err = np.abs(grid.f[mask] - semicircle_density(2.0, grid.x[mask])).max()
+        sup_err = np.abs(grid.f[mask] - SemicircleLaw(2.0).density(grid.x[mask])).max()
 
         sc = SemicircleLaw(1.0)
         conv = free_additive_convolution(sc, EmpiricalLaw([0.0]))

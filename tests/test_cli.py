@@ -230,6 +230,27 @@ class TestExperimentCommand:
         assert code == 1
         assert capsys.readouterr().err.startswith("error: need k >= 1")
 
+    def test_k_at_or_above_n_rejected(self, tmp_path, capsys):
+        # depth k + 1 would exceed n; rejected before a matrix is built
+        code = main(
+            [
+                "--out-dir", str(tmp_path), "experiment", "--kind", "edge_regimes",
+                "-n", "30", "-r", "3", "--trials", "2", "--regime", "secondary", "--k", "30",
+            ]
+        )
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: need k < n=30, got k=30")
+
+    def test_matrix_kind_for_a_kind_that_ignores_it_rejected(self, tmp_path, capsys):
+        code = main(
+            [
+                "--out-dir", str(tmp_path), "experiment", "--kind", "bulk",
+                "-n", "40", "-r", "3", "--matrix-kind", "laplacian", "--scaling", "n",
+            ]
+        )
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: only laplacian_bulk reads matrix")
+
     def test_config_scaling_of_wrong_type_rejected(self, tmp_path, capsys):
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps({"kind": "bulk", "n": 30, "r": 3, "scaling": 5}))

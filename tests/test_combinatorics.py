@@ -135,6 +135,29 @@ class TestDeriveSeed:
             derive_seed(0, -1)
 
 
+class TestRowKeys:
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint64, np.int32, np.uint8])
+    @pytest.mark.parametrize("n,r", [(1, 1), (9, 3), (200, 3), (300, 5), (2**20, 3)])
+    def test_base_n_plus_one_codes(self, dtype, n, r):
+        rng = np.random.default_rng(n + r)
+        hi = min(n, np.iinfo(dtype).max)
+        rows = np.sort(rng.integers(1, hi + 1, size=(500, r)), axis=1).astype(dtype)
+        keys = combinatorics._row_keys(rows, n)
+        expected = [sum(int(v) * (n + 1) ** (r - 1 - j) for j, v in enumerate(row))
+                    for row in rows.tolist()]
+        assert keys.dtype == np.uint64
+        assert keys.tolist() == expected
+
+    def test_empty_rows(self):
+        keys = combinatorics._row_keys(np.empty((0, 3), dtype=np.uint64), 10)
+        assert keys.dtype == np.uint64 and keys.size == 0
+
+    def test_key_order_is_row_order(self):
+        rows = np.array(list(itertools.combinations(range(1, 12), 4)))[::-1]
+        keys = combinatorics._row_keys(rows, 11)
+        np.testing.assert_array_equal(np.argsort(keys), np.lexsort(rows.T[::-1]))
+
+
 class TestSampleHypergraph:
     def test_p_one_gives_all_edges(self):
         sample = sample_hypergraph(ModelParams(6, 3, 1.0), 7)

@@ -51,6 +51,22 @@ class TestConfig:
         cfg = ExperimentConfig(kind="bulk", n=10, r=3, scaling="by_sqrt_n")
         assert cfg.scaling is Scaling.BY_SQRT_N
 
+    @pytest.mark.parametrize("kind,regime,k", [
+        ("edge_regimes", "secondary", 30), ("laplacian_edge", "A", 31), ("bulk", None, 30),
+    ])
+    def test_k_at_or_above_n_rejected(self, kind, regime, k):
+        # checked before any trial matrix is built, by a message that names k
+        with pytest.raises(ValueError, match=r"need k < n=30, got k=3[01]"):
+            ExperimentConfig(kind=kind, n=30, r=3, k=k, regime=regime)
+
+    @pytest.mark.parametrize("kind", [k for k in experiments.EXPERIMENT_KINDS if k != "laplacian_bulk"])
+    @pytest.mark.parametrize("field,value", [("matrix", "laplacian"), ("scaling", "by_n")])
+    def test_matrix_and_scaling_only_for_laplacian_bulk(self, kind, field, value):
+        with pytest.raises(ValueError, match=f"only laplacian_bulk reads matrix and scaling; {kind}"):
+            ExperimentConfig(kind=kind, n=40, r=3, **{field: value})
+        cfg = ExperimentConfig(kind="laplacian_bulk", n=40, r=3, **{field: value})
+        assert cfg.to_dict()[field] == value
+
     def test_trial_seeds_deterministic(self):
         cfg = ExperimentConfig(kind="bulk", n=10, r=3, master_seed=5)
         assert [cfg.trial_seed(i) for i in range(4)] == [

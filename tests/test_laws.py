@@ -1,5 +1,6 @@
 """Tests for analytic laws, Stieltjes transforms, and free convolution."""
 
+import json
 import math
 import tracemalloc
 
@@ -17,17 +18,11 @@ from hypergraph_spectra.laws import (
     GaussianLaw,
     GridSpec,
     SemicircleLaw,
-    catalan,
     free_additive_convolution,
     free_convolution_stieltjes,
     law_from_descriptor,
-    semicircle_cdf,
-    semicircle_density,
-    semicircle_moment,
-    stieltjes_gaussian,
-    stieltjes_semicircle,
 )
-from oracles import stieltjes_inversion_density
+from oracles import catalan, stieltjes_inversion_density
 
 
 def count_dyck_paths(k):
@@ -65,87 +60,105 @@ class TestCatalan:
 
 class TestSemicircleDensity:
     def test_center_value(self):
-        assert semicircle_density(1.0, 0.0) == pytest.approx(1.0 / math.pi)
+        assert SemicircleLaw(1.0).density(0.0) == pytest.approx(1.0 / math.pi)
 
     def test_support_endpoints(self):
-        assert semicircle_density(1.0, 2.0) == 0.0
-        assert semicircle_density(1.0, -2.0) == 0.0
-        assert semicircle_density(1.0, 2.5) == 0.0
+        assert SemicircleLaw(1.0).density(2.0) == 0.0
+        assert SemicircleLaw(1.0).density(-2.0) == 0.0
+        assert SemicircleLaw(1.0).density(2.5) == 0.0
 
     def test_shrunk_variance_center(self):
         sigma2 = (1.0 - 0.2) ** 2
-        assert semicircle_density(sigma2, 0.0) == pytest.approx(1.0 / (0.8 * math.pi))
+        assert SemicircleLaw(sigma2).density(0.0) == pytest.approx(1.0 / (0.8 * math.pi))
 
     @pytest.mark.parametrize("sigma2", [0.25, 1.0, 4.0])
     def test_integrates_to_one(self, sigma2):
         # 1e4-point trapezoid on a grid covering the support with 10% margin
         edge = 2.0 * math.sqrt(sigma2)
         xs = np.linspace(-1.1 * edge, 1.1 * edge, 10_000)
-        mass = np.trapezoid(semicircle_density(sigma2, xs), xs)
+        mass = np.trapezoid(SemicircleLaw(sigma2).density(xs), xs)
         assert abs(mass - 1.0) < 1e-6
 
     def test_invalid_variance(self):
-        with pytest.raises(ValueError):
-            semicircle_density(0.0, 0.0)
+        with pytest.raises(ValueError, match="variance must be positive"):
+            SemicircleLaw(0.0)
+
+
+def density_moment(law, order: int) -> float:
+    """Moment of a law with a density, by quadrature over its support."""
+    value, _ = integrate.quad(lambda x: x**order * law.density(x), *law.support(), limit=200)
+    return value
 
 
 class TestSemicircleMoment:
     def test_fourth_moment_is_catalan_two(self):
-        assert semicircle_moment(1.0, 4) == 2.0
+        assert density_moment(SemicircleLaw(1.0), 4) == pytest.approx(2.0, abs=1e-8)
+
+    @pytest.mark.parametrize("sigma2", [0.25, 1.0, 4.0])
+    def test_even_moments_are_scaled_catalan(self, sigma2):
+        law = SemicircleLaw(sigma2)
+        for k in range(5):
+            expected = sigma2**k * catalan(k)
+            assert density_moment(law, 2 * k) == pytest.approx(expected, rel=1e-8, abs=1e-8)
 
     @pytest.mark.parametrize("order", [1, 3, 5, 7])
     def test_odd_moments_vanish(self, order):
-        assert semicircle_moment(4.0, order) == 0.0
+        assert density_moment(SemicircleLaw(4.0), order) == pytest.approx(0.0, abs=1e-8)
 
     def test_scaled_second_moment_against_quadrature(self):
-        value, _ = integrate.quad(lambda x: x * x * semicircle_density(4.0, x), -4, 4)
-        assert semicircle_moment(4.0, 2) == pytest.approx(4.0) == pytest.approx(value, abs=1e-8)
+        law = SemicircleLaw(4.0)
+        value, _ = integrate.quad(lambda x: x * x * law.density(x), -4, 4)
+        assert law.variance() == pytest.approx(4.0) == pytest.approx(value, abs=1e-8)
 
     def test_cdf_matches_density_quadrature(self):
+        law = SemicircleLaw(1.0)
         for x in (-1.5, -0.3, 0.7, 1.9):
-            value, _ = integrate.quad(lambda t: semicircle_density(1.0, t), -2.0, x)
-            assert semicircle_cdf(1.0, x) == pytest.approx(value, abs=1e-10)
+            value, _ = integrate.quad(law.density, -2.0, x)
+            assert law.cdf(x) == pytest.approx(value, abs=1e-10)
 
 
 class TestStieltjesSemicircle:
     def test_value_at_i(self):
         expected = 1j * (math.sqrt(5.0) - 1.0) / 2.0
-        assert stieltjes_semicircle(1.0, 1j) == pytest.approx(expected)
+        assert SemicircleLaw(1.0).stieltjes(1j) == pytest.approx(expected)
 
     def test_large_z_asymptote(self):
         z = 1e4j
-        assert abs(stieltjes_semicircle(1.0, z) + 1.0 / z) <= 1e-6 * abs(1.0 / z)
+        assert abs(SemicircleLaw(1.0).stieltjes(z) + 1.0 / z) <= 1e-6 * abs(1.0 / z)
 
     def test_quadratic_identity_on_grid(self):
         sigma2 = 1.7
         zs = np.linspace(-5, 5, 100) + 0.37j
-        s = stieltjes_semicircle(sigma2, zs)
+        s = SemicircleLaw(sigma2).stieltjes(zs)
         residual = sigma2 * s * s + zs * s + 1.0
         assert np.abs(residual).max() < 1e-12
 
     def test_self_consistency_rearranged(self):
         zs = np.linspace(-4, 4, 100) + 0.8j
-        s = stieltjes_semicircle(1.0, zs)
+        s = SemicircleLaw(1.0).stieltjes(zs)
         assert np.abs(s - 1.0 / (-zs - s)).max() < 1e-12
 
     def test_maps_to_upper_half_plane(self):
         zs = (np.linspace(-6, 6, 41)[:, None] + 1j * np.logspace(-3, 1, 9)[None, :]).ravel()
-        assert np.all(stieltjes_semicircle(2.0, zs).imag > 0)
+        assert np.all(SemicircleLaw(2.0).stieltjes(zs).imag > 0)
 
     def test_lower_half_rejected(self):
         with pytest.raises(ValueError):
-            stieltjes_semicircle(1.0, -1j)
+            SemicircleLaw(1.0).stieltjes(-1j)
 
 
 class TestGaussianLaw:
     @pytest.mark.parametrize("sigma2", [0.5, 1.0, 2.0])
     def test_moments_against_quadrature(self, sigma2):
+        # E X^k = (k-1)!! sigma^k at even k, zero at odd k
         law = GaussianLaw(sigma2)
         for order in range(9):
-            oracle, _ = integrate.quad(
+            value, _ = integrate.quad(
                 lambda x: x**order * law.density(x), -np.inf, np.inf, limit=200
             )
-            assert law.moment(order) == pytest.approx(oracle, abs=1e-8)
+            double_factorial = math.prod(range(order - 1, 0, -2))
+            expected = sigma2 ** (order // 2) * double_factorial if order % 2 == 0 else 0.0
+            assert value == pytest.approx(expected, abs=1e-8)
 
     def test_variance_matches_parameter(self):
         assert GaussianLaw(0.5).variance() == pytest.approx(0.5)
@@ -153,7 +166,7 @@ class TestGaussianLaw:
 
     def test_fourth_moment_double_factorial(self):
         # E X^4 = 3 sigma^4
-        assert GaussianLaw(0.5).moment(4) == pytest.approx(3 * 0.25)
+        assert density_moment(GaussianLaw(0.5), 4) == pytest.approx(3 * 0.25, abs=1e-8)
 
     def test_cdf_center(self):
         assert GaussianLaw(2.0).cdf(0.0) == pytest.approx(0.5)
@@ -180,7 +193,7 @@ def gaussian_stieltjes_quadrature(sigma2, z):
 
 class TestStieltjesGaussian:
     def test_value_at_i_purely_imaginary(self):
-        value = stieltjes_gaussian(1.0, 1j)
+        value = GaussianLaw(1.0).stieltjes(1j)
         assert abs(value.real) < 1e-12
         assert value.imag == pytest.approx(0.655680, abs=1e-6)
         oracle = gaussian_stieltjes_quadrature(1.0, 1j)
@@ -188,11 +201,11 @@ class TestStieltjesGaussian:
 
     def test_large_z_asymptote(self):
         z = 1e4j
-        assert abs(stieltjes_gaussian(1.0, z) + 1.0 / z) <= 1e-6 * abs(1.0 / z)
+        assert abs(GaussianLaw(1.0).stieltjes(z) + 1.0 / z) <= 1e-6 * abs(1.0 / z)
 
     def test_off_axis_against_quadrature(self):
         z = 1.0 + 1.0j
-        assert stieltjes_gaussian(1.0, z) == pytest.approx(
+        assert GaussianLaw(1.0).stieltjes(z) == pytest.approx(
             gaussian_stieltjes_quadrature(1.0, z), abs=1e-8
         )
 
@@ -200,13 +213,13 @@ class TestStieltjesGaussian:
         sigma2 = 2.6
         sigma = math.sqrt(sigma2)
         for z in (1j, 0.7 + 0.2j, -3.0 + 1.5j):
-            lhs = stieltjes_gaussian(sigma2, z)
-            rhs = stieltjes_gaussian(1.0, z / sigma) / sigma
+            lhs = GaussianLaw(sigma2).stieltjes(z)
+            rhs = GaussianLaw(1.0).stieltjes(z / sigma) / sigma
             assert lhs == pytest.approx(rhs, rel=1e-10)
 
     def test_maps_to_upper_half_plane(self):
         zs = (np.linspace(-8, 8, 33)[:, None] + 1j * np.logspace(-3, 1, 7)[None, :]).ravel()
-        assert np.all(stieltjes_gaussian(1.0, zs).imag > 0)
+        assert np.all(GaussianLaw(1.0).stieltjes(zs).imag > 0)
 
 
 class TestFreeConvolution:
@@ -215,7 +228,8 @@ class TestFreeConvolution:
         # grid, square-root edges included
         for a, b in ((1.0, 1.0), (0.25, 1.0), (1.0, 3.0), (2.0, 0.1)):
             grid = free_additive_convolution(SemicircleLaw(a), SemicircleLaw(b))
-            assert np.abs(grid.f - semicircle_density(a + b, grid.x)).max() < 1e-4, (a, b)
+            expected = SemicircleLaw(a + b).density(grid.x)
+            assert np.abs(grid.f - expected).max() < 1e-4, (a, b)
             assert 0.999 <= grid.mass() <= 1.001
 
     def test_point_mass_identity(self):
@@ -231,14 +245,19 @@ class TestFreeConvolution:
         assert abs(grid.mean()) < 1e-9
 
     def test_moments_match_scaled_semicircle(self):
-        law = FreeConvolutionLaw(SemicircleLaw(1.0), SemicircleLaw(1.0))
+        # moments of the solved density grid against sc(2): 2^k C_k at order 2k
+        g = FreeConvolutionLaw(SemicircleLaw(1.0), SemicircleLaw(1.0)).grid
+
+        def moment(order):
+            return float(np.trapezoid(g.x**order * g.f, g.x) / g.mass())
+
+        def semicircle_moment(order):
+            return 0.0 if order % 2 else 2.0 ** (order // 2) * catalan(order // 2)
+
         for order in (2, 4, 6, 8):
-            expected = semicircle_moment(2.0, order)
-            assert law.moment(order) == pytest.approx(expected, rel=1e-3)
+            assert moment(order) == pytest.approx(semicircle_moment(order), rel=1e-3)
         for order in (1, 3, 9):
-            assert abs(law.moment(order)) < 1e-6 * max(
-                1.0, semicircle_moment(2.0, order + 1)
-            )
+            assert abs(moment(order)) < 1e-6 * max(1.0, semicircle_moment(order + 1))
 
     def test_commutativity(self):
         a = free_additive_convolution(GaussianLaw(1.0), SemicircleLaw(1.0))
@@ -248,9 +267,8 @@ class TestFreeConvolution:
     def test_transform_maps_upper_half_plane(self):
         law1, law2 = GaussianLaw(0.5), SemicircleLaw(1.0)
         zs = np.linspace(-4, 4, 21) + 0.3j
-        s, omega = free_convolution_stieltjes(law1, law2, zs)
+        s = free_convolution_stieltjes(law1, law2, zs)
         assert np.all(s.imag > 0)
-        assert np.all(omega.imag > 0)
 
     def test_density_nonnegative_and_grid_spec(self):
         spec = GridSpec(points=801)
@@ -335,7 +353,7 @@ class TestFreeConvolution:
     def test_free_convolution_law_stieltjes_direct(self):
         law = FreeConvolutionLaw(SemicircleLaw(1.0), SemicircleLaw(1.0))
         z = 0.3 + 0.9j
-        assert law.stieltjes(z) == pytest.approx(stieltjes_semicircle(2.0, z), abs=1e-9)
+        assert law.stieltjes(z) == pytest.approx(SemicircleLaw(2.0).stieltjes(z), abs=1e-9)
 
     @pytest.mark.parametrize(
         "law1,law2",
@@ -380,7 +398,7 @@ class TestEmpiricalStieltjes:
 class TestDensityGrid:
     def test_mass_mean_variance(self):
         xs = np.linspace(-2.0, 2.0, 4001)
-        grid = DensityGrid(x=xs, f=semicircle_density(1.0, xs), eps=0.0)
+        grid = DensityGrid(x=xs, f=SemicircleLaw(1.0).density(xs), eps=0.0)
         assert grid.mass() == pytest.approx(1.0, abs=1e-5)
         assert grid.mean() == pytest.approx(0.0, abs=1e-12)
         assert grid.variance() == pytest.approx(1.0, abs=1e-4)
@@ -411,5 +429,39 @@ class TestDescriptors:
             law_from_descriptor({"kind": "cauchy"})
 
     def test_empirical_has_no_density(self):
-        with pytest.raises(TypeError):
+        # ValueError with a message led by "law ": the CLI prints "error: law ..."
+        with pytest.raises(ValueError, match="^law EmpiricalLaw"):
             EmpiricalLaw([0.0]).density(0.0)
+
+    @pytest.mark.parametrize(
+        "text,expected",
+        [
+            ("semicircle:0.64", SemicircleLaw(0.64)),
+            ("gaussian:2", GaussianLaw(2.0)),
+            ("  semicircle  ", SemicircleLaw(1.0)),
+            ("gaussian:", GaussianLaw(1.0)),
+            ('{"kind": "empirical", "atoms": [1.0, -0.5]}', EmpiricalLaw([-0.5, 1.0])),
+            (
+                ' {"kind": "free_convolution", "operands": [{"kind": "gaussian", "sigma2": 1.0},'
+                ' {"kind": "semicircle", "sigma2": 0.5}]}',
+                FreeConvolutionLaw(GaussianLaw(1.0), SemicircleLaw(0.5)),
+            ),
+        ],
+    )
+    def test_string_forms(self, text, expected):
+        assert law_from_descriptor(text).descriptor() == expected.descriptor()
+
+    def test_json_file(self, tmp_path):
+        law = FreeConvolutionLaw(GaussianLaw(0.5), SemicircleLaw(1.0))
+        path = tmp_path / "law.json"
+        path.write_text(json.dumps(law.descriptor()))
+        assert law_from_descriptor(str(path)).descriptor() == law.descriptor()
+
+    @pytest.mark.parametrize("text", ["cauchy:1.0", "empirical:0.5", "missing.json", ""])
+    def test_unknown_shorthand(self, text):
+        with pytest.raises(ValueError, match="cannot parse law descriptor"):
+            law_from_descriptor(text)
+
+    def test_shorthand_variance_checked(self):
+        with pytest.raises(ValueError, match="variance must be positive"):
+            law_from_descriptor("semicircle:-1")

@@ -10,7 +10,7 @@ import pytest
 from scipy import integrate
 
 from hypergraph_spectra.experiments import ExperimentConfig, run_experiment
-from hypergraph_spectra.laws import GaussianLaw, SemicircleLaw, semicircle_density
+from hypergraph_spectra.laws import GaussianLaw, SemicircleLaw
 from hypergraph_spectra.metrics import (
     MetricReport,
     bl_upper_bound,
@@ -33,7 +33,7 @@ class TestKsDistance:
     def test_two_atoms_vs_semicircle(self):
         # sup attained at the atoms; reference CDF from a quadrature oracle
         sc = SemicircleLaw(1.0)
-        f_minus1, _ = integrate.quad(lambda t: semicircle_density(1.0, t), -2.0, -1.0)
+        f_minus1, _ = integrate.quad(sc.density, -2.0, -1.0)
         expected = max(f_minus1, abs(f_minus1 - 0.5))
         m = EmpiricalMeasure([-1.0, 1.0])
         assert ks_distance(m, sc) == pytest.approx(max(expected, 0.5 - f_minus1), abs=1e-9)
