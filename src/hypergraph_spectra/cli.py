@@ -98,7 +98,7 @@ def cmd_spectrum(args) -> int:
             lo = min(lo, float(lam.min()))
             hi = max(hi, float(lam.max()))
             xs = np.linspace(lo, hi, 400)
-            overlays.append((desc, xs, np.asarray(law.density(xs))))
+            overlays.append((desc, xs, law.density(xs)))
         render_histogram_svg(
             lam,
             args.svg,
@@ -172,7 +172,7 @@ def cmd_laws(args) -> int:
         lo, hi = law.support()
         xs = np.linspace(args.lo if args.lo is not None else lo,
                          args.hi if args.hi is not None else hi, args.points)
-        fs = np.asarray(law.density(xs))
+        fs = law.density(xs)
         if args.format == "json":
             out = Path(args.out or Path(args.out_dir) / "law.json")
             out.write_text(json.dumps({"x": xs.tolist(), "f": fs.tolist()}))

@@ -143,11 +143,20 @@ class ExperimentConfig:
         if self.kind != "laplacian_bulk" and (self.matrix, self.scaling) != ("gham", Scaling.BY_SQRT_N):
             raise ValueError(f"only laplacian_bulk reads matrix and scaling; {self.kind} needs "
                              f"gham and by_sqrt_n, got {self.matrix} and {self.scaling.value}")
+        if self.regime is not None and self.kind in (
+            "bulk", "concentration", "universality", "diagnostics"
+        ):
+            raise ValueError(f"only laplacian_bulk and the edge kinds read a regime; {self.kind} "
+                             f"got regime={self.regime!r}")
         params = self.model_params()  # validates (n, r, p)
         if self.k >= self.n:
             raise ValueError(f"need k < n={self.n}, got k={self.k}")
-        if self.ensemble == BERNOULLI:
+        if self._samples_hypergraphs():
             check_edge_budget(params, self.edge_budget)
+
+    def _samples_hypergraphs(self) -> bool:
+        # universality samples a hypergraph in every trial, whatever the ensemble
+        return self.ensemble == BERNOULLI or self.kind == "universality"
 
     def model_params(self) -> ModelParams:
         return ModelParams(n=self.n, r=self.r, p=self.p)
@@ -273,7 +282,7 @@ def _run(cfg: ExperimentConfig, trial, finish, legs=None) -> ExperimentRecord:
     (sub-config, trial) pairs for a kind that samples several model sizes; by
     default the one leg is (cfg, trial).
     """
-    if cfg.ensemble == BERNOULLI or cfg.kind == "universality":
+    if cfg._samples_hypergraphs():
         # import the edge-count draw's module before the pool, as the edge kinds do
         # with the Lanczos module: a first import inside a pool worker while another
         # allocates n x n blocks can fragment the heap

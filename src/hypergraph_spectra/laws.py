@@ -2,12 +2,17 @@
 
 Every law implements one abstract interface, ``Law``: density, cdf, the
 antiderivative of the cdf, Stieltjes transform, variance, support and a JSON
-descriptor.  The kinds are the semicircle and centered Gaussian families,
-finite empirical laws (which cover point masses; they have no density), and
-lazily-solved free additive convolutions.  ``law_from_descriptor`` is the one
-parser: it takes a descriptor dict, inline JSON, a ``.json`` path or the
-shorthand kind:sigma2.  The Gaussian cdf and Stieltjes transform import
-``scipy.special`` at their first call.
+descriptor.  ``Law`` owns the evaluation contract: density, cdf, cdf_integral
+and stieltjes convert the input to a float64 (complex128) array, reject
+Im z <= 0 for stieltjes, call the kind's array-only kernel ``_density``,
+``_cdf``, ``_cdf_integral`` or ``_stieltjes``, and return a Python scalar for
+a 0-d input, else an array of the input's shape.  The kinds are the
+semicircle and centered Gaussian families, finite empirical laws (which cover
+point masses; they have no density), and lazily-solved free additive
+convolutions.  ``law_from_descriptor`` is the one parser: it takes a
+descriptor dict, inline JSON, a ``.json`` path or the shorthand kind:sigma2,
+and raises ValueError on a malformed one.  The Gaussian cdf and Stieltjes
+transform import ``scipy.special`` at their first call.
 
 The free additive convolution of two laws is computed through the standard
 pair of subordination functions: writing F_i(w) = -1/S_i(w) for the reciprocal
@@ -72,30 +77,45 @@ class ConvergenceError(RuntimeError):
         self.residual = residual
 
 
-def _require_upper_half(z: np.ndarray) -> None:
-    if np.any(np.asarray(z).imag <= 0):
-        raise ValueError("Stieltjes transforms are defined for Im z > 0 only")
-
-
 class Law(ABC):
     """A probability law on the real line."""
 
-    @abstractmethod
+    @staticmethod
+    def _evaluate(kernel, x: np.ndarray):
+        out = kernel(x)
+        return out.item() if out.ndim == 0 else out
+
     def density(self, x):
         """Lebesgue density; a law without one raises ValueError."""
+        return self._evaluate(self._density, np.asarray(x, dtype=float))
 
-    @abstractmethod
     def cdf(self, x):
         """Distribution function F(x) = P(X <= x)."""
+        return self._evaluate(self._cdf, np.asarray(x, dtype=float))
 
-    @abstractmethod
     def cdf_integral(self, x):
         """Antiderivative int_{-inf}^x F(t) dt of the CDF: the metrics layer
         builds every Wasserstein-1 area from it, with no quadrature fallback."""
+        return self._evaluate(self._cdf_integral, np.asarray(x, dtype=float))
 
-    @abstractmethod
     def stieltjes(self, z):
         """Stieltjes transform int dmu(t) / (t - z), for Im z > 0."""
+        z = np.asarray(z, dtype=complex)
+        if np.any(z.imag <= 0):
+            raise ValueError("Stieltjes transforms are defined for Im z > 0 only")
+        return self._evaluate(self._stieltjes, z)
+
+    @abstractmethod
+    def _density(self, x: np.ndarray): ...
+
+    @abstractmethod
+    def _cdf(self, x: np.ndarray): ...
+
+    @abstractmethod
+    def _cdf_integral(self, x: np.ndarray): ...
+
+    @abstractmethod
+    def _stieltjes(self, z: np.ndarray): ...
 
     @abstractmethod
     def variance(self) -> float:
@@ -118,29 +138,21 @@ class SemicircleLaw(Law):
             raise ValueError(f"variance must be positive, got {sigma2}")
         self.sigma2 = float(sigma2)
 
-    def density(self, x):
+    def _density(self, x):
         # sqrt(4 sigma^2 - x^2) / (2 pi sigma^2) on the support
-        x = np.asarray(x, dtype=float)
         inside = np.clip(4.0 * self.sigma2 - x * x, 0.0, None)
-        out = np.sqrt(inside) / (2.0 * math.pi * self.sigma2)
-        return float(out) if out.ndim == 0 else out
+        return np.sqrt(inside) / (2.0 * math.pi * self.sigma2)
 
-    def cdf(self, x):
-        s = math.sqrt(self.sigma2)
-        x = np.asarray(x, dtype=float)
-        t = np.clip(x / (2.0 * s), -1.0, 1.0)
-        out = 0.5 + t * np.sqrt(1.0 - t * t) / math.pi + np.arcsin(t) / math.pi
-        return float(out) if out.ndim == 0 else out
+    def _cdf(self, x):
+        t = np.clip(x / (2.0 * math.sqrt(self.sigma2)), -1.0, 1.0)
+        return 0.5 + t * np.sqrt(1.0 - t * t) / math.pi + np.arcsin(t) / math.pi
 
-    def stieltjes(self, z):
+    def _stieltjes(self, z):
         # closed form (-z + sqrt(z^2 - 4 sigma^2)) / (2 sigma^2), on the branch
         # mapping the upper half plane to itself
-        z = np.asarray(z, dtype=complex)
-        _require_upper_half(z)
         root = np.sqrt(z * z - 4.0 * self.sigma2)
         cand = (-z + root) / (2.0 * self.sigma2)
-        out = np.where(cand.imag > 0, cand, (-z - root) / (2.0 * self.sigma2))
-        return complex(out) if out.ndim == 0 else out
+        return np.where(cand.imag > 0, cand, (-z - root) / (2.0 * self.sigma2))
 
     def variance(self) -> float:
         return self.sigma2
@@ -149,17 +161,15 @@ class SemicircleLaw(Law):
         edge = 2.0 * math.sqrt(self.sigma2)
         return (-edge, edge)
 
-    def cdf_integral(self, x):
+    def _cdf_integral(self, x):
         # int F = x F(x) + (4 s^2 - x^2)^{3/2} / (6 pi s^2) inside the support,
         # extended linearly (slope 1) to the right of it
         edge = 2.0 * math.sqrt(self.sigma2)
-        x = np.asarray(x, dtype=float)
         xc = np.clip(x, -edge, edge)
-        inner = xc * self.cdf(xc) + np.clip(
+        inner = xc * self._cdf(xc) + np.clip(
             4.0 * self.sigma2 - xc * xc, 0.0, None
         ) ** 1.5 / (6.0 * math.pi * self.sigma2)
-        out = inner + np.clip(x - edge, 0.0, None)
-        return float(out) if out.ndim == 0 else out
+        return inner + np.clip(x - edge, 0.0, None)
 
     def descriptor(self) -> dict:
         return {"kind": "semicircle", "sigma2": self.sigma2}
@@ -176,26 +186,19 @@ class GaussianLaw(Law):
             raise ValueError(f"variance must be positive, got {sigma2}")
         self.sigma2 = float(sigma2)
 
-    def density(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.exp(-x * x / (2.0 * self.sigma2)) / (_SQRT2PI * math.sqrt(self.sigma2))
-        return float(out) if out.ndim == 0 else out
+    def _density(self, x):
+        return np.exp(-x * x / (2.0 * self.sigma2)) / (_SQRT2PI * math.sqrt(self.sigma2))
 
-    def cdf(self, x):
+    def _cdf(self, x):
         from scipy.special import erf  # deferred: slow to import
-        x = np.asarray(x, dtype=float)
-        out = 0.5 * (1.0 + erf(x / math.sqrt(2.0 * self.sigma2)))
-        return float(out) if out.ndim == 0 else out
+        return 0.5 * (1.0 + erf(x / math.sqrt(2.0 * self.sigma2)))
 
-    def stieltjes(self, z):
+    def _stieltjes(self, z):
         # via the Faddeeva function, S(z) = i sqrt(pi/2) w(z / sqrt(2)) at unit
         # variance, rescaled by S_sigma(z) = S_1(z/sigma)/sigma
-        z = np.asarray(z, dtype=complex)
-        _require_upper_half(z)
         from scipy.special import wofz  # deferred: slow to import
         s = math.sqrt(self.sigma2)
-        out = 1j * math.sqrt(math.pi / 2.0) * wofz(z / (s * math.sqrt(2.0))) / s
-        return complex(out) if out.ndim == 0 else out
+        return 1j * math.sqrt(math.pi / 2.0) * wofz(z / (s * math.sqrt(2.0))) / s
 
     def variance(self) -> float:
         return self.sigma2
@@ -205,12 +208,9 @@ class GaussianLaw(Law):
         half = 8.5 * math.sqrt(self.sigma2)
         return (-half, half)
 
-    def cdf_integral(self, x):
+    def _cdf_integral(self, x):
         # int F = x Phi(x) + sigma^2 phi(x); the derivative telescopes back to Phi
-        out = np.asarray(x, dtype=float) * np.asarray(self.cdf(x)) + self.sigma2 * np.asarray(
-            self.density(x)
-        )
-        return float(out) if out.ndim == 0 else out
+        return x * self._cdf(x) + self.sigma2 * self._density(x)
 
     def descriptor(self) -> dict:
         return {"kind": "gaussian", "sigma2": self.sigma2}
@@ -230,25 +230,20 @@ class EmpiricalLaw(Law):
             raise ValueError("atoms must be a nonempty 1-d array of finite values")
         self.atoms = np.sort(a)
 
-    def density(self, x):
+    def _density(self, x):
         raise ValueError(f"law {self!r} is atomic and has no Lebesgue density")
 
-    def cdf(self, x):
-        pos = np.searchsorted(self.atoms, np.asarray(x, dtype=float), side="right")
-        out = pos / self.atoms.size
-        return float(out) if np.isscalar(x) else out
+    def _cdf(self, x):
+        return np.searchsorted(self.atoms, x, side="right") / self.atoms.size
 
-    def stieltjes(self, z):
-        z = np.asarray(z, dtype=complex)
-        _require_upper_half(z)
+    def _stieltjes(self, z):
         flat = z.ravel()
         step = max(1, _STIELTJES_BLOCK // self.atoms.size)
         out = np.empty(flat.shape, dtype=complex)
         for i in range(0, flat.size, step):
             block = flat[i : i + step]
             out[i : i + step] = np.mean(1.0 / (self.atoms[:, None] - block), axis=0)
-        out = out.reshape(z.shape)
-        return complex(out) if out.ndim == 0 else out
+        return out.reshape(z.shape)
 
     def variance(self) -> float:
         mu = float(np.mean(self.atoms))
@@ -257,12 +252,10 @@ class EmpiricalLaw(Law):
     def support(self) -> tuple[float, float]:
         return (float(self.atoms[0]), float(self.atoms[-1]))
 
-    def cdf_integral(self, x):
-        x = np.asarray(x, dtype=float)
+    def _cdf_integral(self, x):
         prefix = np.concatenate([[0.0], np.cumsum(self.atoms)])
         pos = np.searchsorted(self.atoms, x, side="right")
-        out = (pos * x - prefix[pos]) / self.atoms.size
-        return float(out) if out.ndim == 0 else out
+        return (pos * x - prefix[pos]) / self.atoms.size
 
     def descriptor(self) -> dict:
         return {"kind": "empirical", "atoms": [float(a) for a in self.atoms]}
@@ -331,7 +324,8 @@ def free_convolution_stieltjes(law1: Law, law2: Law, z) -> np.ndarray:
     if rounding carries its iterate off the upper half plane (it cannot return).
     """
     z = np.atleast_1d(np.asarray(z, dtype=complex))
-    _require_upper_half(z)
+    if np.any(z.imag <= 0):
+        raise ValueError("Stieltjes transforms are defined for Im z > 0 only")
     omega = z.copy()
     residual = np.full(z.shape, np.inf)
     active = np.ones(z.shape, dtype=bool)
@@ -410,23 +404,20 @@ class FreeConvolutionLaw(Law):
             self._grid = free_additive_convolution(self.law1, self.law2)
         return self._grid
 
-    def density(self, x):
+    def _density(self, x):
         g = self.grid
-        out = np.interp(np.asarray(x, dtype=float), g.x, g.f, left=0.0, right=0.0)
-        return float(out) if out.ndim == 0 else out
+        return np.interp(x, g.x, g.f, left=0.0, right=0.0)
 
-    def cdf(self, x):
+    def _cdf(self, x):
         g = self.grid
         if self._cdf_values is None:
             dx = np.diff(g.x)
             inc = np.concatenate([[0.0], np.cumsum(0.5 * dx * (g.f[1:] + g.f[:-1]))])
             self._cdf_values = np.clip(inc / inc[-1], 0.0, 1.0)
-        out = np.interp(np.asarray(x, dtype=float), g.x, self._cdf_values, left=0.0, right=1.0)
-        return float(out) if out.ndim == 0 else out
+        return np.interp(x, g.x, self._cdf_values, left=0.0, right=1.0)
 
-    def stieltjes(self, z):
-        s = free_convolution_stieltjes(self.law1, self.law2, z)
-        return complex(s[0]) if np.isscalar(z) or np.asarray(z).ndim == 0 else s
+    def _stieltjes(self, z):
+        return free_convolution_stieltjes(self.law1, self.law2, z).reshape(z.shape)
 
     def variance(self) -> float:
         # second free cumulants (variances) add
@@ -436,16 +427,13 @@ class FreeConvolutionLaw(Law):
         g = self.grid
         return (float(g.x[0]), float(g.x[-1]))
 
-    def cdf_integral(self, x):
+    def _cdf_integral(self, x):
         # trapezoid antiderivative of the gridded CDF; grid-resolution limited
         g = self.grid
-        cdf_vals = np.asarray(self.cdf(g.x))
+        cdf_vals = self._cdf(g.x)
         dx = np.diff(g.x)
         acc = np.concatenate([[0.0], np.cumsum(0.5 * dx * (cdf_vals[1:] + cdf_vals[:-1]))])
-        x = np.asarray(x, dtype=float)
-        out = np.interp(x, g.x, acc, left=0.0, right=acc[-1])
-        out = out + np.clip(x - g.x[-1], 0.0, None)
-        return float(out) if out.ndim == 0 else out
+        return np.interp(x, g.x, acc, left=0.0, right=acc[-1]) + np.clip(x - g.x[-1], 0.0, None)
 
     def descriptor(self) -> dict:
         return {
@@ -461,7 +449,7 @@ def law_from_descriptor(descriptor: dict | str) -> Law:
     """Build a law from its descriptor: a dict as ``Law.descriptor`` writes
     it, or a string holding inline JSON, the path of a ``.json`` file, or the
     shorthand kind:sigma2 of a semicircle or Gaussian ('semicircle:0.64';
-    sigma2 defaults to 1)."""
+    sigma2 defaults to 1).  A malformed descriptor raises ValueError."""
     if isinstance(descriptor, str):
         text = descriptor.strip()
         if text.startswith("{"):
@@ -473,14 +461,22 @@ def law_from_descriptor(descriptor: dict | str) -> Law:
         if kind not in ("semicircle", "gaussian"):
             raise ValueError(f"cannot parse law descriptor {text!r}")
         descriptor = {"kind": kind, "sigma2": float(arg or 1.0)}
+    if not isinstance(descriptor, dict):
+        raise ValueError(f"law descriptor must be a JSON object, got {descriptor!r}")
     kind = descriptor.get("kind")
+    key = {"semicircle": "sigma2", "gaussian": "sigma2", "empirical": "atoms",
+           "free_convolution": "operands"}.get(kind)
+    if key is None:
+        raise ValueError(f"unknown law kind {kind!r}")
+    if key not in descriptor:
+        raise ValueError(f"law {kind} needs the key {key!r}")
+    value = descriptor[key]
     if kind == "semicircle":
-        return SemicircleLaw(descriptor["sigma2"])
+        return SemicircleLaw(value)
     if kind == "gaussian":
-        return GaussianLaw(descriptor["sigma2"])
+        return GaussianLaw(value)
     if kind == "empirical":
-        return EmpiricalLaw(descriptor["atoms"])
-    if kind == "free_convolution":
-        ops = descriptor["operands"]
-        return FreeConvolutionLaw(law_from_descriptor(ops[0]), law_from_descriptor(ops[1]))
-    raise ValueError(f"unknown law kind {kind!r}")
+        return EmpiricalLaw(value)
+    if not (isinstance(value, list) and len(value) == 2):
+        raise ValueError(f"law free_convolution needs a list of two operands, got {value!r}")
+    return FreeConvolutionLaw(law_from_descriptor(value[0]), law_from_descriptor(value[1]))

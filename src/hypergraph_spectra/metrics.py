@@ -66,7 +66,7 @@ def ks_distance(a: Law, b: Law) -> float:
         return _ks_analytic(a, b)
     emp, law = (atoms_a, b) if atoms_a is not None else (atoms_b, a)
     n = emp.size
-    flaw = np.asarray(law.cdf(emp), dtype=float)
+    flaw = law.cdf(emp)
     upper = np.arange(1, n + 1) / n
     lower = np.arange(0, n) / n
     return float(np.maximum(np.abs(flaw - upper), np.abs(flaw - lower)).max())
@@ -76,7 +76,7 @@ def _ks_analytic(a: Law, b: Law, coarse: int = 4001, tol: float = 1e-8) -> float
     (lo_a, hi_a), (lo_b, hi_b) = a.support(), b.support()
     lo, hi = min(lo_a, lo_b), max(hi_a, hi_b)
     xs = np.linspace(lo, hi, coarse)
-    gap = np.abs(np.asarray(a.cdf(xs)) - np.asarray(b.cdf(xs)))
+    gap = np.abs(a.cdf(xs) - b.cdf(xs))
     best = 0.0
     # golden-section refinement of the strongest local-maximum brackets
     interior = np.arange(1, coarse - 1)
@@ -89,14 +89,14 @@ def _ks_analytic(a: Law, b: Law, coarse: int = 4001, tol: float = 1e-8) -> float
         while right - left > tol:
             m1 = right - invphi * (right - left)
             m2 = left + invphi * (right - left)
-            g1 = abs(float(a.cdf(m1)) - float(b.cdf(m1)))
-            g2 = abs(float(a.cdf(m2)) - float(b.cdf(m2)))
+            g1 = abs(a.cdf(m1) - b.cdf(m1))
+            g2 = abs(a.cdf(m2) - b.cdf(m2))
             if g1 < g2:
                 left = m1
             else:
                 right = m2
         mid = 0.5 * (left + right)
-        best = max(best, abs(float(a.cdf(mid)) - float(b.cdf(mid))))
+        best = max(best, abs(a.cdf(mid) - b.cdf(mid)))
     return max(best, float(gap.max()))
 
 
@@ -121,14 +121,14 @@ def w1_distance(a: Law, b: Law) -> float:
     return _w1_empirical_analytic(emp, law)
 
 
-def _bisect_level(cdf, level: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Vectorised bisection for the points where a monotone CDF crosses the
-    given levels within [lo, hi]."""
+def _bisect(below, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Vectorised bisection, 80 halvings of each [lo, hi], for the points where
+    the predicate below(x) turns from true (left of the point) to false."""
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        below = np.asarray(cdf(mid)) < level
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
+        left = below(mid)
+        lo = np.where(left, mid, lo)
+        hi = np.where(left, hi, mid)
     return 0.5 * (lo + hi)
 
 
@@ -139,18 +139,17 @@ def _w1_empirical_analytic(atoms: np.ndarray, law: Law) -> float:
     cuts = np.concatenate([[lo], atoms, [hi]])
     left, right = cuts[:-1], cuts[1:]
     levels = np.arange(n + 1) / n
-    f_left = np.asarray(law.cdf(left))
-    f_right = np.asarray(law.cdf(right))
-    i_left = np.asarray(law.cdf_integral(left))
-    i_right = np.asarray(law.cdf_integral(right))
+    f_left, f_right = law.cdf(left), law.cdf(right)
+    i_left, i_right = law.cdf_integral(left), law.cdf_integral(right)
     area_above = (i_right - i_left) - levels * (right - left)  # F >= level throughout
     area_below = -area_above
     crossing = (f_left < levels) & (f_right > levels)
     total = np.where(f_left >= levels, area_above, 0.0)
     total += np.where((f_right <= levels) & ~(f_left >= levels), area_below, 0.0)
     if crossing.any():
-        cross = _bisect_level(law.cdf, levels[crossing], left[crossing], right[crossing])
-        i_cross = np.asarray(law.cdf_integral(cross))
+        level = levels[crossing]
+        cross = _bisect(lambda x: law.cdf(x) < level, left[crossing], right[crossing])
+        i_cross = law.cdf_integral(cross)
         piece = (
             levels[crossing] * (cross - left[crossing])
             - (i_cross - i_left[crossing])
@@ -165,7 +164,7 @@ def _w1_analytic(a: Law, b: Law) -> float:
     (lo_a, hi_a), (lo_b, hi_b) = a.support(), b.support()
     lo, hi = min(lo_a, lo_b), max(hi_a, hi_b)
     xs = np.linspace(lo, hi, 8001)
-    gap = np.asarray(a.cdf(xs)) - np.asarray(b.cdf(xs))
+    gap = a.cdf(xs) - b.cdf(xs)
     sign_change = np.nonzero(np.sign(gap[:-1]) * np.sign(gap[1:]) < 0)[0]
     breaks = [lo]
     # grid points where the gap vanishes are crossings already resolved; a run
@@ -173,26 +172,20 @@ def _w1_analytic(a: Law, b: Law) -> float:
     zero = np.abs(gap) < 1e-15
     inner = zero[1:-1] & zero[:-2] & zero[2:]
     ends = zero & ~np.concatenate([[False], inner, [False]])
-    breaks.extend(float(x) for x in xs[ends])
-    for i in sign_change:
-        # locate the crossing of F_a - F_b by bisection
-        left, right = xs[i], xs[i + 1]
-        for _ in range(80):
-            mid = 0.5 * (left + right)
-            if (float(a.cdf(mid)) - float(b.cdf(mid))) * gap[i] > 0:
-                left = mid
-            else:
-                right = mid
-        breaks.append(0.5 * (left + right))
+    breaks.extend(xs[ends].tolist())
+    # locate each sign change of F_a - F_b by bisection
+    sign = gap[sign_change]
+    cross = _bisect(
+        lambda x: (a.cdf(x) - b.cdf(x)) * sign > 0, xs[sign_change], xs[sign_change + 1]
+    )
+    breaks.extend(cross.tolist())
     breaks.append(hi)
     breaks.sort()
     total = 0.0
     for x0, x1 in zip(breaks[:-1], breaks[1:]):
-        seg = (float(a.cdf_integral(x1)) - float(a.cdf_integral(x0))) - (
-            float(b.cdf_integral(x1)) - float(b.cdf_integral(x0))
-        )
+        seg = (a.cdf_integral(x1) - a.cdf_integral(x0)) - (b.cdf_integral(x1) - b.cdf_integral(x0))
         total += abs(seg)
-    return float(total)
+    return total
 
 
 def bl_upper_bound(a: Law, b: Law) -> float:

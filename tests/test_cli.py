@@ -332,6 +332,27 @@ class TestLawsCommand:
         assert "mass" in capsys.readouterr().err
 
 
+class TestMalformedLawDescriptors:
+    # each ends in "error: law ..." and exit 1, not a traceback
+    def test_missing_key(self, tmp_path, capsys):
+        argv = ["laws", "evaluate", "--law", '{"kind": "semicircle"}']
+        assert main(argv + ["--out", str(tmp_path / "law.csv")]) == 1
+        assert capsys.readouterr().err.startswith("error: law semicircle needs the key 'sigma2'")
+
+    def test_json_file_not_an_object(self, tmp_path, capsys):
+        path = tmp_path / "law.json"
+        path.write_text("[1, 2]")
+        assert main(["metrics", "--a", str(path), "--b", "semicircle:1.0"]) == 1
+        assert capsys.readouterr().err.startswith("error: law descriptor must be a JSON object")
+
+    def test_operands_not_a_pair(self, capsys):
+        law = '{"kind": "free_convolution", "operands": []}'
+        assert main(["metrics", "--a", law, "--b", "semicircle:1.0"]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: law free_convolution needs a list of two operands"
+        )
+
+
 class TestMetricsCommand:
     def test_compare_two_laws(self, capsys):
         code = main(["metrics", "--a", "semicircle:1.0", "--b", "semicircle:1.0"])

@@ -47,6 +47,16 @@ class TestConfig:
         with pytest.raises(SamplingBudgetError):
             ExperimentConfig(kind="bulk", n=80, r=40, p=0.5, ensemble=BERNOULLI)
 
+    def test_universality_budget_checked_at_the_surrogate_ensemble(self):
+        # its trials sample a hypergraph whatever the ensemble
+        with pytest.raises(SamplingBudgetError):
+            ExperimentConfig(kind="universality", n=80, r=40, p=0.5)
+
+    @pytest.mark.parametrize("kind", ["bulk", "concentration", "universality", "diagnostics"])
+    def test_kinds_that_read_no_regime_reject_one(self, kind):
+        with pytest.raises(ValueError, match=f"read a regime; {kind} got regime='bogus'"):
+            ExperimentConfig(kind=kind, n=40, r=3, regime="bogus")
+
     def test_scaling_coerced_from_string(self):
         cfg = ExperimentConfig(kind="bulk", n=10, r=3, scaling="by_sqrt_n")
         assert cfg.scaling is Scaling.BY_SQRT_N

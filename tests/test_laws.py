@@ -1,5 +1,6 @@
 """Tests for analytic laws, Stieltjes transforms, and free convolution."""
 
+import inspect
 import json
 import math
 import tracemalloc
@@ -412,15 +413,18 @@ class TestDensityGrid:
         np.testing.assert_allclose(data[:, 0], xs)
 
 
+# one law of every concrete kind
+EVERY_KIND = [
+    SemicircleLaw(0.64),
+    GaussianLaw(2.0),
+    EmpiricalLaw([-1.0, 0.5, 3.0]),
+    FreeConvolutionLaw(GaussianLaw(1.0), SemicircleLaw(1.0)),
+]
+
+
 class TestDescriptors:
     def test_round_trips(self):
-        laws = [
-            SemicircleLaw(0.64),
-            GaussianLaw(2.0),
-            EmpiricalLaw([-1.0, 0.5, 3.0]),
-            FreeConvolutionLaw(GaussianLaw(1.0), SemicircleLaw(1.0)),
-        ]
-        for law in laws:
+        for law in EVERY_KIND:
             rebuilt = law_from_descriptor(law.descriptor())
             assert rebuilt.descriptor() == law.descriptor()
 
@@ -465,3 +469,43 @@ class TestDescriptors:
     def test_shorthand_variance_checked(self):
         with pytest.raises(ValueError, match="variance must be positive"):
             law_from_descriptor("semicircle:-1")
+
+
+def test_every_concrete_kind_is_listed():
+    concrete = {
+        cls for cls in vars(laws).values()
+        if isinstance(cls, type) and issubclass(cls, laws.Law) and not inspect.isabstract(cls)
+    }
+    assert concrete == {type(law) for law in EVERY_KIND}
+
+
+@pytest.mark.parametrize("law", EVERY_KIND, ids=lambda law: type(law).__name__)
+def test_evaluation_contract(law):
+    # a scalar or 0-d input gives a Python float (complex for stieltjes), any
+    # other input an array of its shape, equal pointwise to the scalar values
+    grid = np.linspace(-1.5, 1.5, 6).reshape(2, 3)
+    for name, scalar, values in [
+        ("density", float, grid),
+        ("cdf", float, grid),
+        ("cdf_integral", float, grid),
+        ("stieltjes", complex, grid + 0.5j),
+    ]:
+        evaluate = getattr(law, name)
+        if name == "density" and isinstance(law, EmpiricalLaw):
+            with pytest.raises(ValueError, match="^law EmpiricalLaw"):
+                evaluate(values)
+            continue
+        points = values.tolist()
+        assert type(evaluate(points[0][0])) is scalar
+        assert type(evaluate(np.array(points[0][0]))) is scalar
+        listed = evaluate(points[0])
+        assert isinstance(listed, np.ndarray) and listed.shape == (3,)
+        full = evaluate(values)
+        assert full.shape == (2, 3) and full.dtype == np.dtype(scalar)
+        np.testing.assert_array_equal(full[0], listed)
+        np.testing.assert_allclose(
+            full, [[evaluate(v) for v in row] for row in points], rtol=1e-13, atol=1e-15
+        )
+    for z in (0.5, 0.5 - 1j, np.array(0.5), [1j, 2.0]):
+        with pytest.raises(ValueError, match="Im z > 0"):
+            law.stieltjes(z)

@@ -1,5 +1,6 @@
-"""Every public name of the package is used by the package itself, and every
-dense eigensolve goes through one function.
+"""Every public name of the package is used by the package itself, every
+dense eigensolve goes through one function, and every law is evaluated through
+the one contract of the ``Law`` base class.
 
 A name in a module's ``__all__`` must be read somewhere else in ``src/``: its
 own definition, the ``__all__`` entry and the re-exports of ``__init__.py`` do
@@ -8,9 +9,11 @@ not count.  Reference code that only the tests need belongs in
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import hypergraph_spectra
+from hypergraph_spectra.laws import Law
 
 PACKAGE = Path(hypergraph_spectra.__file__).parent
 
@@ -83,3 +86,26 @@ def test_one_dense_eigensolve_path():
     # spectra.symmetric_eigenvalues
     counts = {path.name: path.read_text().count("eigvalsh") for path in PACKAGE.glob("*.py")}
     assert {name: count for name, count in counts.items() if count} == {"spectra.py": 1}
+
+
+def _subclasses(cls: type):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_laws_write_only_kernels():
+    # Law.density, cdf, cdf_integral and stieltjes convert input and output;
+    # a law kind writes the array kernels _density, _cdf, _cdf_integral and
+    # _stieltjes, and no other scalar-return site exists
+    for path in PACKAGE.glob("*.py"):
+        if path.name != "__init__.py":
+            importlib.import_module(f"{hypergraph_spectra.__name__}.{path.stem}")
+    package = hypergraph_spectra.__name__
+    kinds = [cls for cls in _subclasses(Law) if cls.__module__.startswith(package)]
+    assert len(kinds) >= 4
+    evaluations = {"density", "cdf", "cdf_integral", "stieltjes"}
+    overrides = [f"{cls.__name__}.{name}" for cls in kinds for name in evaluations & set(vars(cls))]
+    assert overrides == []
+    counts = {path.name: path.read_text().count("ndim == 0") for path in PACKAGE.glob("*.py")}
+    assert {name: count for name, count in counts.items() if count} == {"laws.py": 1}
