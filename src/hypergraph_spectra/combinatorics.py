@@ -281,17 +281,20 @@ def _sample_distinct_edges(
 
 
 def check_edge_budget(
-    params: ModelParams, max_expected_edges: float = DEFAULT_EDGE_BUDGET
+    params: ModelParams,
+    max_expected_edges: float = DEFAULT_EDGE_BUDGET,
+    advice: str = "use the Gaussian surrogate ensemble "
+    "(ensemble='gaussian_surrogate', gham.sample_surrogate) at this scale",
 ) -> None:
-    """Raise SamplingBudgetError when the expected edge count C(n,r)*p exceeds
-    ``max_expected_edges``; compared in log space, since C(n,r) may overflow."""
+    """Raise SamplingBudgetError, ending in ``advice``, when the expected edge
+    count C(n,r)*p exceeds ``max_expected_edges``; compared in log space, since
+    C(n,r) may overflow."""
     if params.p > 0.0:
         log_expected = math.log(params.num_possible_edges) + math.log(params.p)
         if log_expected > math.log(max_expected_edges):
             raise SamplingBudgetError(
                 f"expected edge count C({params.n},{params.r})*{params.p} exceeds "
-                f"budget {max_expected_edges:g}; use the Gaussian surrogate ensemble "
-                f"(ensemble='gaussian_surrogate', gham.sample_surrogate) at this scale"
+                f"budget {max_expected_edges:g}; {advice}"
             )
 
 

@@ -1,16 +1,18 @@
 """Seeded Monte-Carlo experiment suites over the hypergraph matrix ensembles.
 
-Each ``run_*`` function takes an ExperimentConfig and returns an
-ExperimentRecord holding the config snapshot, one summary row per trial,
-aggregate statistics recomputable from those rows, raw eigenvalue arrays for
-persistence, and a provenance block (versions, BLAS libraries, pool size).
-Every kind goes through one trial loop, ``_run``: a kind supplies only
+``run_experiment`` takes an ExperimentConfig and returns an ExperimentRecord
+holding the config snapshot, one summary row per trial, aggregate statistics
+recomputable from those rows, raw eigenvalue arrays for persistence, and a
+provenance block (versions, BLAS libraries, pool size).  Each kind is a row
+(runner, check) of the table ``_KINDS``; a config runs its kind's check when
+built, and the runner calls the same check for its parameters.  Every
+Monte-Carlo kind goes through one trial loop, ``_run``: a kind supplies only
 ``trial(index, seed)``, giving its row statistics and per-trial arrays, and
 ``finish(rows, data)``, giving its aggregate and gate keys.  The loop owns the
 timer, the per-trial seeds (derived from the master seed by splitmix64), the
 rows, the stacking of arrays in trial order, the tolerance gate and the
 record.  The three edge kinds are rows of one (kind, regime) table,
-``_edge_table``, all run by ``run_edge``: each reads at most depth = k + 1
+``_edge_table``, all run by ``_run_edge``: each reads at most depth = k + 1
 eigenvalues at each end and computes only those, by a Lanczos solve started
 from a vector derived from the trial seed (``spectra.extreme_eigenvalues``).
 The other kinds solve densely.
@@ -37,7 +39,7 @@ import os
 import platform
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields, replace
 from datetime import datetime
 from pathlib import Path
 
@@ -75,11 +77,6 @@ __all__ = [
     "ExperimentConfig",
     "ExperimentRecord",
     "RegimeError",
-    "run_bulk",
-    "run_laplacian_bulk",
-    "run_edge",
-    "run_concentration",
-    "run_universality",
     "run_experiment",
     "bbp_edge_limit",
     "assumption_diagnostics",
@@ -88,18 +85,6 @@ __all__ = [
 
 BERNOULLI = "bernoulli_hypergraph"
 SURROGATE = "gaussian_surrogate"
-
-EXPERIMENT_KINDS = (
-    "bulk",
-    "laplacian_bulk",
-    "edge_bbp",
-    "edge_regimes",
-    "laplacian_edge",
-    "concentration",
-    "universality",
-    "diagnostics",
-)
-
 
 class RegimeError(ValueError):
     """An experiment regime's side condition on (n, r) is violated."""
@@ -127,7 +112,14 @@ class ExperimentConfig:
     side_factor_large: float = 5.0
 
     def __post_init__(self):
-        if self.kind not in EXPERIMENT_KINDS:
+        for f in fields(self):
+            value, type_name = getattr(self, f.name), f.type.removesuffix(" | None")
+            want = {"int": int, "float": (int, float), "bool": bool}.get(type_name)
+            if want is None or (value is None and type_name != f.type):
+                continue
+            if not isinstance(value, want) or isinstance(value, bool) != (type_name == "bool"):
+                raise ValueError(f"config key {f.name!r} must be a JSON {type_name}, got {value!r}")
+        if self.kind not in _KINDS:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
         if self.trials < 1:
             raise ValueError("need at least one trial")
@@ -140,23 +132,17 @@ class ExperimentConfig:
         if self.k < 1:
             raise ValueError(f"need k >= 1, got k={self.k}")
         self.scaling = Scaling(self.scaling)
-        if self.kind != "laplacian_bulk" and (self.matrix, self.scaling) != ("gham", Scaling.BY_SQRT_N):
-            raise ValueError(f"only laplacian_bulk reads matrix and scaling; {self.kind} needs "
-                             f"gham and by_sqrt_n, got {self.matrix} and {self.scaling.value}")
-        if self.regime is not None and self.kind in (
-            "bulk", "concentration", "universality", "diagnostics"
-        ):
-            raise ValueError(f"only laplacian_bulk and the edge kinds read a regime; {self.kind} "
-                             f"got regime={self.regime!r}")
         params = self.model_params()  # validates (n, r, p)
         if self.k >= self.n:
             raise ValueError(f"need k < n={self.n}, got k={self.k}")
-        if self._samples_hypergraphs():
+        if self.kind == "universality":
+            check_edge_budget(params, self.edge_budget, advice=(
+                "every universality trial samples a hypergraph, whatever the ensemble, "
+                "so lower n, r or p"
+            ))
+        elif self.ensemble == BERNOULLI:
             check_edge_budget(params, self.edge_budget)
-
-    def _samples_hypergraphs(self) -> bool:
-        # universality samples a hypergraph in every trial, whatever the ensemble
-        return self.ensemble == BERNOULLI or self.kind == "universality"
+        _KINDS[self.kind][1](self)
 
     def model_params(self) -> ModelParams:
         return ModelParams(n=self.n, r=self.r, p=self.p)
@@ -282,7 +268,7 @@ def _run(cfg: ExperimentConfig, trial, finish, legs=None) -> ExperimentRecord:
     (sub-config, trial) pairs for a kind that samples several model sizes; by
     default the one leg is (cfg, trial).
     """
-    if cfg._samples_hypergraphs():
+    if cfg.ensemble == BERNOULLI or cfg.kind == "universality":
         # import the edge-count draw's module before the pool, as the edge kinds do
         # with the Lanczos module: a first import inside a pool worker while another
         # allocates n x n blocks can fragment the heap
@@ -335,21 +321,6 @@ def _trial_matrix(cfg: ExperimentConfig, seed: int, matrix: str = "gham"):
     return h, u
 
 
-def _pooled_measure(eigs: np.ndarray) -> EmpiricalLaw:
-    # pooling eigenvalues across equal-size trials IS the average of the
-    # per-trial empirical CDFs, with no grid discretisation
-    return EmpiricalLaw(eigs.ravel())
-
-
-def _pooled_esd(eigs: np.ndarray, reference: Law) -> dict:
-    pooled = _pooled_measure(eigs)
-    return {
-        "mean_esd_ks": ks_distance(pooled, reference),
-        "mean_esd_w1": w1_distance(pooled, reference),
-        "mean_esd_bl_upper": bl_upper_bound(pooled, reference),
-    }
-
-
 def _row_stats(rows: list[dict], *keys: str) -> dict:
     out = {}
     for key in keys:
@@ -385,13 +356,14 @@ def _edge_limit_ks(c: float, rows: list[dict], keys, names) -> dict:
     return out
 
 
-def _run_esd(cfg: ExperimentConfig, reference: Law, matrix: str, scaling: Scaling, w1: bool):
-    """Per-trial and pooled ESD of the scaled matrix against a reference law."""
+def _run_esd(cfg: ExperimentConfig, reference: Law, w1: bool):
+    """Per-trial and pooled ESD of the config's matrix, at its scaling, against
+    a reference law."""
     keys = ("ks", "w1") if w1 else ("ks",)
 
     def trial(index: int, seed: int):
-        m, _ = _trial_matrix(cfg, seed, matrix)
-        lam = symmetric_eigenvalues(m, scaling=scaling, r=cfg.r)
+        m, _ = _trial_matrix(cfg, seed, cfg.matrix)
+        lam = symmetric_eigenvalues(m, scaling=cfg.scaling, r=cfg.r)
         measure = EmpiricalLaw(lam)
         stats = {"ks": ks_distance(measure, reference)}
         if w1:
@@ -399,47 +371,88 @@ def _run_esd(cfg: ExperimentConfig, reference: Law, matrix: str, scaling: Scalin
         return stats, {"eigenvalues": lam}
 
     def finish(rows: list[dict], data: dict):
-        aggregate = {"reference": reference.descriptor()}
-        aggregate.update(_pooled_esd(data["eigenvalues"], reference))
-        aggregate.update(_row_stats(rows, *keys))
+        # pooling eigenvalues across equal-size trials IS the average of the
+        # per-trial empirical CDFs, with no grid discretisation
+        pooled = EmpiricalLaw(data["eigenvalues"].ravel())
+        aggregate = {
+            "reference": reference.descriptor(),
+            "mean_esd_ks": ks_distance(pooled, reference),
+            "mean_esd_w1": w1_distance(pooled, reference),
+            "mean_esd_bl_upper": bl_upper_bound(pooled, reference),
+            **_row_stats(rows, *keys),
+        }
         return aggregate, ["mean_esd_ks"]
 
     return _run(cfg, trial, finish)
 
 
-def run_bulk(cfg: ExperimentConfig) -> ExperimentRecord:
+def _reads_gham(cfg: ExperimentConfig) -> None:
+    if (cfg.matrix, cfg.scaling) != ("gham", Scaling.BY_SQRT_N):
+        raise ValueError(f"only laplacian_bulk reads matrix and scaling; {cfg.kind} needs "
+                         f"gham and by_sqrt_n, got {cfg.matrix} and {cfg.scaling.value}")
+
+
+# the edge regimes whose statistic reads k
+_READS_K = ("secondary", "A", "C_i", "C_ii")
+
+
+def _reads_no_k(cfg: ExperimentConfig, reader: str) -> None:
+    if cfg.k != 1:
+        raise ValueError(f"only the edge regimes {', '.join(_READS_K)} read k; {reader} got "
+                         f"k={cfg.k}")
+
+
+def _reads_no_regime(cfg: ExperimentConfig) -> None:
+    """The check of bulk, concentration, universality and diagnostics: they
+    read the GHAM at scale n^{-1/2}, and no regime or k."""
+    _reads_gham(cfg)
+    if cfg.regime is not None:
+        raise ValueError(f"only laplacian_bulk and the edge kinds read a regime; {cfg.kind} "
+                         f"got regime={cfg.regime!r}")
+    _reads_no_k(cfg, cfg.kind)
+
+
+def _run_bulk(cfg: ExperimentConfig) -> ExperimentRecord:
     """Bulk spectrum experiment: the ESD of n^{-1/2} H against the semicircle
     law with variance (1 - r/n)^2."""
     reference = SemicircleLaw((1.0 - cfg.model_params().size_ratio) ** 2)
-    return _run_esd(cfg, reference, "gham", Scaling.BY_SQRT_N, w1=True)
+    return _run_esd(cfg, reference, w1=True)
+
+
+# (matrix, scaling, regime) -> the laplacian_bulk limiting law, from (r, c = r/n)
+_LAPLACIAN_LAWS = {
+    ("laplacian", Scaling.BY_SQRT_N, "fixed_r"):
+        lambda r, c: FreeConvolutionLaw(GaussianLaw(float(r - 1)), SemicircleLaw(1.0)),
+    ("laplacian_tilde", Scaling.BY_SQRT_N, "fixed_r"):
+        lambda r, c: FreeConvolutionLaw(GaussianLaw(1.0 / (r - 1)), SemicircleLaw(1.0)),
+    ("laplacian", Scaling.BY_SQRT_NR, "proportional"):
+        lambda r, c: FreeConvolutionLaw(GaussianLaw(1.0), GaussianLaw(c)),
+    ("laplacian_tilde", Scaling.BY_SQRT_N, "proportional"):
+        lambda r, c: SemicircleLaw((1.0 - c) ** 2),
+}
 
 
 def _laplacian_reference(cfg: ExperimentConfig) -> Law:
-    r, c = cfg.r, cfg.r / cfg.n
-    key = (cfg.matrix, cfg.scaling, cfg.regime or "fixed_r")
-    if key == ("laplacian", Scaling.BY_SQRT_N, "fixed_r"):
-        return FreeConvolutionLaw(GaussianLaw(float(r - 1)), SemicircleLaw(1.0))
-    if key == ("laplacian_tilde", Scaling.BY_SQRT_N, "fixed_r"):
-        return FreeConvolutionLaw(GaussianLaw(1.0 / (r - 1)), SemicircleLaw(1.0))
-    if key == ("laplacian", Scaling.BY_SQRT_NR, "proportional"):
-        return FreeConvolutionLaw(GaussianLaw(1.0), GaussianLaw(c))
-    if key == ("laplacian_tilde", Scaling.BY_SQRT_N, "proportional"):
-        return SemicircleLaw((1.0 - c) ** 2)
-    raise RegimeError(
-        f"no limiting law for matrix={cfg.matrix}, scaling={cfg.scaling.value}, "
-        f"regime={cfg.regime}; supported: (laplacian, by_sqrt_n, fixed_r), "
-        f"(laplacian_tilde, by_sqrt_n, fixed_r), (laplacian, by_sqrt_nr, "
-        f"proportional), (laplacian_tilde, by_sqrt_n, proportional)"
-    )
+    """The check of laplacian_bulk: the limiting law of its (matrix, scaling,
+    regime).  A free convolution is solved on first use, not here."""
+    if cfg.matrix == "gham":
+        raise ValueError("laplacian_bulk needs matrix='laplacian' or 'laplacian_tilde'")
+    _reads_no_k(cfg, cfg.kind)
+    law = _LAPLACIAN_LAWS.get((cfg.matrix, cfg.scaling, cfg.regime or "fixed_r"))
+    if law is None:
+        supported = ", ".join(f"({m}, {s.value}, {g})" for m, s, g in _LAPLACIAN_LAWS)
+        raise RegimeError(
+            f"no limiting law for matrix={cfg.matrix}, scaling={cfg.scaling.value}, "
+            f"regime={cfg.regime}; supported: {supported}"
+        )
+    return law(cfg.r, cfg.r / cfg.n)
 
 
-def run_laplacian_bulk(cfg: ExperimentConfig) -> ExperimentRecord:
+def _run_laplacian_bulk(cfg: ExperimentConfig) -> ExperimentRecord:
     """Bulk spectrum of a Laplacian matrix against its limiting law (a free
     additive convolution for fixed r, a semicircle or Gaussian convolution in
     the proportional regime)."""
-    if cfg.matrix == "gham":
-        raise ValueError("laplacian_bulk needs matrix='laplacian' or 'laplacian_tilde'")
-    return _run_esd(cfg, _laplacian_reference(cfg), cfg.matrix, cfg.scaling, w1=False)
+    return _run_esd(cfg, _laplacian_reference(cfg), w1=False)
 
 
 def bbp_edge_limit(r: int) -> float:
@@ -456,13 +469,9 @@ _PROPORTIONAL_NOTE = (
     "(z^2 under the radical)"
 )
 
-# the regime that a kind runs when cfg.regime is None; laplacian_edge has none
-_EDGE_DEFAULT_REGIME = {"edge_bbp": "fixed_r", "edge_regimes": "proportional"}
-
-
-def _edge_table(cfg: ExperimentConfig) -> dict:
+def _edge_table(n: int, r: int, k: int) -> dict:
     """kind -> regime -> (matrix, row keys, order-statistic position j,
-    multiplier, divisor, target) for the extreme-eigenvalue kinds.
+    multiplier, divisor, target) for the extreme-eigenvalue kinds at (n, r, k).
 
     A trial records multiplier * lambda_{1+j} / divisor and its mirror at
     lambda_{n-j} (eigenvalues descending).  The mean of each is scored against
@@ -484,7 +493,6 @@ def _edge_table(cfg: ExperimentConfig) -> dict:
                     C_ii         lambda_{1+k}(Ltilde) / sqrt(n), target 2(1 - c);
                                  requires r >> sqrt(n log n)
     """
-    n, r, k = cfg.n, cfg.r, cfg.k
     c = r / n
     root_n = math.sqrt(n)
     log_scale = n * math.sqrt(2.0 * math.log(n))
@@ -509,44 +517,48 @@ def _edge_table(cfg: ExperimentConfig) -> dict:
             "C_i": (tilde, stat, k, r - 1, log_scale, centering),
             "C_ii": (tilde, stat, k, 1, root_n, 2.0 * (1.0 - c)),
         },
-    }[cfg.kind]
+    }
 
 
-def _check_laplacian_edge_regime(cfg: ExperimentConfig) -> None:
+def _edge_row(cfg: ExperimentConfig) -> tuple[str, tuple]:
+    """The check of the edge kinds: (regime, row of ``_edge_table``).  It
+    rejects an ensemble other than the surrogate, an unknown regime, a side
+    condition that fails with the config's explicit constants, and a matrix,
+    scaling or k that the row does not read."""
+    _reads_gham(cfg)
+    if cfg.ensemble != SURROGATE:
+        raise ValueError(f"{cfg.kind} is defined for the Gaussian surrogate ensemble; "
+                         f"got ensemble={cfg.ensemble!r}")
     n, r = cfg.n, cfg.r
+    table = _edge_table(n, r, cfg.k)[cfg.kind]
+    # the regime that a kind runs when cfg.regime is None; laplacian_edge has none
+    regime = cfg.regime or {"edge_bbp": "fixed_r", "edge_regimes": "proportional"}.get(cfg.kind)
+    if regime not in table:
+        raise RegimeError(f"{cfg.kind} regime must be one of {tuple(table)}, got {cfg.regime!r}")
     small, large = cfg.side_factor_small, cfg.side_factor_large
-    if cfg.regime == "B_i" and r > small * math.sqrt(math.log(n)):
-        raise RegimeError(
-            f"regime B_i requires r << sqrt(log n): need r <= "
-            f"{small * math.sqrt(math.log(n)):.3g}, got r={r}"
-        )
-    if cfg.regime == "C_i" and r > small * math.sqrt(n):
-        raise RegimeError(
-            f"regime C_i requires r << sqrt(n): need r <= {small * math.sqrt(n):.3g}, "
-            f"got r={r}"
-        )
-    if cfg.regime == "C_ii" and r < large * math.sqrt(n * math.log(n)):
-        raise RegimeError(
-            f"regime C_ii requires r >> sqrt(n log n): need r >= "
-            f"{large * math.sqrt(n * math.log(n)):.3g}, got r={r}"
-        )
+    side = {
+        "B_i": ("r << sqrt(log n)", "<=", small * math.sqrt(math.log(n))),
+        "C_i": ("r << sqrt(n)", "<=", small * math.sqrt(n)),
+        "C_ii": ("r >> sqrt(n log n)", ">=", large * math.sqrt(n * math.log(n))),
+    }.get(regime)
+    if side is not None:
+        condition, op, bound = side
+        if (r > bound) if op == "<=" else (r < bound):
+            raise RegimeError(
+                f"regime {regime} requires {condition}: need r {op} {bound:.3g}, got r={r}"
+            )
+    if regime not in _READS_K:
+        _reads_no_k(cfg, f"{cfg.kind} regime {regime}")
+    return regime, table[regime]
 
 
-def run_edge(cfg: ExperimentConfig) -> ExperimentRecord:
+def _run_edge(cfg: ExperimentConfig) -> ExperimentRecord:
     """The kinds edge_bbp, edge_regimes and laplacian_edge: one (kind, regime)
     row of ``_edge_table``.  A row of the record holds the surrogate's scalar
     Gaussian U and the two statistics; the aggregate holds the regime, their
     mean, std and stderr, then the target and the absolute errors of the
     means, or the KS distances to the exact edge law and a note."""
-    _require_surrogate(cfg)
-    table = _edge_table(cfg)
-    regime = cfg.regime or _EDGE_DEFAULT_REGIME.get(cfg.kind)
-    if regime not in table:
-        raise RegimeError(
-            f"{cfg.kind} regime must be one of {tuple(table)}, got {cfg.regime!r}"
-        )
-    _check_laplacian_edge_regime(cfg)
-    matrix, keys, j, multiplier, divisor, target = table[regime]
+    regime, (matrix, keys, j, multiplier, divisor, target) = _edge_row(cfg)
     # import the Lanczos module before the pool: first imported in a worker while another
     # allocates n x n blocks, it fragmented the heap (peak RSS +7% in pooled runs, n = 2000)
     import scipy.sparse.linalg  # noqa: F401
@@ -577,7 +589,7 @@ def run_edge(cfg: ExperimentConfig) -> ExperimentRecord:
     return _run(cfg, trial, finish)
 
 
-def run_concentration(cfg: ExperimentConfig) -> ExperimentRecord:
+def _run_concentration(cfg: ExperimentConfig) -> ExperimentRecord:
     """Fluctuation-scaling experiment: the per-trial KS distance between each
     ESD and the pooled mean ESD is collected at sizes n and 2n, and the ratio
     of sample standard deviations reported (about 1/2 at fixed r if the
@@ -585,17 +597,9 @@ def run_concentration(cfg: ExperimentConfig) -> ExperimentRecord:
     sizes = [(cfg.n, cfg.r), (2 * cfg.n, 2 * cfg.r if cfg.scale_r_with_n else cfg.r)]
     legs = []
     for which, (n_size, r_size) in enumerate(sizes):
-        sub = ExperimentConfig(
-            kind="bulk",
-            n=n_size,
-            r=r_size,
-            p=cfg.p,
-            trials=cfg.trials,
-            master_seed=derive_seed(cfg.master_seed, which),
-            ensemble=cfg.ensemble,
-            threads=cfg.threads,
-            edge_budget=cfg.edge_budget,
-        )
+        # each leg is a bulk config, so it is checked as one
+        sub = replace(cfg, kind="bulk", n=n_size, r=r_size,
+                      master_seed=derive_seed(cfg.master_seed, which))
 
         # defaults bind this leg's values; the legs run after the loop
         def trial(index: int, seed: int, sub=sub, n_size=n_size, r_size=r_size):
@@ -608,7 +612,7 @@ def run_concentration(cfg: ExperimentConfig) -> ExperimentRecord:
     def finish(rows: list[dict], data: dict):
         stds: list[float | None] = []
         for leg_rows, eigs in zip((rows[: cfg.trials], rows[cfg.trials:]), data.values()):
-            pooled = _pooled_measure(eigs)
+            pooled = EmpiricalLaw(eigs.ravel())
             ks_values = [ks_distance(EmpiricalLaw(lam), pooled) for lam in eigs]
             for row, ks in zip(leg_rows, ks_values):
                 row["ks"] = ks
@@ -624,7 +628,7 @@ def run_concentration(cfg: ExperimentConfig) -> ExperimentRecord:
     return _run(cfg, None, finish, legs)
 
 
-def run_universality(cfg: ExperimentConfig) -> ExperimentRecord:
+def _run_universality(cfg: ExperimentConfig) -> ExperimentRecord:
     """Bernoulli hypergraph vs Gaussian surrogate at matched (n, r): both mean
     ESDs against the semicircle reference, and the scaled Hausdorff distance
     between paired sorted spectra as a sanity statistic."""
@@ -649,8 +653,8 @@ def run_universality(cfg: ExperimentConfig) -> ExperimentRecord:
         return stats, {"eigenvalues_bernoulli": lam_bern, "eigenvalues_gaussian": lam_gauss}
 
     def finish(rows: list[dict], data: dict):
-        ks_bern = ks_distance(_pooled_measure(data["eigenvalues_bernoulli"]), reference)
-        ks_gauss = ks_distance(_pooled_measure(data["eigenvalues_gaussian"]), reference)
+        ks_bern = ks_distance(EmpiricalLaw(data["eigenvalues_bernoulli"].ravel()), reference)
+        ks_gauss = ks_distance(EmpiricalLaw(data["eigenvalues_gaussian"].ravel()), reference)
         aggregate = {
             "reference": reference.descriptor(),
             "mean_esd_ks_bernoulli": ks_bern,
@@ -694,39 +698,37 @@ def assumption_diagnostics(params: ModelParams, threshold: float = 1.0) -> dict:
     }
 
 
-def _require_surrogate(cfg: ExperimentConfig) -> None:
-    if cfg.ensemble != SURROGATE:
-        raise ValueError(
-            f"{cfg.kind} is defined for the Gaussian surrogate ensemble; "
-            f"got ensemble={cfg.ensemble!r}"
-        )
+def _run_diagnostics(cfg: ExperimentConfig) -> ExperimentRecord:
+    """The sparsity diagnostics of the config's model: no trials."""
+    t0 = time.perf_counter()
+    report = assumption_diagnostics(cfg.model_params())
+    return ExperimentRecord(
+        config=cfg.to_dict(),
+        trials=[],
+        aggregate=report,
+        wall_clock_s=time.perf_counter() - t0,
+        provenance=_provenance(cfg),
+    )
 
 
-_RUNNERS = {
-    "bulk": run_bulk,
-    "laplacian_bulk": run_laplacian_bulk,
-    "edge_bbp": run_edge,
-    "edge_regimes": run_edge,
-    "laplacian_edge": run_edge,
-    "concentration": run_concentration,
-    "universality": run_universality,
+# kind -> (runner, check).  ExperimentConfig runs the check when it is built;
+# the runner calls the same check where it needs its result.
+_KINDS = {
+    "bulk": (_run_bulk, _reads_no_regime),
+    "laplacian_bulk": (_run_laplacian_bulk, _laplacian_reference),
+    "edge_bbp": (_run_edge, _edge_row),
+    "edge_regimes": (_run_edge, _edge_row),
+    "laplacian_edge": (_run_edge, _edge_row),
+    "concentration": (_run_concentration, _reads_no_regime),
+    "universality": (_run_universality, _reads_no_regime),
+    "diagnostics": (_run_diagnostics, _reads_no_regime),
 }
+EXPERIMENT_KINDS = tuple(_KINDS)
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentRecord:
-    """Dispatch a config to its runner (diagnostics excepted, which has no
-    Monte-Carlo loop and returns a record directly)."""
-    if cfg.kind == "diagnostics":
-        t0 = time.perf_counter()
-        report = assumption_diagnostics(cfg.model_params())
-        return ExperimentRecord(
-            config=cfg.to_dict(),
-            trials=[],
-            aggregate=report,
-            wall_clock_s=time.perf_counter() - t0,
-            provenance=_provenance(cfg),
-        )
-    return _RUNNERS[cfg.kind](cfg)
+    """Run a config's experiment: the one entry to every kind's runner."""
+    return _KINDS[cfg.kind][0](cfg)
 
 
 def persist_record(

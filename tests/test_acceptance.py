@@ -12,14 +12,7 @@ import time
 import numpy as np
 
 from hypergraph_spectra.combinatorics import ModelParams
-from hypergraph_spectra.experiments import (
-    ExperimentConfig,
-    run_bulk,
-    run_concentration,
-    run_edge,
-    run_laplacian_bulk,
-    run_universality,
-)
+from hypergraph_spectra.experiments import ExperimentConfig, run_experiment
 from hypergraph_spectra.gham import (
     covariance_params,
     laplacian,
@@ -54,13 +47,13 @@ class TestAcceptance:
         cfg = ExperimentConfig(
             kind="bulk", n=500, r=100, trials=20, master_seed=11, threads=THREADS
         )
-        rec = run_bulk(cfg)
+        rec = run_experiment(cfg)
         elapsed = time.perf_counter() - t0
         ks = rec.aggregate["mean_esd_ks"]
-        small = run_bulk(
+        small = run_experiment(
             ExperimentConfig(kind="bulk", n=250, r=50, trials=10, master_seed=12, threads=THREADS)
         ).aggregate["mean_esd_ks"]
-        large = run_bulk(
+        large = run_experiment(
             ExperimentConfig(kind="bulk", n=1000, r=200, trials=10, master_seed=12, threads=THREADS)
         ).aggregate["mean_esd_ks"]
         ok = ks < 0.05 and elapsed < 120.0 and large < small
@@ -78,7 +71,7 @@ class TestAcceptance:
             kind="universality", n=200, r=3, p=0.3, trials=30, master_seed=51,
             ensemble="bernoulli_hypergraph", threads=THREADS,
         )
-        rec = run_universality(cfg)
+        rec = run_experiment(cfg)
         diff = rec.aggregate["ks_difference"]
         ok = diff < 0.05
         report(
@@ -96,7 +89,7 @@ class TestAcceptance:
             cfg = ExperimentConfig(
                 kind="edge_bbp", n=2000, r=r, trials=30, master_seed=7, threads=THREADS
             )
-            agg = run_edge(cfg).aggregate
+            agg = run_experiment(cfg).aggregate
             stats[r] = agg
             assert abs(agg["mean_lambda_max_scaled"] - target) < 0.15
             assert abs(agg["mean_lambda_min_scaled"] + target) < 0.15
@@ -119,7 +112,7 @@ class TestAcceptance:
             kind="edge_regimes", n=1000, r=500, trials=200, master_seed=2,
             regime="proportional", threads=THREADS,
         )
-        rec = run_edge(cfg)
+        rec = run_experiment(cfg)
         ks = rec.aggregate["ks_lambda_max"]
         ok = ks < 0.1
         report(
@@ -133,7 +126,7 @@ class TestAcceptance:
             kind="laplacian_bulk", n=800, r=3, trials=10, master_seed=3,
             matrix="laplacian_tilde", regime="fixed_r", threads=THREADS,
         )
-        rec = run_laplacian_bulk(cfg)
+        rec = run_experiment(cfg)
         ks = rec.aggregate["mean_esd_ks"]
         ok = ks < 0.06
         report(
@@ -292,7 +285,7 @@ class TestAcceptance:
         cfg = ExperimentConfig(
             kind="concentration", n=200, r=3, trials=200, master_seed=41, threads=THREADS
         )
-        rec = run_concentration(cfg)
+        rec = run_experiment(cfg)
         ratio = rec.aggregate["ratio"]
         ok = 0.3 <= ratio <= 0.7
         report(
@@ -306,7 +299,7 @@ class TestAcceptance:
             kind="laplacian_edge", n=1000, r=200, trials=50, master_seed=31,
             regime="A", threads=THREADS,
         )
-        rec = run_edge(cfg)
+        rec = run_experiment(cfg)
         err = rec.aggregate["abs_error_max"]
         ok = err < 0.08
         report(

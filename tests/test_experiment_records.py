@@ -25,7 +25,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hypergraph_spectra.experiments import ExperimentConfig, run_experiment
+from hypergraph_spectra import experiments
+from hypergraph_spectra.experiments import EXPERIMENT_KINDS, ExperimentConfig, run_experiment
 
 FIXTURE = Path(__file__).parent / "data" / "experiment_records.json"
 RTOL, ATOL = 1e-9, 1e-12
@@ -153,6 +154,18 @@ def golden() -> dict:
 
 def test_fixture_covers_every_case(golden):
     assert list(golden) == list(CASES)
+    # so a new kind, edge row or Laplacian law cannot land without a golden record
+    configs = [ExperimentConfig(**case) for case in CASES.values()]
+    assert {cfg.kind for cfg in configs} == set(EXPERIMENT_KINDS)
+    edge_table = experiments._edge_table(n=40, r=4, k=1)
+    edge_rows = {(kind, regime) for kind, regimes in edge_table.items() for regime in regimes}
+    assert {
+        (cfg.kind, experiments._edge_row(cfg)[0]) for cfg in configs if cfg.kind in edge_table
+    } == edge_rows
+    assert {
+        (cfg.matrix, cfg.scaling, cfg.regime or "fixed_r")
+        for cfg in configs if cfg.kind == "laplacian_bulk"
+    } == set(experiments._LAPLACIAN_LAWS)
 
 
 @pytest.mark.parametrize("name", list(CASES))

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import threading
 
 import numpy as np
@@ -18,12 +19,7 @@ from hypergraph_spectra.experiments import (
     assumption_diagnostics,
     bbp_edge_limit,
     persist_record,
-    run_bulk,
-    run_concentration,
-    run_edge,
     run_experiment,
-    run_laplacian_bulk,
-    run_universality,
 )
 from hypergraph_spectra.spectra import EigensolverError, Scaling
 from oracles import recompute_aggregates, traced_peak
@@ -44,13 +40,23 @@ class TestConfig:
             ExperimentConfig(kind="bulk", n=10, r=3, threads=threads)
 
     def test_bernoulli_feasibility_checked(self):
-        with pytest.raises(SamplingBudgetError):
+        with pytest.raises(SamplingBudgetError, match=re.escape(
+            "; use the Gaussian surrogate ensemble (ensemble='gaussian_surrogate', "
+        )):
             ExperimentConfig(kind="bulk", n=80, r=40, p=0.5, ensemble=BERNOULLI)
 
+    # universality samples a hypergraph in every trial whatever the ensemble, so
+    # its budget error advises a smaller model, not the surrogate ensemble
+    UNIVERSALITY_ADVICE = (r"exceeds budget 1e\+07; every universality trial samples a "
+                           r"hypergraph, whatever the ensemble, so lower n, r or p$")
+
     def test_universality_budget_checked_at_the_surrogate_ensemble(self):
-        # its trials sample a hypergraph whatever the ensemble
-        with pytest.raises(SamplingBudgetError):
+        with pytest.raises(SamplingBudgetError, match=self.UNIVERSALITY_ADVICE):
             ExperimentConfig(kind="universality", n=80, r=40, p=0.5)
+
+    def test_universality_budget_advice_at_the_bernoulli_ensemble(self):
+        with pytest.raises(SamplingBudgetError, match=self.UNIVERSALITY_ADVICE):
+            ExperimentConfig(kind="universality", n=80, r=40, p=0.5, ensemble=BERNOULLI)
 
     @pytest.mark.parametrize("kind", ["bulk", "concentration", "universality", "diagnostics"])
     def test_kinds_that_read_no_regime_reject_one(self, kind):
@@ -70,12 +76,60 @@ class TestConfig:
             ExperimentConfig(kind=kind, n=30, r=3, k=k, regime=regime)
 
     @pytest.mark.parametrize("kind", [k for k in experiments.EXPERIMENT_KINDS if k != "laplacian_bulk"])
-    @pytest.mark.parametrize("field,value", [("matrix", "laplacian"), ("scaling", "by_n")])
-    def test_matrix_and_scaling_only_for_laplacian_bulk(self, kind, field, value):
+    @pytest.mark.parametrize("field,value,valid", [
+        ("matrix", "laplacian", dict(matrix="laplacian")),
+        ("scaling", "by_n", dict(matrix="laplacian", scaling="by_sqrt_nr", regime="proportional")),
+    ], ids=["matrix-laplacian", "scaling-by_n"])
+    def test_matrix_and_scaling_only_for_laplacian_bulk(self, kind, field, value, valid):
         with pytest.raises(ValueError, match=f"only laplacian_bulk reads matrix and scaling; {kind}"):
             ExperimentConfig(kind=kind, n=40, r=3, **{field: value})
-        cfg = ExperimentConfig(kind="laplacian_bulk", n=40, r=3, **{field: value})
-        assert cfg.to_dict()[field] == value
+        cfg = ExperimentConfig(kind="laplacian_bulk", n=40, r=3, **valid)
+        assert cfg.to_dict()[field] == valid[field]
+
+    @pytest.mark.parametrize("config, error, message", [
+        # built, then raised by the run
+        (dict(kind="laplacian_edge", n=100, r=10), RegimeError,
+         "laplacian_edge regime must be one of ('A', 'B_i', 'B_ii', 'C_i', 'C_ii'), got None"),
+        (dict(kind="edge_bbp", n=30, r=3, p=0.4, ensemble=BERNOULLI), ValueError,
+         "edge_bbp is defined for the Gaussian surrogate ensemble; "
+         "got ensemble='bernoulli_hypergraph'"),
+        (dict(kind="laplacian_bulk", n=50, r=3), ValueError,
+         "laplacian_bulk needs matrix='laplacian' or 'laplacian_tilde'"),
+        (dict(kind="laplacian_bulk", n=50, r=3, matrix="laplacian", scaling="raw"), RegimeError,
+         "no limiting law for matrix=laplacian, scaling=raw, regime=None; supported: "
+         "(laplacian, by_sqrt_n, fixed_r), (laplacian_tilde, by_sqrt_n, fixed_r), "
+         "(laplacian, by_sqrt_nr, proportional), (laplacian_tilde, by_sqrt_n, proportional)"),
+        (dict(kind="laplacian_bulk", n=50, r=3, matrix="laplacian", regime="bogus"), RegimeError,
+         "no limiting law for matrix=laplacian, scaling=by_sqrt_n, regime=bogus; supported: "
+         "(laplacian, by_sqrt_n, fixed_r), (laplacian_tilde, by_sqrt_n, fixed_r), "
+         "(laplacian, by_sqrt_nr, proportional), (laplacian_tilde, by_sqrt_n, proportional)"),
+        (dict(kind="edge_regimes", n=30, r=3, regime="bogus"), RegimeError,
+         "edge_regimes regime must be one of ('proportional', 'sqrt_nr', 'secondary'), "
+         "got 'bogus'"),
+        (dict(kind="laplacian_edge", n=1000, r=3, regime="B_i"), RegimeError,
+         "regime B_i requires r << sqrt(log n): need r <= 0.526, got r=3"),
+        # built and ran, recording a field that nothing read
+        (dict(kind="edge_bbp", n=30, r=3, k=7), ValueError,
+         "only the edge regimes secondary, A, C_i, C_ii read k; edge_bbp regime fixed_r got k=7"),
+        (dict(kind="bulk", n=30, r=3, k=5), ValueError,
+         "only the edge regimes secondary, A, C_i, C_ii read k; bulk got k=5"),
+        (dict(kind="laplacian_bulk", n=30, r=3, matrix="laplacian", k=2), ValueError,
+         "only the edge regimes secondary, A, C_i, C_ii read k; laplacian_bulk got k=2"),
+        (dict(kind="bulk", n=30, r=3, p=True), ValueError,
+         "config key 'p' must be a JSON float, got True"),
+        (dict(kind="bulk", n=30, r=3, threads=True), ValueError,
+         "config key 'threads' must be a JSON int, got True"),
+        # built, then failed inside numpy
+        (dict(kind="bulk", n=30.0, r=3), ValueError,
+         "config key 'n' must be a JSON int, got 30.0"),
+    ], ids=[
+        "laplacian_edge-no-regime", "edge_bbp-bernoulli", "laplacian_bulk-gham",
+        "laplacian_bulk-raw", "laplacian_bulk-bogus", "edge_regimes-bogus", "B_i-default-factor",
+        "edge_bbp-k", "bulk-k", "laplacian_bulk-k", "bool-p", "bool-threads", "float-n",
+    ])
+    def test_config_that_cannot_run_raises_when_built(self, config, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            ExperimentConfig(trials=2, **config)
 
     def test_trial_seeds_deterministic(self):
         cfg = ExperimentConfig(kind="bulk", n=10, r=3, master_seed=5)
@@ -87,14 +141,14 @@ class TestConfig:
 class TestReproducibility:
     def test_bulk_records_bit_identical(self):
         cfg = ExperimentConfig(kind="bulk", n=40, r=5, trials=4, master_seed=9)
-        rec1, rec2 = run_bulk(cfg), run_bulk(cfg)
+        rec1, rec2 = run_experiment(cfg), run_experiment(cfg)
         assert rec1.trials == rec2.trials
         assert rec1.aggregate == rec2.aggregate
         np.testing.assert_array_equal(rec1.data["eigenvalues"], rec2.data["eigenvalues"])
 
     def test_threads_do_not_change_results(self):
-        serial = run_bulk(ExperimentConfig(kind="bulk", n=40, r=5, trials=4, master_seed=9))
-        pooled = run_bulk(
+        serial = run_experiment(ExperimentConfig(kind="bulk", n=40, r=5, trials=4, master_seed=9))
+        pooled = run_experiment(
             ExperimentConfig(kind="bulk", n=40, r=5, trials=4, master_seed=9, threads=3)
         )
         assert serial.trials == pooled.trials
@@ -104,7 +158,7 @@ class TestReproducibility:
 
     def test_aggregates_recomputable_from_rows(self):
         cfg = ExperimentConfig(kind="edge_bbp", n=60, r=4, trials=6, master_seed=2)
-        rec = run_edge(cfg)
+        rec = run_experiment(cfg)
         recomputed = recompute_aggregates(rec)
         assert recomputed  # at least the mean/std/stderr keys
         for key, value in recomputed.items():
@@ -152,13 +206,13 @@ class TestTrialPool:
     def test_pooled_trials_run_blas_at_one_thread(self, caller_blas, monkeypatch):
         _set_blas_threads(2)
         seen = self._spy_solves(monkeypatch)
-        run_edge(ExperimentConfig(**self.EDGE))
+        run_experiment(ExperimentConfig(**self.EDGE))
         assert len(seen) == self.EDGE["trials"]
         assert all(counts == [1] * len(experiments._openblas()) for _, counts in seen)
 
     def test_caller_blas_threads_restored(self, caller_blas):
         _set_blas_threads(2)
-        run_edge(ExperimentConfig(**self.EDGE))
+        run_experiment(ExperimentConfig(**self.EDGE))
         assert _blas_threads() == [2] * len(experiments._openblas())
 
     def test_caller_blas_threads_restored_when_a_trial_raises(self, caller_blas, monkeypatch):
@@ -166,12 +220,12 @@ class TestTrialPool:
         cfg = ExperimentConfig(**self.EDGE)
         self._spy_solves(monkeypatch, fail_seed=cfg.trial_seed(1))
         with pytest.raises(EigensolverError):
-            run_edge(cfg)
+            run_experiment(cfg)
         assert _blas_threads() == [2] * len(experiments._openblas())
 
     def test_pool_capped_at_usable_cores(self, monkeypatch):
         seen = self._spy_solves(monkeypatch)
-        run_edge(ExperimentConfig(**self.EDGE))
+        run_experiment(ExperimentConfig(**self.EDGE))
         if hasattr(os, "sched_getaffinity"):
             cores = len(os.sched_getaffinity(0))
         else:
@@ -203,9 +257,9 @@ class TestTrialPool:
         # at n = 500 the dense solve depends on the BLAS thread count; a pooled
         # trial runs at one thread, so it reproduces the serial run at one
         config = dict(kind="bulk", n=500, r=2, trials=4, master_seed=13)
-        pooled = run_bulk(ExperimentConfig(**config, threads=4))
+        pooled = run_experiment(ExperimentConfig(**config, threads=4))
         _set_blas_threads(1)
-        serial = run_bulk(ExperimentConfig(**config))
+        serial = run_experiment(ExperimentConfig(**config))
         assert serial.trials == pooled.trials
         assert serial.aggregate == pooled.aggregate
         np.testing.assert_array_equal(serial.data["eigenvalues"], pooled.data["eigenvalues"])
@@ -214,7 +268,7 @@ class TestTrialPool:
 class TestRunBulk:
     def test_wigner_specialisation_r2(self):
         cfg = ExperimentConfig(kind="bulk", n=120, r=2, trials=5, master_seed=1)
-        rec = run_bulk(cfg)
+        rec = run_experiment(cfg)
         # reference variance (1 - 2/120)^2 is within a whisker of 1
         assert rec.aggregate["reference"]["sigma2"] == pytest.approx(1.0, abs=0.04)
         assert rec.aggregate["mean_esd_ks"] < 0.1
@@ -223,18 +277,18 @@ class TestRunBulk:
         cfg = ExperimentConfig(
             kind="bulk", n=60, r=3, p=0.4, trials=3, master_seed=4, ensemble=BERNOULLI
         )
-        rec = run_bulk(cfg)
+        rec = run_experiment(cfg)
         assert len(rec.trials) == 3
         assert rec.data["eigenvalues"].shape == (3, 60)
 
     def test_tolerance_gate(self):
         cfg = ExperimentConfig(kind="bulk", n=80, r=10, trials=3, master_seed=0, tolerance=0.5)
-        rec = run_bulk(cfg)
+        rec = run_experiment(cfg)
         assert rec.aggregate["passed"] is True
 
     def test_pooled_measure_is_average_of_trial_cdfs(self):
         cfg = ExperimentConfig(kind="bulk", n=30, r=3, trials=4, master_seed=3)
-        rec = run_bulk(cfg)
+        rec = run_experiment(cfg)
         eigs = rec.data["eigenvalues"]
         pooled = np.sort(eigs.ravel())
         grid = np.linspace(pooled[0] - 0.1, pooled[-1] + 0.1, 101)
@@ -248,24 +302,22 @@ class TestRunBulk:
 
 class TestLaplacianBulk:
     def test_requires_laplacian_matrix(self):
-        cfg = ExperimentConfig(kind="laplacian_bulk", n=50, r=3, trials=2)
         with pytest.raises(ValueError, match="laplacian"):
-            run_laplacian_bulk(cfg)
+            ExperimentConfig(kind="laplacian_bulk", n=50, r=3, trials=2)
 
     def test_unsupported_combination(self):
-        cfg = ExperimentConfig(
-            kind="laplacian_bulk", n=50, r=3, trials=2,
-            matrix="laplacian", scaling=Scaling.BY_SQRT_NR, regime="fixed_r",
-        )
         with pytest.raises(RegimeError):
-            run_laplacian_bulk(cfg)
+            ExperimentConfig(
+                kind="laplacian_bulk", n=50, r=3, trials=2,
+                matrix="laplacian", scaling=Scaling.BY_SQRT_NR, regime="fixed_r",
+            )
 
     def test_proportional_tilde_matches_semicircle(self):
         cfg = ExperimentConfig(
             kind="laplacian_bulk", n=300, r=60, trials=4, master_seed=6,
             matrix="laplacian_tilde", regime="proportional",
         )
-        rec = run_laplacian_bulk(cfg)
+        rec = run_experiment(cfg)
         assert rec.aggregate["reference"]["kind"] == "semicircle"
         assert rec.aggregate["mean_esd_ks"] < 0.08
 
@@ -280,7 +332,7 @@ class TestLaplacianBulk:
                 kind="laplacian_bulk", n=n, r=r, trials=4, master_seed=6,
                 matrix="laplacian", scaling=Scaling.BY_SQRT_NR, regime="proportional",
             )
-            rec = run_laplacian_bulk(cfg)
+            rec = run_experiment(cfg)
             assert rec.aggregate["reference"]["kind"] == "free_convolution"
             ks[n] = rec.aggregate["mean_esd_ks"]
         assert ks[400] < 0.15
@@ -324,8 +376,8 @@ class TestEdgeTable:
     def test_rows_cover_the_table(self):
         rows = {
             (kind, regime)
-            for kind in ("edge_bbp", "edge_regimes", "laplacian_edge")
-            for regime in experiments._edge_table(ExperimentConfig(kind=kind, n=40, r=4))
+            for kind, regimes in experiments._edge_table(n=40, r=4, k=1).items()
+            for regime in regimes
         }
         assert rows == {(c["kind"], c["regime"]) for c, _, _ in EDGE_ROWS}
         assert len(rows) == 9
@@ -335,7 +387,7 @@ class TestEdgeTable:
         ids=[f"{c['kind']}-{c['regime']}" for c, _, _ in EDGE_ROWS],
     )
     def test_one_runner_layout(self, config, keys, tail):
-        rec = run_edge(ExperimentConfig(trials=3, master_seed=5, **config))
+        rec = run_experiment(ExperimentConfig(trials=3, master_seed=5, **config))
         for row in rec.trials:
             assert list(row) == ["trial", "seed", "U", *keys]
             assert isinstance(row["U"], float)
@@ -344,9 +396,8 @@ class TestEdgeTable:
         assert rec.aggregate["regime"] == config["regime"]
 
     def test_edge_bbp_rejects_other_regimes(self):
-        cfg = ExperimentConfig(kind="edge_bbp", n=40, r=4, trials=2, regime="bogus")
         with pytest.raises(RegimeError, match="fixed_r"):
-            run_edge(cfg)
+            ExperimentConfig(kind="edge_bbp", n=40, r=4, trials=2, regime="bogus")
 
 
 class TestEdgeBbp:
@@ -357,15 +408,12 @@ class TestEdgeBbp:
         assert bbp_edge_limit(10) == pytest.approx(3.18198, abs=1e-5)
 
     def test_surrogate_required(self):
-        cfg = ExperimentConfig(
-            kind="edge_bbp", n=30, r=3, p=0.4, trials=2, ensemble=BERNOULLI
-        )
         with pytest.raises(ValueError, match="surrogate"):
-            run_edge(cfg)
+            ExperimentConfig(kind="edge_bbp", n=30, r=3, p=0.4, trials=2, ensemble=BERNOULLI)
 
     def test_smoke_run(self):
         cfg = ExperimentConfig(kind="edge_bbp", n=150, r=4, trials=4, master_seed=12)
-        rec = run_edge(cfg)
+        rec = run_experiment(cfg)
         assert rec.aggregate["target"] == pytest.approx(1.5 * math.sqrt(2.0))
         assert {"lambda_max_scaled", "lambda_min_scaled"} <= set(rec.trials[0])
 
@@ -433,7 +481,7 @@ class TestEdgeRegimes:
         cfg = ExperimentConfig(
             kind="edge_regimes", n=n, r=r, trials=8, master_seed=3, regime="sqrt_nr"
         )
-        rec = run_edge(cfg)
+        rec = run_experiment(cfg)
         assert abs(rec.aggregate["mean_lambda_max_scaled"] - 1.0) < 0.1
         assert abs(rec.aggregate["mean_lambda_min_scaled"] + 1.0) < 0.1
 
@@ -442,7 +490,7 @@ class TestEdgeRegimes:
         cfg = ExperimentConfig(
             kind="edge_regimes", n=n, r=r, trials=8, master_seed=3, regime="secondary", k=1
         )
-        rec = run_edge(cfg)
+        rec = run_experiment(cfg)
         target = 2.0 * (1.0 - r / n)
         assert rec.aggregate["target"] == pytest.approx(target)
         assert abs(rec.aggregate["mean_lambda_sub_max_scaled"] - target) < 0.1
@@ -450,45 +498,37 @@ class TestEdgeRegimes:
         assert "std_lambda_sub_max_scaled" in rec.aggregate  # fluctuation scale
 
     def test_unknown_regime(self):
-        cfg = ExperimentConfig(kind="edge_regimes", n=30, r=3, trials=2, regime="bogus")
         with pytest.raises(RegimeError):
-            run_edge(cfg)
+            ExperimentConfig(kind="edge_regimes", n=30, r=3, trials=2, regime="bogus")
 
 
 class TestLaplacianEdge:
     def test_side_condition_b_i_names_requirement(self):
-        cfg = ExperimentConfig(
-            kind="laplacian_edge", n=1000, r=3, trials=2, regime="B_i"
-        )
         with pytest.raises(RegimeError, match=r"sqrt\(log n\)"):
-            run_edge(cfg)
+            ExperimentConfig(kind="laplacian_edge", n=1000, r=3, trials=2, regime="B_i")
 
     def test_side_condition_c_ii(self):
-        cfg = ExperimentConfig(
-            kind="laplacian_edge", n=1000, r=100, trials=2, regime="C_ii"
-        )
         with pytest.raises(RegimeError, match=r"sqrt\(n log n\)"):
-            run_edge(cfg)
+            ExperimentConfig(kind="laplacian_edge", n=1000, r=100, trials=2, regime="C_ii")
 
     def test_side_condition_c_i_passes_when_small(self):
         cfg = ExperimentConfig(
             kind="laplacian_edge", n=900, r=5, trials=2, master_seed=1, regime="C_i"
         )
-        rec = run_edge(cfg)
+        rec = run_experiment(cfg)
         assert rec.aggregate["target"] == pytest.approx(
             math.sqrt((5 / 900) * (1 - 5 / 900))
         )
 
     def test_regime_required(self):
-        cfg = ExperimentConfig(kind="laplacian_edge", n=100, r=10, trials=2)
         with pytest.raises(RegimeError):
-            run_edge(cfg)
+            ExperimentConfig(kind="laplacian_edge", n=100, r=10, trials=2)
 
     def test_b_ii_records_functional_note(self):
         cfg = ExperimentConfig(
             kind="laplacian_edge", n=200, r=60, trials=5, master_seed=8, regime="B_ii"
         )
-        rec = run_edge(cfg)
+        rec = run_experiment(cfg)
         assert "z^2 under the radical" in rec.aggregate["note"]
         assert "ks_stat_max" in rec.aggregate
 
@@ -498,7 +538,7 @@ class TestLaplacianEdge:
         cfg = ExperimentConfig(
             kind="laplacian_edge", n=n, r=r, trials=6, master_seed=4, regime="C_ii", k=1
         )
-        rec = run_edge(cfg)
+        rec = run_experiment(cfg)
         target = 2.0 * (1.0 - r / n)
         assert abs(rec.aggregate["mean_stat_max"] - target) < 0.1
 
@@ -506,13 +546,13 @@ class TestLaplacianEdge:
 class TestConcentration:
     def test_single_trial_reports_absent_std(self):
         cfg = ExperimentConfig(kind="concentration", n=40, r=3, trials=1, master_seed=0)
-        rec = run_concentration(cfg)
+        rec = run_experiment(cfg)
         assert rec.aggregate["std_small"] is None
         assert rec.aggregate["ratio"] is None
 
     def test_two_sizes_recorded(self):
         cfg = ExperimentConfig(kind="concentration", n=40, r=3, trials=5, master_seed=0)
-        rec = run_concentration(cfg)
+        rec = run_experiment(cfg)
         assert rec.aggregate["sizes"] == [[40, 3], [80, 3]]
         assert {row["n"] for row in rec.trials} == {40, 80}
 
@@ -520,7 +560,7 @@ class TestConcentration:
         cfg = ExperimentConfig(
             kind="concentration", n=40, r=4, trials=3, master_seed=0, scale_r_with_n=True
         )
-        rec = run_concentration(cfg)
+        rec = run_experiment(cfg)
         assert rec.aggregate["sizes"] == [[40, 4], [80, 8]]
 
     def test_proportional_r_keeps_fluctuation_scale(self):
@@ -532,7 +572,7 @@ class TestConcentration:
             kind="concentration", n=200, r=100, trials=200, master_seed=44,
             scale_r_with_n=True, threads=4,
         )
-        rec = run_concentration(cfg)
+        rec = run_experiment(cfg)
         assert 0.7 <= rec.aggregate["ratio"] <= 1.3
 
 
@@ -542,7 +582,7 @@ class TestUniversalityRun:
             kind="universality", n=80, r=3, p=0.3, trials=4, master_seed=1,
             ensemble=BERNOULLI,
         )
-        rec = run_universality(cfg)
+        rec = run_experiment(cfg)
         assert rec.aggregate["ks_difference"] == pytest.approx(
             abs(
                 rec.aggregate["mean_esd_ks_bernoulli"]
@@ -558,7 +598,7 @@ class TestUniversalityRun:
             kind="universality", n=500, r=3, p=0.3, trials=4, master_seed=2,
             ensemble=BERNOULLI, threads=2,
         )
-        rec = run_universality(cfg)
+        rec = run_experiment(cfg)
         assert rec.aggregate["mean_hausdorff_scaled"] < 0.5
 
 
@@ -573,7 +613,7 @@ class TestWignerSpecialisation:
         cfg = ExperimentConfig(
             kind="bulk", n=500, r=2, trials=20, master_seed=13, threads=4
         )
-        rec = run_bulk(cfg)
+        rec = run_experiment(cfg)
         pooled = EmpiricalMeasure(rec.data["eigenvalues"].ravel())
         assert ks_distance(pooled, SemicircleLaw(1.0)) < 0.05
 
@@ -604,7 +644,7 @@ class TestDiagnostics:
 class TestPersistence:
     def test_record_directory_layout(self, tmp_path):
         cfg = ExperimentConfig(kind="bulk", n=30, r=3, trials=3, master_seed=7)
-        rec = run_bulk(cfg)
+        rec = run_experiment(cfg)
         run_dir = persist_record(rec, tmp_path, timestamp="20260101T000000")
         assert run_dir == tmp_path / "runs" / "bulk" / "20260101T000000-7"
         payload = json.loads((run_dir / "record.json").read_text())
@@ -616,7 +656,7 @@ class TestPersistence:
 
     def test_pooled_record_carries_provenance(self, tmp_path):
         cfg = ExperimentConfig(kind="edge_bbp", n=60, r=4, trials=3, master_seed=2, threads=2)
-        run_dir = persist_record(run_edge(cfg), tmp_path, timestamp="t")
+        run_dir = persist_record(run_experiment(cfg), tmp_path, timestamp="t")
         payload = json.loads((run_dir / "record.json").read_text())
         prov = payload["provenance"]
         assert set(prov) == {"python", "numpy", "scipy", "blas", "workers", "blas_pinned"}
@@ -631,7 +671,7 @@ class TestPersistence:
         cfg = ExperimentConfig(
             kind="edge_regimes", n=60, r=30, trials=3, master_seed=5, regime="proportional",
         )
-        rec = run_edge(cfg)
+        rec = run_experiment(cfg)
         run_dir = persist_record(rec, tmp_path, timestamp="t")
         assert sorted(p.name for p in run_dir.iterdir()) == ["eigenvalues.csv", "record.json"]
         payload = json.loads((run_dir / "record.json").read_text())

@@ -11,7 +11,7 @@ import scipy.sparse.linalg
 from scipy.sparse.linalg import eigsh
 
 from hypergraph_spectra.combinatorics import ModelParams
-from hypergraph_spectra.experiments import ExperimentConfig, run_edge
+from hypergraph_spectra.experiments import ExperimentConfig, run_experiment
 from hypergraph_spectra.gham import laplacian, sample_surrogate
 from hypergraph_spectra.laws import EmpiricalLaw
 from hypergraph_spectra.spectra import (
@@ -346,7 +346,7 @@ class TestExtremeEigenvalues:
         records = []
         for _ in range(2):
             for threads in (1, 2):
-                records.append(run_edge(ExperimentConfig(**base, threads=threads)))
+                records.append(run_experiment(ExperimentConfig(**base, threads=threads)))
                 extreme_eigenvalues(g, 2, 5)
         first = records[0]
         for rec in records[1:]:
