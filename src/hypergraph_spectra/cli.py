@@ -33,13 +33,6 @@ from .gham import (
 from .spectra import Scaling, load_spectrum_csv, save_spectrum_csv, symmetric_eigenvalues
 from .svgplot import render_histogram_svg
 
-_SCALING_FLAGS = {
-    "raw": Scaling.RAW,
-    "sqrt-n": Scaling.BY_SQRT_N,
-    "n": Scaling.BY_N,
-    "sqrt-nr": Scaling.BY_SQRT_NR,
-}
-
 
 def _parse_compare_input(text: str):
     """Comparison operand: an eigenvalue CSV path or a law descriptor."""
@@ -77,14 +70,14 @@ def _build_matrix(args) -> tuple[np.ndarray, ModelParams, str, int]:
         raise ValueError("spectrum needs --input FILE or --surrogate")
     if args.matrix == "laplacian":
         h = laplacian(h)
-    elif args.matrix == "laplacian-tilde":
+    elif args.matrix == "laplacian_tilde":
         h = laplacian_tilde(h, params.r)
     return h, params, ensemble, seed
 
 
 def cmd_spectrum(args) -> int:
     matrix, params, ensemble, seed = _build_matrix(args)
-    scaling = _SCALING_FLAGS[args.scaling]
+    scaling = Scaling(args.scaling)
     lam = symmetric_eigenvalues(matrix, scaling=scaling, r=params.r)
     out = Path(args.out or Path(args.out_dir) / "spectrum.csv")
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -122,7 +115,6 @@ def cmd_experiment(args) -> int:
             ("regime", args.regime),
             ("ensemble", args.ensemble),
             ("matrix", args.matrix_kind),
-            ("scaling", _SCALING_FLAGS[args.scaling].value if args.scaling else None),
             ("k", args.k),
             ("tolerance", args.tolerance),
         )
@@ -222,10 +214,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_spec.add_argument("-n", type=int)
     p_spec.add_argument("-r", type=int)
     p_spec.add_argument("-p", type=float, default=0.5)
+    p_spec.add_argument("--matrix", choices=experiments.MATRIX_KINDS, default="gham")
     p_spec.add_argument(
-        "--matrix", choices=["gham", "laplacian", "laplacian-tilde"], default="gham"
+        "--scaling", choices=[s.value for s in Scaling], default=Scaling.BY_SQRT_N.value
     )
-    p_spec.add_argument("--scaling", choices=list(_SCALING_FLAGS), default="sqrt-n")
     p_spec.add_argument("--out")
     p_spec.add_argument("--svg")
     p_spec.add_argument("--overlay", action="append", help="law descriptor to overlay")
@@ -241,10 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("-p", type=float)
     p_exp.add_argument("--trials", type=int)
     p_exp.add_argument("--ensemble", choices=[experiments.BERNOULLI, experiments.SURROGATE])
-    p_exp.add_argument(
-        "--matrix-kind", choices=["gham", "laplacian", "laplacian_tilde"], dest="matrix_kind"
-    )
-    p_exp.add_argument("--scaling", choices=list(_SCALING_FLAGS))
+    p_exp.add_argument("--matrix-kind", choices=experiments.MATRIX_KINDS, dest="matrix_kind")
     p_exp.add_argument("--regime")
     p_exp.add_argument("--k", type=int)
     p_exp.add_argument("--tolerance", type=float)

@@ -5,17 +5,19 @@ holding the config snapshot, one summary row per trial, aggregate statistics
 recomputable from those rows, raw eigenvalue arrays for persistence, and a
 provenance block (versions, BLAS libraries, pool size).  Each kind is a row
 (runner, check) of the table ``_KINDS``; a config runs its kind's check when
-built, and the runner calls the same check for its parameters.  Every
-Monte-Carlo kind goes through one trial loop, ``_run``: a kind supplies only
-``trial(index, seed)``, giving its row statistics and per-trial arrays, and
-``finish(rows, data)``, giving its aggregate and gate keys.  The loop owns the
-timer, the per-trial seeds (derived from the master seed by splitmix64), the
-rows, the stacking of arrays in trial order, the tolerance gate and the
-record.  The three edge kinds are rows of one (kind, regime) table,
-``_edge_table``, all run by ``_run_edge``: each reads at most depth = k + 1
-eigenvalues at each end and computes only those, by a Lanczos solve started
-from a vector derived from the trial seed (``spectra.extreme_eigenvalues``).
-The other kinds solve densely.
+built, and the runner calls the same check for its parameters; a config is
+frozen, so no field changes after its check.  No field sets a scaling: each
+limit law fixes its own, n^{-1/2} for ``bulk`` and the (matrix, regime) row of
+``_LAPLACIAN_LAWS`` for ``laplacian_bulk``.  Every Monte-Carlo kind goes
+through one trial loop, ``_run``: a kind supplies only ``trial(index, seed)``,
+giving its row statistics and per-trial arrays, and ``finish(rows, data)``,
+giving its aggregate and gate keys.  The loop owns the timer, the per-trial
+seeds (derived from the master seed by splitmix64), the rows, the stacking of
+arrays in trial order, the tolerance gate and the record.  The three edge
+kinds are rows of one (kind, regime) table, ``_edge_table``, all run by
+``_run_edge``: each reads at most depth = k + 1 eigenvalues at each end and
+computes only those, by a Lanczos solve started from a vector derived from the
+trial seed (``spectra.extreme_eigenvalues``).  The other kinds solve densely.
 
 With ``threads > 1`` trials run on a thread pool (the eigensolvers release the
 GIL) of at most as many workers as usable cores, and every trial runs the
@@ -74,6 +76,7 @@ from .spectra import Scaling, extreme_eigenvalues, symmetric_eigenvalues
 
 __all__ = [
     "EXPERIMENT_KINDS",
+    "MATRIX_KINDS",
     "ExperimentConfig",
     "ExperimentRecord",
     "RegimeError",
@@ -85,12 +88,14 @@ __all__ = [
 
 BERNOULLI = "bernoulli_hypergraph"
 SURROGATE = "gaussian_surrogate"
+# the matrices a spectrum is taken of: the GHAM and its two Laplacians
+MATRIX_KINDS = ("gham", "laplacian", "laplacian_tilde")
 
 class RegimeError(ValueError):
     """An experiment regime's side condition on (n, r) is violated."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     kind: str
     n: int
@@ -99,8 +104,7 @@ class ExperimentConfig:
     trials: int = 10
     master_seed: int = 0
     ensemble: str = SURROGATE
-    matrix: str = "gham"  # gham | laplacian | laplacian_tilde
-    scaling: Scaling = Scaling.BY_SQRT_N
+    matrix: str = "gham"  # one of MATRIX_KINDS
     k: int = 1
     regime: str | None = None
     tolerance: float | None = None
@@ -127,12 +131,13 @@ class ExperimentConfig:
             raise ValueError(f"need threads >= 1, got {self.threads}")
         if self.ensemble not in (BERNOULLI, SURROGATE):
             raise ValueError(f"unknown ensemble {self.ensemble!r}")
-        if self.matrix not in ("gham", "laplacian", "laplacian_tilde"):
+        if self.matrix not in MATRIX_KINDS:
             raise ValueError(f"unknown matrix kind {self.matrix!r}")
         if self.k < 1:
             raise ValueError(f"need k >= 1, got k={self.k}")
-        self.scaling = Scaling(self.scaling)
         params = self.model_params()  # validates (n, r, p)
+        if self.r >= self.n:
+            raise ValueError(f"need r < n (c = r/n < 1), got r={self.r}, n={self.n}")
         if self.k >= self.n:
             raise ValueError(f"need k < n={self.n}, got k={self.k}")
         if self.kind == "universality":
@@ -148,9 +153,7 @@ class ExperimentConfig:
         return ModelParams(n=self.n, r=self.r, p=self.p)
 
     def to_dict(self) -> dict:
-        out = asdict(self)
-        out["scaling"] = self.scaling.value
-        return out
+        return asdict(self)
 
     def trial_seed(self, index: int) -> int:
         return derive_seed(self.master_seed, index)
@@ -356,14 +359,14 @@ def _edge_limit_ks(c: float, rows: list[dict], keys, names) -> dict:
     return out
 
 
-def _run_esd(cfg: ExperimentConfig, reference: Law, w1: bool):
-    """Per-trial and pooled ESD of the config's matrix, at its scaling, against
-    a reference law."""
+def _run_esd(cfg: ExperimentConfig, scaling: Scaling, reference: Law, w1: bool):
+    """Per-trial and pooled ESD of the config's matrix, at the given scaling,
+    against a reference law."""
     keys = ("ks", "w1") if w1 else ("ks",)
 
     def trial(index: int, seed: int):
         m, _ = _trial_matrix(cfg, seed, cfg.matrix)
-        lam = symmetric_eigenvalues(m, scaling=cfg.scaling, r=cfg.r)
+        lam = symmetric_eigenvalues(m, scaling=scaling, r=cfg.r)
         measure = EmpiricalLaw(lam)
         stats = {"ks": ks_distance(measure, reference)}
         if w1:
@@ -387,9 +390,9 @@ def _run_esd(cfg: ExperimentConfig, reference: Law, w1: bool):
 
 
 def _reads_gham(cfg: ExperimentConfig) -> None:
-    if (cfg.matrix, cfg.scaling) != ("gham", Scaling.BY_SQRT_N):
-        raise ValueError(f"only laplacian_bulk reads matrix and scaling; {cfg.kind} needs "
-                         f"gham and by_sqrt_n, got {cfg.matrix} and {cfg.scaling.value}")
+    if cfg.matrix != "gham":
+        raise ValueError(f"only laplacian_bulk reads matrix; {cfg.kind} needs gham, "
+                         f"got {cfg.matrix}")
 
 
 # the edge regimes whose statistic reads k
@@ -416,43 +419,43 @@ def _run_bulk(cfg: ExperimentConfig) -> ExperimentRecord:
     """Bulk spectrum experiment: the ESD of n^{-1/2} H against the semicircle
     law with variance (1 - r/n)^2."""
     reference = SemicircleLaw((1.0 - cfg.model_params().size_ratio) ** 2)
-    return _run_esd(cfg, reference, w1=True)
+    return _run_esd(cfg, Scaling.BY_SQRT_N, reference, w1=True)
 
 
-# (matrix, scaling, regime) -> the laplacian_bulk limiting law, from (r, c = r/n)
+# (matrix, regime) -> (scaling, the laplacian_bulk limiting law at that scaling,
+# from (r, c = r/n))
 _LAPLACIAN_LAWS = {
-    ("laplacian", Scaling.BY_SQRT_N, "fixed_r"):
-        lambda r, c: FreeConvolutionLaw(GaussianLaw(float(r - 1)), SemicircleLaw(1.0)),
-    ("laplacian_tilde", Scaling.BY_SQRT_N, "fixed_r"):
-        lambda r, c: FreeConvolutionLaw(GaussianLaw(1.0 / (r - 1)), SemicircleLaw(1.0)),
-    ("laplacian", Scaling.BY_SQRT_NR, "proportional"):
-        lambda r, c: FreeConvolutionLaw(GaussianLaw(1.0), GaussianLaw(c)),
-    ("laplacian_tilde", Scaling.BY_SQRT_N, "proportional"):
-        lambda r, c: SemicircleLaw((1.0 - c) ** 2),
+    ("laplacian", "fixed_r"): (Scaling.BY_SQRT_N, lambda r, c: FreeConvolutionLaw(
+        GaussianLaw(float(r - 1)), SemicircleLaw(1.0))),
+    ("laplacian_tilde", "fixed_r"): (Scaling.BY_SQRT_N, lambda r, c: FreeConvolutionLaw(
+        GaussianLaw(1.0 / (r - 1)), SemicircleLaw(1.0))),
+    ("laplacian", "proportional"): (Scaling.BY_SQRT_NR, lambda r, c: FreeConvolutionLaw(
+        GaussianLaw(1.0), GaussianLaw(c))),
+    ("laplacian_tilde", "proportional"): (Scaling.BY_SQRT_N, lambda r, c: SemicircleLaw(
+        (1.0 - c) ** 2)),
 }
 
 
-def _laplacian_reference(cfg: ExperimentConfig) -> Law:
-    """The check of laplacian_bulk: the limiting law of its (matrix, scaling,
-    regime).  A free convolution is solved on first use, not here."""
+def _laplacian_reference(cfg: ExperimentConfig) -> tuple[Scaling, Law]:
+    """The check of laplacian_bulk: the scaling and limiting law of its
+    (matrix, regime).  A free convolution is solved on first use, not here."""
     if cfg.matrix == "gham":
         raise ValueError("laplacian_bulk needs matrix='laplacian' or 'laplacian_tilde'")
     _reads_no_k(cfg, cfg.kind)
-    law = _LAPLACIAN_LAWS.get((cfg.matrix, cfg.scaling, cfg.regime or "fixed_r"))
-    if law is None:
-        supported = ", ".join(f"({m}, {s.value}, {g})" for m, s, g in _LAPLACIAN_LAWS)
-        raise RegimeError(
-            f"no limiting law for matrix={cfg.matrix}, scaling={cfg.scaling.value}, "
-            f"regime={cfg.regime}; supported: {supported}"
-        )
-    return law(cfg.r, cfg.r / cfg.n)
+    row = _LAPLACIAN_LAWS.get((cfg.matrix, cfg.regime or "fixed_r"))
+    if row is None:
+        supported = ", ".join(f"({m}, {g})" for m, g in _LAPLACIAN_LAWS)
+        raise RegimeError(f"no limiting law for matrix={cfg.matrix}, regime={cfg.regime}; "
+                          f"supported: {supported}")
+    scaling, law = row
+    return scaling, law(cfg.r, cfg.r / cfg.n)
 
 
 def _run_laplacian_bulk(cfg: ExperimentConfig) -> ExperimentRecord:
-    """Bulk spectrum of a Laplacian matrix against its limiting law (a free
-    additive convolution for fixed r, a semicircle or Gaussian convolution in
-    the proportional regime)."""
-    return _run_esd(cfg, _laplacian_reference(cfg), w1=False)
+    """Bulk spectrum of a Laplacian matrix, at its row's scaling, against its
+    limiting law (a free additive convolution for fixed r, a semicircle or
+    Gaussian convolution in the proportional regime)."""
+    return _run_esd(cfg, *_laplacian_reference(cfg), w1=False)
 
 
 def bbp_edge_limit(r: int) -> float:
@@ -523,8 +526,8 @@ def _edge_table(n: int, r: int, k: int) -> dict:
 def _edge_row(cfg: ExperimentConfig) -> tuple[str, tuple]:
     """The check of the edge kinds: (regime, row of ``_edge_table``).  It
     rejects an ensemble other than the surrogate, an unknown regime, a side
-    condition that fails with the config's explicit constants, and a matrix,
-    scaling or k that the row does not read."""
+    condition that fails with the config's explicit constants, and a matrix
+    or k that the row does not read."""
     _reads_gham(cfg)
     if cfg.ensemble != SURROGATE:
         raise ValueError(f"{cfg.kind} is defined for the Gaussian surrogate ensemble; "

@@ -396,7 +396,7 @@ class FreeConvolutionLaw(Law):
         self.law1 = law1
         self.law2 = law2
         self._grid: DensityGrid | None = None
-        self._cdf_values: np.ndarray | None = None
+        self._cumulative_values: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
     def grid(self) -> DensityGrid:
@@ -408,13 +408,20 @@ class FreeConvolutionLaw(Law):
         g = self.grid
         return np.interp(x, g.x, g.f, left=0.0, right=0.0)
 
-    def _cdf(self, x):
-        g = self.grid
-        if self._cdf_values is None:
+    def _cumulative(self) -> tuple[np.ndarray, np.ndarray]:
+        """The CDF on the grid and its antiderivative, both by the trapezoid
+        rule and both built once; grid-resolution limited."""
+        if self._cumulative_values is None:
+            g = self.grid
             dx = np.diff(g.x)
             inc = np.concatenate([[0.0], np.cumsum(0.5 * dx * (g.f[1:] + g.f[:-1]))])
-            self._cdf_values = np.clip(inc / inc[-1], 0.0, 1.0)
-        return np.interp(x, g.x, self._cdf_values, left=0.0, right=1.0)
+            cdf = np.clip(inc / inc[-1], 0.0, 1.0)
+            acc = np.concatenate([[0.0], np.cumsum(0.5 * dx * (cdf[1:] + cdf[:-1]))])
+            self._cumulative_values = cdf, acc
+        return self._cumulative_values
+
+    def _cdf(self, x):
+        return np.interp(x, self.grid.x, self._cumulative()[0], left=0.0, right=1.0)
 
     def _stieltjes(self, z):
         return free_convolution_stieltjes(self.law1, self.law2, z).reshape(z.shape)
@@ -428,11 +435,7 @@ class FreeConvolutionLaw(Law):
         return (float(g.x[0]), float(g.x[-1]))
 
     def _cdf_integral(self, x):
-        # trapezoid antiderivative of the gridded CDF; grid-resolution limited
-        g = self.grid
-        cdf_vals = self._cdf(g.x)
-        dx = np.diff(g.x)
-        acc = np.concatenate([[0.0], np.cumsum(0.5 * dx * (cdf_vals[1:] + cdf_vals[:-1]))])
+        g, acc = self.grid, self._cumulative()[1]
         return np.interp(x, g.x, acc, left=0.0, right=acc[-1]) + np.clip(x - g.x[-1], 0.0, None)
 
     def descriptor(self) -> dict:

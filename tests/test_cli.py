@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import argparse
 import functools
 import hashlib
 import json
@@ -16,7 +17,9 @@ import scipy.sparse.linalg
 from scipy.sparse.linalg import eigsh
 
 import hypergraph_spectra
-from hypergraph_spectra.cli import main
+from hypergraph_spectra import experiments
+from hypergraph_spectra.cli import build_parser, main
+from hypergraph_spectra.spectra import Scaling
 from hypergraph_spectra.svgplot import histogram_svg
 
 
@@ -68,6 +71,27 @@ class TestSpectrum:
         assert code == 0
         rows = [l for l in out.read_text().splitlines() if l and not l.startswith("#")]
         assert len(rows) - 1 == 10
+
+    def test_laplacian_tilde_at_a_library_scaling(self, tmp_path):
+        out = tmp_path / "spec.csv"
+        code = main(
+            [
+                "--seed", "4", "spectrum", "--surrogate", "-n", "30", "-r", "3",
+                "--matrix", "laplacian_tilde", "--scaling", "by_sqrt_nr", "--out", str(out),
+            ]
+        )
+        assert code == 0
+        params = hypergraph_spectra.ModelParams(n=30, r=3, p=0.5)
+        _, h = hypergraph_spectra.sample_surrogate(params, 4)
+        want = hypergraph_spectra.symmetric_eigenvalues(
+            hypergraph_spectra.laplacian_tilde(h, 3), scaling=Scaling.BY_SQRT_NR, r=3
+        )
+        assert out.read_text().startswith(
+            "# ensemble=gaussian_surrogate seed=4 scaling=by_sqrt_nr\n"
+        )
+        np.testing.assert_array_equal(
+            hypergraph_spectra.spectra.load_spectrum_csv(out).atoms, np.sort(want)
+        )
 
     def test_svg_output_well_formed(self, tmp_path):
         out = tmp_path / "spec.csv"
@@ -245,18 +269,21 @@ class TestExperimentCommand:
         code = main(
             [
                 "--out-dir", str(tmp_path), "experiment", "--kind", "bulk",
-                "-n", "40", "-r", "3", "--matrix-kind", "laplacian", "--scaling", "n",
+                "-n", "40", "-r", "3", "--matrix-kind", "laplacian",
             ]
         )
         assert code == 1
         assert capsys.readouterr().err.startswith("error: only laplacian_bulk reads matrix")
 
-    def test_config_scaling_of_wrong_type_rejected(self, tmp_path, capsys):
+    def test_config_scaling_from_an_older_record_rejected(self, tmp_path, capsys):
+        # records from earlier versions carry a scaling; no field sets it now
         cfg_file = tmp_path / "cfg.json"
-        cfg_file.write_text(json.dumps({"kind": "bulk", "n": 30, "r": 3, "scaling": 5}))
+        cfg_file.write_text(
+            json.dumps({"kind": "bulk", "n": 30, "r": 3, "scaling": "by_sqrt_n"})
+        )
         code = main(["--out-dir", str(tmp_path), "experiment", "--config", str(cfg_file)])
         assert code == 1
-        assert capsys.readouterr().err.startswith("error: 5 is not a valid Scaling")
+        assert capsys.readouterr().err.startswith("error: unknown config keys: scaling")
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfg_file = tmp_path / "cfg.json"
@@ -380,6 +407,26 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+    def test_experiment_scaling_flag_exits_2(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["experiment", "--kind", "bulk", "-n", "30", "-r", "3", "--scaling", "by_n"])
+        assert exc.value.code == 2
+
+
+def _choices(command: str, dest: str) -> list:
+    commands = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    return list(next(a for a in commands.choices[command]._actions if a.dest == dest).choices)
+
+
+def test_flag_choices_are_the_library_values():
+    # one spelling of each matrix and scaling, the library's, in every flag
+    assert experiments.MATRIX_KINDS == ("gham", "laplacian", "laplacian_tilde")
+    assert _choices("spectrum", "matrix") == list(experiments.MATRIX_KINDS)
+    assert _choices("experiment", "matrix_kind") == list(experiments.MATRIX_KINDS)
+    assert _choices("spectrum", "scaling") == [s.value for s in Scaling]
 
 
 def fresh_interpreter(code: str) -> str:

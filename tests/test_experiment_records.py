@@ -49,7 +49,7 @@ CASES = {
     ),
     "laplacian_bulk_laplacian_proportional": dict(
         kind="laplacian_bulk", n=60, r=20, trials=2, master_seed=4, matrix="laplacian",
-        scaling="by_sqrt_nr", regime="proportional", tolerance=0.3,
+        regime="proportional", tolerance=0.3,
     ),
     "laplacian_bulk_tilde_proportional": dict(
         kind="laplacian_bulk", n=60, r=20, trials=2, master_seed=4,
@@ -163,7 +163,7 @@ def test_fixture_covers_every_case(golden):
         (cfg.kind, experiments._edge_row(cfg)[0]) for cfg in configs if cfg.kind in edge_table
     } == edge_rows
     assert {
-        (cfg.matrix, cfg.scaling, cfg.regime or "fixed_r")
+        (cfg.matrix, cfg.regime or "fixed_r")
         for cfg in configs if cfg.kind == "laplacian_bulk"
     } == set(experiments._LAPLACIAN_LAWS)
 

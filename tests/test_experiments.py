@@ -1,5 +1,6 @@
 """Tests for the Monte-Carlo experiment harness."""
 
+import dataclasses
 import json
 import math
 import os
@@ -21,7 +22,7 @@ from hypergraph_spectra.experiments import (
     persist_record,
     run_experiment,
 )
-from hypergraph_spectra.spectra import EigensolverError, Scaling
+from hypergraph_spectra.spectra import EigensolverError
 from oracles import recompute_aggregates, traced_peak
 
 
@@ -63,9 +64,22 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"read a regime; {kind} got regime='bogus'"):
             ExperimentConfig(kind=kind, n=40, r=3, regime="bogus")
 
-    def test_scaling_coerced_from_string(self):
-        cfg = ExperimentConfig(kind="bulk", n=10, r=3, scaling="by_sqrt_n")
-        assert cfg.scaling is Scaling.BY_SQRT_N
+    def test_no_scaling_field(self):
+        # each limit law fixes the scaling of its spectrum
+        assert "scaling" not in {f.name for f in dataclasses.fields(ExperimentConfig)}
+
+    def test_built_config_is_frozen(self):
+        # so no field can skip the kind's check by a change after it is built
+        cfg = ExperimentConfig(kind="bulk", n=20, r=3, trials=1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.k = 7
+
+    @pytest.mark.parametrize("kind", ["bulk", "edge_regimes"])
+    def test_r_equal_to_n_rejected(self, kind):
+        # c = r/n must be below 1; at r = n bulk's semicircle has variance 0 and
+        # the proportional edge law is undefined
+        with pytest.raises(ValueError, match=r"^need r < n \(c = r/n < 1\), got r=5, n=5$"):
+            ExperimentConfig(kind=kind, n=5, r=5, trials=1)
 
     @pytest.mark.parametrize("kind,regime,k", [
         ("edge_regimes", "secondary", 30), ("laplacian_edge", "A", 31), ("bulk", None, 30),
@@ -78,10 +92,9 @@ class TestConfig:
     @pytest.mark.parametrize("kind", [k for k in experiments.EXPERIMENT_KINDS if k != "laplacian_bulk"])
     @pytest.mark.parametrize("field,value,valid", [
         ("matrix", "laplacian", dict(matrix="laplacian")),
-        ("scaling", "by_n", dict(matrix="laplacian", scaling="by_sqrt_nr", regime="proportional")),
-    ], ids=["matrix-laplacian", "scaling-by_n"])
+    ], ids=["matrix-laplacian"])
     def test_matrix_and_scaling_only_for_laplacian_bulk(self, kind, field, value, valid):
-        with pytest.raises(ValueError, match=f"only laplacian_bulk reads matrix and scaling; {kind}"):
+        with pytest.raises(ValueError, match=f"only laplacian_bulk reads matrix; {kind}"):
             ExperimentConfig(kind=kind, n=40, r=3, **{field: value})
         cfg = ExperimentConfig(kind="laplacian_bulk", n=40, r=3, **valid)
         assert cfg.to_dict()[field] == valid[field]
@@ -95,14 +108,15 @@ class TestConfig:
          "got ensemble='bernoulli_hypergraph'"),
         (dict(kind="laplacian_bulk", n=50, r=3), ValueError,
          "laplacian_bulk needs matrix='laplacian' or 'laplacian_tilde'"),
-        (dict(kind="laplacian_bulk", n=50, r=3, matrix="laplacian", scaling="raw"), RegimeError,
-         "no limiting law for matrix=laplacian, scaling=raw, regime=None; supported: "
-         "(laplacian, by_sqrt_n, fixed_r), (laplacian_tilde, by_sqrt_n, fixed_r), "
-         "(laplacian, by_sqrt_nr, proportional), (laplacian_tilde, by_sqrt_n, proportional)"),
+        (dict(kind="laplacian_bulk", n=50, r=3, matrix="laplacian_tilde", regime="sqrt_nr"),
+         RegimeError,
+         "no limiting law for matrix=laplacian_tilde, regime=sqrt_nr; supported: "
+         "(laplacian, fixed_r), (laplacian_tilde, fixed_r), "
+         "(laplacian, proportional), (laplacian_tilde, proportional)"),
         (dict(kind="laplacian_bulk", n=50, r=3, matrix="laplacian", regime="bogus"), RegimeError,
-         "no limiting law for matrix=laplacian, scaling=by_sqrt_n, regime=bogus; supported: "
-         "(laplacian, by_sqrt_n, fixed_r), (laplacian_tilde, by_sqrt_n, fixed_r), "
-         "(laplacian, by_sqrt_nr, proportional), (laplacian_tilde, by_sqrt_n, proportional)"),
+         "no limiting law for matrix=laplacian, regime=bogus; supported: "
+         "(laplacian, fixed_r), (laplacian_tilde, fixed_r), "
+         "(laplacian, proportional), (laplacian_tilde, proportional)"),
         (dict(kind="edge_regimes", n=30, r=3, regime="bogus"), RegimeError,
          "edge_regimes regime must be one of ('proportional', 'sqrt_nr', 'secondary'), "
          "got 'bogus'"),
@@ -124,7 +138,7 @@ class TestConfig:
          "config key 'n' must be a JSON int, got 30.0"),
     ], ids=[
         "laplacian_edge-no-regime", "edge_bbp-bernoulli", "laplacian_bulk-gham",
-        "laplacian_bulk-raw", "laplacian_bulk-bogus", "edge_regimes-bogus", "B_i-default-factor",
+        "tilde-edge-regime", "laplacian_bulk-bogus", "edge_regimes-bogus", "B_i-default-factor",
         "edge_bbp-k", "bulk-k", "laplacian_bulk-k", "bool-p", "bool-threads", "float-n",
     ])
     def test_config_that_cannot_run_raises_when_built(self, config, error, message):
@@ -309,7 +323,7 @@ class TestLaplacianBulk:
         with pytest.raises(RegimeError):
             ExperimentConfig(
                 kind="laplacian_bulk", n=50, r=3, trials=2,
-                matrix="laplacian", scaling=Scaling.BY_SQRT_NR, regime="fixed_r",
+                matrix="laplacian", regime="secondary",
             )
 
     def test_proportional_tilde_matches_semicircle(self):
@@ -330,7 +344,7 @@ class TestLaplacianBulk:
             r = int(math.sqrt(n) * math.log(n))
             cfg = ExperimentConfig(
                 kind="laplacian_bulk", n=n, r=r, trials=4, master_seed=6,
-                matrix="laplacian", scaling=Scaling.BY_SQRT_NR, regime="proportional",
+                matrix="laplacian", regime="proportional",
             )
             rec = run_experiment(cfg)
             assert rec.aggregate["reference"]["kind"] == "free_convolution"

@@ -317,13 +317,13 @@ class TestFreeConvolution:
         cases = [
             dict(matrix=matrix, regime="fixed_r", n=40, r=r)
             for matrix in ("laplacian", "laplacian_tilde")
-            for r in range(2, 41)
+            for r in range(2, 40)
         ] + [
-            dict(matrix="laplacian", scaling="by_sqrt_nr", regime="proportional", n=100, r=r)
+            dict(matrix="laplacian", regime="proportional", n=100, r=r)
             for r in range(2, 100, 4)
         ]
         for case in cases:
-            law = _laplacian_reference(ExperimentConfig(kind="laplacian_bulk", **case))
+            _, law = _laplacian_reference(ExperimentConfig(kind="laplacian_bulk", **case))
             assert isinstance(law, FreeConvolutionLaw)
             assert abs(law.grid.mass() - 1.0) <= 1e-3, case
 
