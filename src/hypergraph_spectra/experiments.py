@@ -20,21 +20,20 @@ computes only those, by a Lanczos solve started from a vector derived from the
 trial seed (``spectra.extreme_eigenvalues``).  The other kinds solve densely.
 
 With ``threads > 1`` trials run on a thread pool (the eigensolvers release the
-GIL) of at most as many workers as usable cores, and every trial runs the
-bundled OpenBLAS libraries at one thread, so pool and BLAS threads do not
-compete for the cores; aggregation is a deterministic fold in trial order.
+GIL) of at most as many workers as usable cores, inside the one-thread pin of
+``spectra._one_blas_thread``, so pool and BLAS threads do not compete for the
+cores; aggregation is a deterministic fold in trial order.
 Reproducibility contract: a record is bit-reproducible for a fixed config at a
 fixed BLAS thread count per trial.  That count is the caller's when
 ``threads == 1`` and one when ``threads > 1``.  From n in the low hundreds the
 dense kinds depend on it in the last bits of the eigenvalues, so a pooled
-dense record equals the serial record run at one BLAS thread; the Lanczos
-edge kinds depend on neither the BLAS thread count nor ``threads``.
+dense record equals the serial record run at one BLAS thread.  The Lanczos
+edge kinds are independent of the BLAS thread count and of ``threads``,
+because their solve pins itself to one BLAS thread.
 """
 
 from __future__ import annotations
 
-import ctypes
-import functools
 import json
 import math
 import os
@@ -73,6 +72,7 @@ from .laws import (
 )
 from .metrics import bl_upper_bound, hausdorff_spectra, ks_distance, w1_distance
 from .spectra import Scaling, extreme_eigenvalues, symmetric_eigenvalues
+from .spectra import _one_blas_thread, _openblas  # the OpenBLAS loader and pin
 
 __all__ = [
     "EXPERIMENT_KINDS",
@@ -187,26 +187,6 @@ class ExperimentRecord:
         }
 
 
-@functools.cache
-def _openblas() -> tuple:
-    """(file name, get_num_threads, set_num_threads_local) for each OpenBLAS
-    bundled with numpy or scipy that exports both symbols; empty under any
-    other BLAS."""
-    found = []
-    for module, getter in (
-        (np, "scipy_openblas_get_num_threads64_"),
-        (scipy, "scipy_openblas_get_num_threads"),
-    ):
-        libs = Path(module.__file__).parent.parent / f"{module.__name__}.libs"
-        for path in sorted(libs.glob("*openblas*")):
-            try:
-                lib = ctypes.CDLL(str(path))
-                found.append((path.name, getattr(lib, getter), lib.openblas_set_num_threads_local))
-            except (OSError, AttributeError):
-                continue
-    return tuple(found)
-
-
 def _pool_size(cfg: ExperimentConfig) -> int:
     try:
         cores = len(os.sched_getaffinity(0))
@@ -218,28 +198,14 @@ def _pool_size(cfg: ExperimentConfig) -> int:
 def _map_trials(cfg: ExperimentConfig, worker):
     """Run worker(index, seed) for every trial; results in trial order.
 
-    With threads > 1 each pool worker sets every bundled OpenBLAS to one
-    thread.  That setting reaches the calling thread too (the count is
-    process-wide in these builds), so the caller saves the counts before the
-    pool starts and restores them once it has joined, also when a trial
-    raises.  Two pooled runs at once in one process would race on them."""
+    With threads > 1 the pool runs inside ``spectra._one_blas_thread``: every
+    bundled OpenBLAS at one thread until the pool has joined, also when a
+    trial raises, then back at the caller's counts."""
     seeds = [cfg.trial_seed(i) for i in range(cfg.trials)]
     if cfg.threads == 1:
         return [worker(i, s) for i, s in zip(range(cfg.trials), seeds)]
-    blas = _openblas()
-    saved = [get() for _, get, _ in blas]
-
-    def pinned(index: int, seed: int):
-        for _, _, set_local in blas:
-            set_local(1)
-        return worker(index, seed)
-
-    try:
-        with ThreadPoolExecutor(max_workers=_pool_size(cfg)) as pool:
-            return list(pool.map(pinned, range(cfg.trials), seeds))
-    finally:
-        for (_, _, set_local), count in zip(blas, saved):
-            set_local(count)
+    with _one_blas_thread(), ThreadPoolExecutor(max_workers=_pool_size(cfg)) as pool:
+        return list(pool.map(worker, range(cfg.trials), seeds))
 
 
 def _provenance(cfg: ExperimentConfig) -> dict:
@@ -252,10 +218,10 @@ def _provenance(cfg: ExperimentConfig) -> dict:
         "scipy": scipy.__version__,
         "blas": [
             {"library": name, "threads": 1 if pooled else get()}
-            for name, get, _ in _openblas()
+            for name, get, _ in _openblas()[0]
         ],
         "workers": _pool_size(cfg) if pooled else 1,
-        "blas_pinned": pooled and bool(_openblas()),
+        "blas_pinned": pooled and bool(_openblas()[0]),
     }
 
 
@@ -413,6 +379,14 @@ def _reads_no_regime(cfg: ExperimentConfig) -> None:
         raise ValueError(f"only laplacian_bulk and the edge kinds read a regime; {cfg.kind} "
                          f"got regime={cfg.regime!r}")
     _reads_no_k(cfg, cfg.kind)
+
+
+def _reads_no_trials(cfg: ExperimentConfig) -> None:
+    """The check of diagnostics: no regime or k, and no trials or gate."""
+    _reads_no_regime(cfg)
+    if cfg.trials != ExperimentConfig.trials or cfg.tolerance is not None:  # the defaults
+        raise ValueError(f"only the Monte-Carlo kinds read trials and a tolerance; {cfg.kind} "
+                         f"got trials={cfg.trials}, tolerance={cfg.tolerance}")
 
 
 def _run_bulk(cfg: ExperimentConfig) -> ExperimentRecord:
@@ -724,7 +698,7 @@ _KINDS = {
     "laplacian_edge": (_run_edge, _edge_row),
     "concentration": (_run_concentration, _reads_no_regime),
     "universality": (_run_universality, _reads_no_regime),
-    "diagnostics": (_run_diagnostics, _reads_no_regime),
+    "diagnostics": (_run_diagnostics, _reads_no_trials),
 }
 EXPERIMENT_KINDS = tuple(_KINDS)
 

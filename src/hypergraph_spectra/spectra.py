@@ -5,17 +5,25 @@ empirical spectral distribution is the uniform law on those atoms,
 ``laws.EmpiricalLaw`` (``EmpiricalMeasure`` here is the same class under its
 older name).  Every full spectrum comes from ``symmetric_eigenvalues`` (LAPACK,
 via numpy), a few eigenvalues at each end from a seeded Lanczos solve (ARPACK,
-via ``scipy.sparse.linalg``, which the solve imports at its first call).
+via ``scipy.sparse.linalg``, which the solve imports at its first call) whose
+matvec is numpy's bundled OpenBLAS ``dsymv`` on the upper triangle, at one
+BLAS thread (``_one_blas_thread``); ``_openblas`` loads that symbol and the
+thread-count handles at the first solve or experiment, not at import.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import ctypes
+import functools
 import math
+import threading
 from enum import Enum
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from .combinatorics import derive_seed
 from .laws import EmpiricalLaw
@@ -99,6 +107,51 @@ def low_rank_eigenvalues(
     return n * (center + half_span), n * (center - half_span)
 
 
+@functools.cache
+def _openblas() -> tuple:
+    """((file name, get_num_threads, set_num_threads_local) for each OpenBLAS
+    bundled with numpy or scipy that exports both symbols, numpy's ILP64
+    ``cblas_dsymv`` or None); no handles and None under any other BLAS."""
+    found, symv = [], None
+    for module, getter in ((np, "scipy_openblas_get_num_threads64_"),
+                           (scipy, "scipy_openblas_get_num_threads")):
+        libs = Path(module.__file__).parent.parent / f"{module.__name__}.libs"
+        for path in sorted(libs.glob("*openblas*")):
+            try:
+                lib = ctypes.CDLL(str(path))
+                found.append((path.name, getattr(lib, getter), lib.openblas_set_num_threads_local))
+            except (OSError, AttributeError):
+                continue
+            symv = symv or getattr(lib, "scipy_cblas_dsymv64_", None)
+    if symv is not None:  # (order, uplo, n, alpha, a, lda, x, incx, beta, y, incy)
+        i, n, d, p = ctypes.c_int, ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
+        symv.argtypes, symv.restype = (i, i, n, d, p, n, p, n, d, p, n), None
+    return tuple(found), symv
+
+
+_pin_lock, _pin = threading.Lock(), [0, []]  # entrants, the counts the first one saved
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Every bundled OpenBLAS at one thread inside the block.  The count is
+    process-wide, so concurrent and nested blocks share one pin: the first
+    entrant saves the counts, the last restores them, also on an exception."""
+    handles = _openblas()[0]
+    with _pin_lock:
+        if _pin[0] == 0:  # set_num_threads_local returns the count it replaces
+            _pin[1] = [set_local(1) for _, _, set_local in handles]
+        _pin[0] += 1
+    try:
+        yield
+    finally:
+        with _pin_lock:
+            _pin[0] -= 1
+            if _pin[0] == 0:
+                for (_, _, set_local), count in zip(handles, _pin[1]):
+                    set_local(count)
+
+
 # Lanczos basis size; ARPACK's default max(2k+1, 20) restarts slowly at a bulk
 # edge with no outlier (the surrogate at r <= 3)
 _LANCZOS_NCV = 80
@@ -120,10 +173,13 @@ def extreme_eigenvalues(matrix: np.ndarray, depth: int, seed: int) -> np.ndarray
     ``depth`` smallest, each block descending (2 * depth values).
 
     One Lanczos solve to machine precision finds both ends (ARPACK, which="BE").
-    Its start and restart vectors come from ``derive_seed(seed, 0)``, so the
-    values depend on (matrix, seed) alone.  The dense solver runs only where
-    ARPACK cannot, at 2 * depth >= n - 1.  Raises EigensolverError when the
-    solve does not converge.
+    Its matvec reads only the upper triangle (OpenBLAS ``dsymv``; symmetry is
+    not checked) and runs at one BLAS thread, as a threaded ``dsymv``'s bits
+    depend on the thread count; with its start and restart vectors from
+    ``derive_seed(seed, 0)``, the values depend on (matrix, seed) alone.  A
+    non-OpenBLAS build multiplies by the whole matrix.  The dense solver runs
+    only where ARPACK cannot, at 2 * depth >= n - 1.  Raises EigensolverError
+    when the solve does not converge.
     """
     n = matrix.shape[0]
     if not 1 <= depth <= n:
@@ -131,13 +187,26 @@ def extreme_eigenvalues(matrix: np.ndarray, depth: int, seed: int) -> np.ndarray
     if 2 * depth >= n - 1:
         lam = symmetric_eigenvalues(matrix)
         return np.concatenate([lam[:depth], lam[n - depth:]])
-    from scipy.sparse.linalg import ArpackNoConvergence, eigsh  # deferred: slow to import
+    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh  # slow import
     rng = np.random.default_rng(derive_seed(seed, 0))
     ncv = min(n, max(_LANCZOS_NCV, 4 * depth))
     v0 = rng.uniform(-1.0, 1.0, n)
+    symv = _openblas()[1]
+    if symv is not None:
+        a = np.ascontiguousarray(matrix, dtype=float)  # dsymv reads n x n doubles at a
+        if a.shape != (n, n):
+            raise ValueError("matrix must be square")
+
+        def matvec(x):
+            x, y = np.ascontiguousarray(x, dtype=float), np.empty(n)
+            symv(101, 121, n, 1.0, a.ctypes.data, n, x.ctypes.data, 1, 0.0, y.ctypes.data, 1)
+            return y  # 101, 121: CblasRowMajor, CblasUpper
+
+        matrix = LinearOperator((n, n), matvec=matvec, dtype=float)
     try:
-        lam = eigsh(matrix, 2 * depth, which="BE", v0=v0, ncv=ncv, tol=0,
-                    return_eigenvectors=False, rng=rng)
+        with _one_blas_thread():
+            lam = eigsh(matrix, 2 * depth, which="BE", v0=v0, ncv=ncv, tol=0,
+                        return_eigenvectors=False, rng=rng)
     except ArpackNoConvergence as exc:
         raise EigensolverError(n, depth, ncv, len(exc.eigenvalues)) from exc
     return np.sort(lam)[::-1]

@@ -2,13 +2,16 @@
 oracles, the Catalan numbers, the GHAM built edge by edge from a weight vector, the full surrogate
 matrix built densely from its components, the trace identity and Lipschitz
 constants of the matrix maps, the Stieltjes-inversion density, the aggregate
-fold of an experiment record, and the traced memory peak of a call."""
+fold of an experiment record, the traced memory peak of a call, and the
+thread counts of the bundled OpenBLAS libraries."""
 
 import itertools
 import math
 import tracemalloc
 
 import numpy as np
+
+from hypergraph_spectra.spectra import _openblas
 
 
 def enumerate_edges(n: int, r: int) -> list[tuple[int, ...]]:
@@ -153,3 +156,13 @@ def traced_peak(fn, *args) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def blas_threads() -> list[int]:
+    """The thread count of each bundled OpenBLAS."""
+    return [get() for _, get, _ in _openblas()[0]]
+
+
+def set_blas_threads(count: int) -> None:
+    for _, _, set_local in _openblas()[0]:
+        set_local(count)

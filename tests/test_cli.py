@@ -452,6 +452,11 @@ class TestSetUp:
         code = f"import sys, hypergraph_spectra.cli; print([m in sys.modules for m in {deferred}])"
         assert fresh_interpreter(code) == str([False] * len(deferred))
 
+    def test_cli_import_loads_no_openblas_handle(self):
+        # the bundled OpenBLAS libraries are looked up at the first solve or experiment
+        code = "import hypergraph_spectra.cli as c; print(c.spectra._openblas.cache_info().currsize)"
+        assert fresh_interpreter(code) == "0"
+
     def test_experiments_load_only_the_scipy_they_use(self):
         # the surrogate bulk kind is scored against a semicircle and solves densely;
         # edge_bbp solves by Lanczos against a closed-form edge

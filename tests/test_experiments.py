@@ -23,7 +23,7 @@ from hypergraph_spectra.experiments import (
     run_experiment,
 )
 from hypergraph_spectra.spectra import EigensolverError
-from oracles import recompute_aggregates, traced_peak
+from oracles import blas_threads, recompute_aggregates, set_blas_threads, traced_peak
 
 
 class TestConfig:
@@ -145,6 +145,21 @@ class TestConfig:
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
             ExperimentConfig(trials=2, **config)
 
+    # diagnostics runs no trial and has no gate, yet recorded both fields
+    @pytest.mark.parametrize("field, value, got", [
+        ("trials", 3, "trials=3, tolerance=None"),
+        ("tolerance", 0.1, "trials=10, tolerance=0.1"),
+    ])
+    def test_diagnostics_rejects_trials_and_tolerance(self, field, value, got):
+        message = f"only the Monte-Carlo kinds read trials and a tolerance; diagnostics got {got}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ExperimentConfig(kind="diagnostics", n=20, r=3, **{field: value})
+
+    def test_diagnostics_takes_the_fields_the_cli_always_sets(self):
+        cfg = ExperimentConfig(kind="diagnostics", n=20, r=3, master_seed=4, threads=2,
+                               ensemble=BERNOULLI)
+        assert run_experiment(cfg).trials == []
+
     def test_trial_seeds_deterministic(self):
         cfg = ExperimentConfig(kind="bulk", n=10, r=3, master_seed=5)
         assert [cfg.trial_seed(i) for i in range(4)] == [
@@ -179,26 +194,6 @@ class TestReproducibility:
             assert rec.aggregate[key] == pytest.approx(value, abs=1e-12)
 
 
-def _blas_threads() -> list[int]:
-    return [get() for _, get, _ in experiments._openblas()]
-
-
-def _set_blas_threads(count: int) -> None:
-    for _, _, set_local in experiments._openblas():
-        set_local(count)
-
-
-@pytest.fixture
-def caller_blas():
-    """The bundled OpenBLAS thread counts, restored after the test."""
-    if not experiments._openblas():
-        pytest.skip("numpy and scipy do not bundle OpenBLAS here")
-    saved = _blas_threads()
-    yield
-    for (_, _, set_local), count in zip(experiments._openblas(), saved):
-        set_local(count)
-
-
 class TestTrialPool:
     EDGE = dict(kind="edge_bbp", n=200, r=4, trials=6, master_seed=3, threads=4)
 
@@ -209,7 +204,7 @@ class TestTrialPool:
         solve = experiments.extreme_eigenvalues
 
         def spy(matrix, depth, seed):
-            seen.append((threading.get_ident(), _blas_threads()))
+            seen.append((threading.get_ident(), blas_threads()))
             if seed == fail_seed:
                 raise EigensolverError(matrix.shape[0], depth, 0, 0)
             return solve(matrix, depth, seed)
@@ -218,24 +213,24 @@ class TestTrialPool:
         return seen
 
     def test_pooled_trials_run_blas_at_one_thread(self, caller_blas, monkeypatch):
-        _set_blas_threads(2)
+        set_blas_threads(2)
         seen = self._spy_solves(monkeypatch)
         run_experiment(ExperimentConfig(**self.EDGE))
         assert len(seen) == self.EDGE["trials"]
-        assert all(counts == [1] * len(experiments._openblas()) for _, counts in seen)
+        assert all(counts == [1] * len(experiments._openblas()[0]) for _, counts in seen)
 
     def test_caller_blas_threads_restored(self, caller_blas):
-        _set_blas_threads(2)
+        set_blas_threads(2)
         run_experiment(ExperimentConfig(**self.EDGE))
-        assert _blas_threads() == [2] * len(experiments._openblas())
+        assert blas_threads() == [2] * len(experiments._openblas()[0])
 
     def test_caller_blas_threads_restored_when_a_trial_raises(self, caller_blas, monkeypatch):
-        _set_blas_threads(2)
+        set_blas_threads(2)
         cfg = ExperimentConfig(**self.EDGE)
         self._spy_solves(monkeypatch, fail_seed=cfg.trial_seed(1))
         with pytest.raises(EigensolverError):
             run_experiment(cfg)
-        assert _blas_threads() == [2] * len(experiments._openblas())
+        assert blas_threads() == [2] * len(experiments._openblas()[0])
 
     def test_pool_capped_at_usable_cores(self, monkeypatch):
         seen = self._spy_solves(monkeypatch)
@@ -272,7 +267,7 @@ class TestTrialPool:
         # trial runs at one thread, so it reproduces the serial run at one
         config = dict(kind="bulk", n=500, r=2, trials=4, master_seed=13)
         pooled = run_experiment(ExperimentConfig(**config, threads=4))
-        _set_blas_threads(1)
+        set_blas_threads(1)
         serial = run_experiment(ExperimentConfig(**config))
         assert serial.trials == pooled.trials
         assert serial.aggregate == pooled.aggregate
@@ -676,7 +671,7 @@ class TestPersistence:
         assert set(prov) == {"python", "numpy", "scipy", "blas", "workers", "blas_pinned"}
         assert prov["numpy"] == np.__version__
         assert 1 <= prov["workers"] <= 2
-        assert prov["blas_pinned"] is bool(experiments._openblas())
+        assert prov["blas_pinned"] is bool(experiments._openblas()[0])
         assert all(lib["threads"] == 1 for lib in prov["blas"])
         assert not any("provenance" in row for row in payload["trials"])
         assert "provenance" not in payload["aggregate"]

@@ -3,6 +3,8 @@ spectrum CSV format."""
 
 import functools
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -10,6 +12,7 @@ import pytest
 import scipy.sparse.linalg
 from scipy.sparse.linalg import eigsh
 
+from hypergraph_spectra import spectra
 from hypergraph_spectra.combinatorics import ModelParams
 from hypergraph_spectra.experiments import ExperimentConfig, run_experiment
 from hypergraph_spectra.gham import laplacian, sample_surrogate
@@ -24,6 +27,7 @@ from hypergraph_spectra.spectra import (
     save_spectrum_csv,
     symmetric_eigenvalues,
 )
+from oracles import blas_threads, set_blas_threads, traced_peak
 
 
 def cubic_eigenvalues(m):
@@ -339,6 +343,94 @@ class TestExtremeEigenvalues:
         assert (err.n, err.depth, err.ncv) == (1500, 2, 80)
         assert 0 <= err.converged < 4
         assert "n=1500" in str(err) and "ncv=80" in str(err)
+
+    def test_reads_only_the_upper_triangle(self):
+        # the matvec is a row-major upper dsymv: the strict lower triangle is never read
+        _, g = sample_surrogate(ModelParams(n=600, r=4, p=0.5), 3)
+        upper = g.copy()
+        upper[np.tril_indices(600, -1)] = np.nan
+        assert extreme_eigenvalues(upper, 2, 1).tobytes() == extreme_eigenvalues(g, 2, 1).tobytes()
+
+    def test_bits_do_not_depend_on_the_callers_blas_threads(self, caller_blas):
+        # a threaded dsymv adds per-thread partial sums, so the solve pins one thread
+        _, g = sample_surrogate(ModelParams(n=1000, r=4, p=0.5), 6)
+        set_blas_threads(2)
+        at_two = extreme_eigenvalues(g, 2, 3)
+        assert blas_threads() == [2] * len(blas_threads())
+        set_blas_threads(1)
+        assert extreme_eigenvalues(g, 2, 3).tobytes() == at_two.tobytes()
+        assert blas_threads() == [1] * len(blas_threads())
+
+    def test_solve_at_one_blas_thread_restores_the_callers_after_an_error(
+        self, caller_blas, monkeypatch
+    ):
+        seen = []
+
+        def one_cycle(*args, **kwargs):
+            seen.append(blas_threads())
+            return eigsh(*args, maxiter=1, **kwargs)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", one_cycle)
+        _, g = sample_surrogate(ModelParams(n=1000, r=3, p=0.5), 9)
+        set_blas_threads(2)
+        with pytest.raises(EigensolverError):
+            extreme_eigenvalues(g, 2, 0)
+        assert seen == [[1] * len(blas_threads())]
+        assert blas_threads() == [2] * len(blas_threads())
+
+    def test_one_blas_thread_pin_shared_by_concurrent_and_nested_entrants(self, caller_blas):
+        # the count is process-wide: a lost update, or an entrant that restored the
+        # count it found, would let an entrant see the caller's count inside the pin
+        set_blas_threads(2)
+        inside = []
+
+        def enter_often():
+            for _ in range(200):
+                with spectra._one_blas_thread():
+                    with spectra._one_blas_thread():
+                        pass
+                    inside.append(blas_threads())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=enter_often) for _ in range(8)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert len(inside) == 8 * 200
+        assert all(counts == [1] * len(counts) for counts in inside)
+        assert blas_threads() == [2] * len(blas_threads())
+
+    def test_non_square_matrix_rejected(self):
+        with pytest.raises(ValueError, match="square"):
+            extreme_eigenvalues(np.zeros((30, 20)), 2, 0)
+
+    def test_solve_copies_no_matrix(self):
+        # ARPACK holds two n x ncv arrays, 0.08 * 8n^2 bytes at n = 2000 and ncv = 80
+        # (0.16 at n = 1000); a copy of even one triangle would add 0.5 * 8n^2
+        n = 2000
+        _, g = sample_surrogate(ModelParams(n=n, r=4, p=0.5), 2)
+        assert traced_peak(extreme_eigenvalues, g, 2, 0) <= 0.1 * 8 * n * n
+
+    def test_fallback_without_dsymv_agrees(self, monkeypatch):
+        _, g = sample_surrogate(ModelParams(n=600, r=4, p=0.5), 3)
+        with_symv = extreme_eigenvalues(g, 2, 1)
+        operands = []
+
+        def spy(a, *args, **kwargs):
+            operands.append(type(a))
+            return eigsh(a, *args, **kwargs)
+
+        handles = spectra._openblas()[0]
+        monkeypatch.setattr(spectra, "_openblas", lambda: (handles, None))
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", spy)
+        np.testing.assert_allclose(extreme_eigenvalues(g, 2, 1), with_symv, rtol=1e-12)
+        assert operands == [np.ndarray]
 
     def test_edge_bbp_threads_bit_identical_with_solves_between(self):
         base = dict(kind="edge_bbp", n=500, r=4, trials=4, master_seed=13)
