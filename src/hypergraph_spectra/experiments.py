@@ -16,8 +16,8 @@ seeds (derived from the master seed by splitmix64), the rows, the stacking of
 arrays in trial order, the tolerance gate and the record.  The three edge
 kinds are rows of one (kind, regime) table, ``_edge_table``, all run by
 ``_run_edge``: each reads at most depth = k + 1 eigenvalues at each end and
-computes only those, by a Lanczos solve started from a vector derived from the
-trial seed (``spectra.extreme_eigenvalues``).  The other kinds solve densely.
+computes only those, by a seeded Lanczos solve that stops once they converge
+(``spectra.extreme_eigenvalues``, no scipy).  The other kinds solve densely.
 
 With ``threads > 1`` trials run on a thread pool (the eigensolvers release the
 GIL) of at most as many workers as usable cores, inside the one-thread pin of
@@ -210,18 +210,20 @@ def _map_trials(cfg: ExperimentConfig, worker):
 
 def _provenance(cfg: ExperimentConfig) -> dict:
     """Versions, bundled BLAS libraries with the thread count trials ran at,
-    and the pool size; kept out of the rows and the aggregate."""
+    and the pool size; kept out of the rows and the aggregate.  Pooled trials
+    and every edge solve (which pins itself) run BLAS at one thread."""
     pooled = cfg.threads > 1
+    pinned = pooled or _KINDS[cfg.kind][0] is _run_edge
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
         "scipy": scipy.__version__,
         "blas": [
-            {"library": name, "threads": 1 if pooled else get()}
+            {"library": name, "threads": 1 if pinned else get()}
             for name, get, _ in _openblas()[0]
         ],
         "workers": _pool_size(cfg) if pooled else 1,
-        "blas_pinned": pooled and bool(_openblas()[0]),
+        "blas_pinned": pinned and bool(_openblas()[0]),
     }
 
 
@@ -238,9 +240,8 @@ def _run(cfg: ExperimentConfig, trial, finish, legs=None) -> ExperimentRecord:
     default the one leg is (cfg, trial).
     """
     if cfg.ensemble == BERNOULLI or cfg.kind == "universality":
-        # import the edge-count draw's module before the pool, as the edge kinds do
-        # with the Lanczos module: a first import inside a pool worker while another
-        # allocates n x n blocks can fragment the heap
+        # import the edge-count draw's module before the pool: a first import inside
+        # a pool worker while another allocates n x n blocks can fragment the heap
         import scipy.stats  # noqa: F401
     t0 = time.perf_counter()
     rows: list[dict] = []
@@ -536,9 +537,6 @@ def _run_edge(cfg: ExperimentConfig) -> ExperimentRecord:
     mean, std and stderr, then the target and the absolute errors of the
     means, or the KS distances to the exact edge law and a note."""
     regime, (matrix, keys, j, multiplier, divisor, target) = _edge_row(cfg)
-    # import the Lanczos module before the pool: first imported in a worker while another
-    # allocates n x n blocks, it fragmented the heap (peak RSS +7% in pooled runs, n = 2000)
-    import scipy.sparse.linalg  # noqa: F401
 
     def trial(index: int, seed: int):
         m, u = _trial_matrix(cfg, seed, matrix)

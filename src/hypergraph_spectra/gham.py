@@ -179,7 +179,9 @@ def sample_surrogate(
 
 def laplacian(x: np.ndarray) -> np.ndarray:
     """Combinatorial Laplacian diag(X 1) - X.  Annihilates the all-ones vector."""
-    return np.diag(x.sum(axis=1)) - x
+    out = np.subtract(0.0, x)  # not -x: an exact zero of x stays +0.0, as in diag - x
+    np.fill_diagonal(out, x.sum(axis=1) - x.diagonal())
+    return out
 
 
 def laplacian_tilde(x: np.ndarray, r: int) -> np.ndarray:
@@ -187,4 +189,6 @@ def laplacian_tilde(x: np.ndarray, r: int) -> np.ndarray:
     combinatorial Laplacian at r = 2."""
     if r < 2:
         raise ValueError(f"edge size r must be >= 2, got {r}")
-    return np.diag(x.sum(axis=1)) / (r - 1) - x
+    out = np.subtract(0.0, x)
+    np.fill_diagonal(out, x.sum(axis=1) / (r - 1) - x.diagonal())
+    return out

@@ -4,10 +4,10 @@ A spectrum is a plain ``ndarray`` of eigenvalues sorted descending; its
 empirical spectral distribution is the uniform law on those atoms,
 ``laws.EmpiricalLaw`` (``EmpiricalMeasure`` here is the same class under its
 older name).  Every full spectrum comes from ``symmetric_eigenvalues`` (LAPACK,
-via numpy), a few eigenvalues at each end from a seeded Lanczos solve (ARPACK,
-via ``scipy.sparse.linalg``, which the solve imports at its first call) whose
-matvec is numpy's bundled OpenBLAS ``dsymv`` on the upper triangle, at one
-BLAS thread (``_one_blas_thread``); ``_openblas`` loads that symbol and the
+via numpy), a few eigenvalues at each end from a seeded thick-restart Lanczos
+solve in numpy that stops when they have converged (``extreme_eigenvalues``),
+whose matvec is numpy's bundled OpenBLAS ``dsymv`` on the upper triangle, at
+one BLAS thread (``_one_blas_thread``); ``_openblas`` loads that symbol and the
 thread-count handles at the first solve or experiment, not at import.
 """
 
@@ -152,9 +152,12 @@ def _one_blas_thread():
                     set_local(count)
 
 
-# Lanczos basis size; ARPACK's default max(2k+1, 20) restarts slowly at a bulk
-# edge with no outlier (the surrogate at r <= 3)
+# Lanczos basis size (ncv): a basis of ARPACK's default max(2k+1, 20) vectors
+# restarts slowly at a bulk edge with no outlier (the surrogate at r <= 3)
 _LANCZOS_NCV = 80
+# thick restarts before a solve gives up, the counterpart of ARPACK's maxiter
+_MAX_RESTARTS = 100
+_EPS = np.finfo(float).eps / 2  # unit roundoff, ARPACK's tolerance at tol=0
 
 
 class EigensolverError(RuntimeError):
@@ -172,14 +175,20 @@ def extreme_eigenvalues(matrix: np.ndarray, depth: int, seed: int) -> np.ndarray
     """The ``depth`` largest eigenvalues of a symmetric matrix, then its
     ``depth`` smallest, each block descending (2 * depth values).
 
-    One Lanczos solve to machine precision finds both ends (ARPACK, which="BE").
-    Its matvec reads only the upper triangle (OpenBLAS ``dsymv``; symmetry is
-    not checked) and runs at one BLAS thread, as a threaded ``dsymv``'s bits
-    depend on the thread count; with its start and restart vectors from
-    ``derive_seed(seed, 0)``, the values depend on (matrix, seed) alone.  A
+    A thick-restart Lanczos solve (Wu & Simon 2000) finds both ends with a
+    basis of at most ncv + 1 vectors, ncv = min(n, max(80, 4 * depth)), each
+    reorthogonalised by classical Gram-Schmidt run twice.  Every 8 steps and
+    at a full basis it stops if the 2 * depth Ritz pairs at the ends all have
+    beta * |s_last| <= eps * max(|theta|, eps^(2/3)) (ARPACK's test at
+    tol=0); a full basis restarts from max(depth, ncv / 8) Ritz vectors at
+    each end, and an invariant subspace goes on from a new random vector.
+    Start and new vectors come from ``derive_seed(seed, 0)``.  The matvec
+    reads only the upper triangle (OpenBLAS ``dsymv``; symmetry is not
+    checked) at one BLAS thread, as a threaded ``dsymv``'s bits depend on
+    the thread count, so the values depend on (matrix, seed) alone; a
     non-OpenBLAS build multiplies by the whole matrix.  The dense solver runs
-    only where ARPACK cannot, at 2 * depth >= n - 1.  Raises EigensolverError
-    when the solve does not converge.
+    at 2 * depth >= n - 1.  Raises EigensolverError past ``_MAX_RESTARTS``
+    restarts or on a non-finite value.
     """
     n = matrix.shape[0]
     if not 1 <= depth <= n:
@@ -187,29 +196,63 @@ def extreme_eigenvalues(matrix: np.ndarray, depth: int, seed: int) -> np.ndarray
     if 2 * depth >= n - 1:
         lam = symmetric_eigenvalues(matrix)
         return np.concatenate([lam[:depth], lam[n - depth:]])
-    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh  # slow import
+    a = np.ascontiguousarray(matrix, dtype=float)  # dsymv reads n x n doubles at a
+    if a.shape != (n, n):
+        raise ValueError("matrix must be square")
     rng = np.random.default_rng(derive_seed(seed, 0))
     ncv = min(n, max(_LANCZOS_NCV, 4 * depth))
-    v0 = rng.uniform(-1.0, 1.0, n)
+    keep = max(depth, ncv // 8)
+    basis = np.empty((ncv + 1, n))  # orthonormal rows; row j + 1 takes A @ row j
+    h = np.zeros((ncv, ncv))  # the projection basis A basis^T
     symv = _openblas()[1]
-    if symv is not None:
-        a = np.ascontiguousarray(matrix, dtype=float)  # dsymv reads n x n doubles at a
-        if a.shape != (n, n):
-            raise ValueError("matrix must be square")
 
-        def matvec(x):
-            x, y = np.ascontiguousarray(x, dtype=float), np.empty(n)
-            symv(101, 121, n, 1.0, a.ctypes.data, n, x.ctypes.data, 1, 0.0, y.ctypes.data, 1)
-            return y  # 101, 121: CblasRowMajor, CblasUpper
+    def orthogonalise(w, v):  # w -= v^T v w twice; the diagonal term, the two norms
+        c = v @ w
+        w -= c @ v
+        first = np.linalg.norm(w)
+        d = v @ w
+        w -= d @ v
+        return c[-1] + d[-1], first, np.linalg.norm(w)
 
-        matrix = LinearOperator((n, n), matvec=matvec, dtype=float)
-    try:
-        with _one_blas_thread():
-            lam = eigsh(matrix, 2 * depth, which="BE", v0=v0, ncv=ncv, tol=0,
-                        return_eigenvectors=False, rng=rng)
-    except ArpackNoConvergence as exc:
-        raise EigensolverError(n, depth, ncv, len(exc.eigenvalues)) from exc
-    return np.sort(lam)[::-1]
+    with _one_blas_thread():
+        basis[0] = rng.uniform(-1.0, 1.0, n)
+        basis[0] /= np.linalg.norm(basis[0])
+        j, restarts, done = 0, 0, np.zeros(2 * depth, dtype=bool)
+        while True:
+            x, w = basis[j], basis[j + 1]
+            if symv is None:
+                np.matmul(a, x, out=w)
+            else:  # 101, 121: CblasRowMajor, CblasUpper
+                symv(101, 121, n, 1.0, a.ctypes.data, n, x.ctypes.data, 1, 0.0, w.ctypes.data, 1)
+            h[j, j], first, beta = orthogonalise(w, basis[:j + 1])
+            j += 1
+            if beta <= 0.717 * first:  # ARPACK's test that w lies in the basis
+                w[:], beta = rng.uniform(-1.0, 1.0, n), 0.0
+                orthogonalise(w, basis[:j])
+            w /= np.linalg.norm(w)
+            if j < ncv:
+                h[j, j - 1] = h[j - 1, j] = beta
+                if j % 8 or j < 2 * depth:
+                    continue
+            if not math.isfinite(beta):  # a non-finite entry reaches every later vector
+                raise EigensolverError(n, depth, ncv, int(done.sum()))
+            theta, s = np.linalg.eigh(h[:j, :j])
+            ends = np.r_[:depth, j - depth:j]
+            done = beta * np.abs(s[-1, ends]) <= _EPS * np.maximum(np.abs(theta[ends]),
+                                                                   _EPS ** (2 / 3))
+            if done.all():
+                return np.sort(theta[ends])[::-1]
+            if j < ncv:
+                continue
+            if restarts == _MAX_RESTARTS:
+                raise EigensolverError(n, depth, ncv, int(done.sum()))
+            restarts, kept = restarts + 1, np.r_[:keep, j - keep:j]
+            basis[:2 * keep] = s[:, kept].T @ basis[:j]
+            basis[2 * keep] = basis[j]
+            j = 2 * keep
+            h[:] = 0.0
+            h[range(j), range(j)] = theta[kept]
+            h[j, :j] = h[:j, j] = beta * s[-1, kept]
 
 
 def save_spectrum_csv(

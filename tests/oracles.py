@@ -1,6 +1,7 @@
 """Brute-force and closed-form reference code that only the tests use: counting
 oracles, the Catalan numbers, the GHAM built edge by edge from a weight vector, the full surrogate
-matrix built densely from its components, the trace identity and Lipschitz
+matrix built densely from its components, the Laplacians built from np.diag,
+the trace identity and Lipschitz
 constants of the matrix maps, the Stieltjes-inversion density, the aggregate
 fold of an experiment record, the traced memory peak of a call, and the
 thread counts of the bundled OpenBLAS libraries."""
@@ -66,6 +67,12 @@ def surrogate_matrix(comp, cov) -> np.ndarray:
     g += cov.alpha * comp.U
     g += cov.theta * comp.Z
     return g
+
+
+def laplacian_from_diag(x: np.ndarray, r: int = 2) -> np.ndarray:
+    """diag(X 1)/(r-1) - X from three n x n arrays (np.diag, the division,
+    the difference): the reference for the bits of gham's Laplacians."""
+    return np.diag(x.sum(axis=1)) / (r - 1) - x
 
 
 def edge_matrix_trace(e1: tuple[int, ...], e2: tuple[int, ...]) -> int:

@@ -1,7 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
 import argparse
-import functools
 import hashlib
 import json
 import os
@@ -13,11 +12,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.sparse.linalg
-from scipy.sparse.linalg import eigsh
 
 import hypergraph_spectra
-from hypergraph_spectra import experiments
+from hypergraph_spectra import experiments, spectra
 from hypergraph_spectra.cli import build_parser, main
 from hypergraph_spectra.spectra import Scaling
 from hypergraph_spectra.svgplot import histogram_svg
@@ -186,7 +183,7 @@ class TestExperimentCommand:
         assert record["aggregate"]["passed"] is True
 
     def test_eigensolver_failure_reported(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", functools.partial(eigsh, maxiter=1))
+        monkeypatch.setattr(spectra, "_MAX_RESTARTS", 0)
         code = main(
             [
                 "--out-dir", str(tmp_path), "experiment", "--kind", "edge_bbp",
@@ -442,9 +439,9 @@ def fresh_interpreter(code: str) -> str:
 class TestSetUp:
     def test_cli_import_defers_scipy_stats(self):
         # only the Bernoulli edge-count draw needs scipy.stats, only Gaussian laws
-        # need scipy.special and only the Lanczos solve needs scipy.sparse.linalg;
-        # each is imported on first use, since importing it with the package would
-        # lengthen every set-up.  No metric uses quadrature, so scipy.integrate
+        # need scipy.special; each is imported on first use, since importing it
+        # with the package would lengthen every set-up.  The Lanczos solve needs
+        # no scipy.sparse.linalg, and no metric uses quadrature, so scipy.integrate
         # (which pulls in scipy.optimize) is never loaded at all, and the SVG
         # writer escapes text without xml.sax (which pulls in urllib.request)
         deferred = ("scipy.stats", "scipy.integrate", "scipy.optimize", "scipy.special",
@@ -459,7 +456,7 @@ class TestSetUp:
 
     def test_experiments_load_only_the_scipy_they_use(self):
         # the surrogate bulk kind is scored against a semicircle and solves densely;
-        # edge_bbp solves by Lanczos against a closed-form edge
+        # edge_bbp solves by Lanczos, in numpy alone, against a closed-form edge
         code = textwrap.dedent("""\
             import sys
             from hypergraph_spectra.experiments import ExperimentConfig, run_experiment
@@ -469,7 +466,7 @@ class TestSetUp:
             run_experiment(ExperimentConfig(kind="edge_bbp", n=300, r=3, trials=1))
             print([m in sys.modules for m in mods])
         """)
-        assert fresh_interpreter(code).splitlines() == ["[False, False]", "[False, True]"]
+        assert fresh_interpreter(code).splitlines() == ["[False, False]", "[False, False]"]
 
     @pytest.mark.parametrize("kind, ensemble", [
         ("universality", "gaussian_surrogate"), ("bulk", "bernoulli_hypergraph")])
@@ -494,9 +491,8 @@ class TestSetUp:
         assert fresh_interpreter(code) == "[True]"
 
     def test_concurrent_first_lanczos_solves_match_serial(self):
-        # two threads reach the deferred scipy.sparse.linalg import of the Lanczos
-        # solve at once; then a pooled edge_bbp, whose runner imports it before the
-        # pool starts, against the serial record
+        # two threads reach the first Lanczos solve, which loads the OpenBLAS
+        # handles, at once; then a pooled edge_bbp against the serial record
         code = textwrap.dedent("""\
             import sys
             from concurrent.futures import ThreadPoolExecutor

@@ -676,6 +676,21 @@ class TestPersistence:
         assert not any("provenance" in row for row in payload["trials"])
         assert "provenance" not in payload["aggregate"]
 
+    def test_serial_edge_record_reports_the_pinned_solve(self, caller_blas):
+        # a serial record runs at the caller's BLAS threads, but every edge solve
+        # pins itself to one; the rows do not depend on the count either way
+        set_blas_threads(2)
+        edge = run_experiment(ExperimentConfig(kind="edge_bbp", n=300, r=4, trials=2))
+        bulk = run_experiment(ExperimentConfig(kind="bulk", n=30, r=3, trials=1))
+        assert edge.provenance["blas_pinned"] is True
+        assert all(lib["threads"] == 1 for lib in edge.provenance["blas"])
+        assert edge.provenance["workers"] == 1
+        assert bulk.provenance["blas_pinned"] is False
+        assert all(lib["threads"] == 2 for lib in bulk.provenance["blas"])
+        set_blas_threads(1)
+        again = run_experiment(ExperimentConfig(kind="edge_bbp", n=300, r=4, trials=2))
+        assert again.trials == edge.trials and again.provenance == edge.provenance
+
     def test_persisted_proportional_record_holds_only_eigenvalues(self, tmp_path):
         cfg = ExperimentConfig(
             kind="edge_regimes", n=60, r=30, trials=3, master_seed=5, regime="proportional",

@@ -24,6 +24,7 @@ from oracles import (
     edge_matrix_trace,
     enumerate_edges,
     gham_from_weights,
+    laplacian_from_diag,
     lipschitz_constants,
     surrogate_matrix,
     traced_peak,
@@ -296,6 +297,20 @@ class TestLaplacians:
     def test_tilde_hand_example(self):
         x = np.array([[0.0, 2.0], [2.0, 0.0]])
         np.testing.assert_array_equal(laplacian_tilde(x, 3), [[1.0, -2.0], [-2.0, 1.0]])
+
+    def test_bits_equal_the_diag_formula(self):
+        # at p = 0.5 a Bernoulli GHAM has exact off-diagonal zeros, which -x
+        # would turn into -0.0; tobytes tells the two apart
+        params = ModelParams(30, 3, 0.5)
+        for seed in (0, 1):
+            x = gham_from_adjacency(adjacency_from_hypergraph(sample_hypergraph(params, seed)),
+                                    params)
+            assert (x == 0).sum() > 30
+            _, g = sample_surrogate(ModelParams(40, 4, 0.5), seed)
+            for m in (x, g):
+                assert laplacian(m).tobytes() == laplacian_from_diag(m).tobytes()
+                for r in (2, 3, 4):
+                    assert laplacian_tilde(m, r).tobytes() == laplacian_from_diag(m, r).tobytes()
 
     def test_tilde_domain_error(self):
         with pytest.raises(ValueError):

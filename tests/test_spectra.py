@@ -1,7 +1,6 @@
 """Tests for eigenvalue extraction, empirical spectral distributions and the
 spectrum CSV format."""
 
-import functools
 import math
 import sys
 import threading
@@ -9,8 +8,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.sparse.linalg
-from scipy.sparse.linalg import eigsh
 
 from hypergraph_spectra import spectra
 from hypergraph_spectra.combinatorics import ModelParams
@@ -278,6 +275,19 @@ def assert_agrees_with_dense(m, depth, seed=0):
     )
 
 
+def wrap_dsymv(monkeypatch, before):
+    """Make every Lanczos matvec call before() first; skip without dsymv."""
+    handles, symv = spectra._openblas()
+    if symv is None:
+        pytest.skip("numpy does not bundle an OpenBLAS dsymv here")
+
+    def wrapped(*args):
+        before()
+        return symv(*args)
+
+    monkeypatch.setattr(spectra, "_openblas", lambda: (handles, wrapped))
+
+
 class TestExtremeEigenvalues:
     def test_random_symmetric_matrices(self):
         rng = np.random.default_rng(11)
@@ -313,11 +323,36 @@ class TestExtremeEigenvalues:
         np.testing.assert_allclose(lam, [3.0, 3.0, -2.0, -2.0], rtol=1e-12)
         assert extreme_eigenvalues(m, 2, 4).tobytes() == lam.tobytes()
 
+    @pytest.mark.parametrize("m", [
+        np.eye(50),
+        np.zeros((55, 55)),
+        np.diag(np.repeat([2.0, 0.5, -1.0], [2, 50, 3])),
+        np.ones((60, 60)),
+    ], ids=["eye", "zeros", "repeated_top", "ones"])
+    def test_invariant_subspaces(self, m):
+        # the Krylov space is invariant after one to three steps, where a solve
+        # that divides by the residual norm gets NaN; a new start vector goes on
+        for seed in range(3):
+            with np.errstate(all="raise"):
+                assert_agrees_with_dense(m, 2, seed)
+
+    def test_stops_when_converged(self, monkeypatch):
+        # convergence is tested every 8 steps; a solve that tests it only at the
+        # end of each 80-vector cycle makes at least 81 matvecs (159 and 81 here)
+        calls = []
+        wrap_dsymv(monkeypatch, lambda: calls.append(None))
+        for r, seed, most in ((4, 6, 120), (300, 3, 40)):
+            _, g = sample_surrogate(ModelParams(n=1000, r=r, p=0.5), seed)
+            calls.clear()
+            assert_agrees_with_dense(g, 1, seed)
+            assert 0 < len(calls) <= most
+
     def test_dense_branch_at_tiny_n(self, monkeypatch):
         def no_lanczos(*args, **kwargs):
             raise AssertionError("Lanczos called where the dense solver should run")
 
-        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_lanczos)
+        # the Lanczos solve looks up its matvec first; the dense branch never does
+        monkeypatch.setattr(spectra, "_openblas", no_lanczos)
         m = np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 2.0]])
         root = math.sqrt(2.0)
         np.testing.assert_allclose(extreme_eigenvalues(m, 1, 0), [2.0 + root, 2.0 - root])
@@ -334,8 +369,8 @@ class TestExtremeEigenvalues:
         np.testing.assert_allclose(extreme_eigenvalues(g, 2, 99), first, rtol=1e-12)
 
     def test_no_convergence_raises_named_error(self, monkeypatch):
-        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", functools.partial(eigsh, maxiter=1))
-        # one restart cycle of 80 Lanczos vectors cannot resolve the bulk edge
+        monkeypatch.setattr(spectra, "_MAX_RESTARTS", 0)
+        # one basis of 80 Lanczos vectors, with no restart, cannot resolve the bulk edge
         _, g = sample_surrogate(ModelParams(n=1500, r=3, p=0.5), 9)
         with pytest.raises(EigensolverError) as info:
             extreme_eigenvalues(g, 2, 0)
@@ -365,17 +400,14 @@ class TestExtremeEigenvalues:
         self, caller_blas, monkeypatch
     ):
         seen = []
-
-        def one_cycle(*args, **kwargs):
-            seen.append(blas_threads())
-            return eigsh(*args, maxiter=1, **kwargs)
-
-        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", one_cycle)
+        wrap_dsymv(monkeypatch, lambda: seen.append(blas_threads()))
+        monkeypatch.setattr(spectra, "_MAX_RESTARTS", 0)
         _, g = sample_surrogate(ModelParams(n=1000, r=3, p=0.5), 9)
         set_blas_threads(2)
         with pytest.raises(EigensolverError):
             extreme_eigenvalues(g, 2, 0)
-        assert seen == [[1] * len(blas_threads())]
+        assert len(seen) == 80  # one full basis, every matvec inside the pin
+        assert all(counts == [1] * len(blas_threads()) for counts in seen)
         assert blas_threads() == [2] * len(blas_threads())
 
     def test_one_blas_thread_pin_shared_by_concurrent_and_nested_entrants(self, caller_blas):
@@ -420,17 +452,14 @@ class TestExtremeEigenvalues:
     def test_fallback_without_dsymv_agrees(self, monkeypatch):
         _, g = sample_surrogate(ModelParams(n=600, r=4, p=0.5), 3)
         with_symv = extreme_eigenvalues(g, 2, 1)
-        operands = []
-
-        def spy(a, *args, **kwargs):
-            operands.append(type(a))
-            return eigsh(a, *args, **kwargs)
-
+        upper = g.copy()
+        upper[np.tril_indices(600, -1)] = np.nan
         handles = spectra._openblas()[0]
         monkeypatch.setattr(spectra, "_openblas", lambda: (handles, None))
-        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", spy)
         np.testing.assert_allclose(extreme_eigenvalues(g, 2, 1), with_symv, rtol=1e-12)
-        assert operands == [np.ndarray]
+        # a @ x reads the strict lower triangle that dsymv never reads
+        with pytest.raises(EigensolverError):
+            extreme_eigenvalues(upper, 2, 1)
 
     def test_edge_bbp_threads_bit_identical_with_solves_between(self):
         base = dict(kind="edge_bbp", n=500, r=4, trials=4, master_seed=13)
