@@ -113,14 +113,15 @@ class HypergraphSample:
             raise ValueError(f"edges must be strictly increasing {r}-subsets")
         if np.any(edges[:, 0] < 1) or np.any(edges[:, -1] > n):
             raise ValueError(f"edge vertices must lie in [1, {n}]")
-        # a stable sort is linear on sorted rows; keys are injective, so equal
-        # neighbours are duplicate rows
+        # keys are injective, so equal neighbours in key order are duplicate
+        # rows; the sampler's rows come sorted, which a stable sort finds fast
         keys = _row_keys(edges, n)
         order = np.argsort(keys, kind="stable")
         keys = keys[order]
         if np.any(keys[1:] == keys[:-1]):
             raise ValueError("duplicate edges in sample")
-        edges = edges[order].astype(np.int64, copy=False)
+        # np.take gathers whole rows several times faster than edges[order]
+        edges = np.take(edges, order, axis=0).astype(np.int64, copy=False)
         edges.flags.writeable = False
         object.__setattr__(self, "edges", edges)
 
@@ -199,6 +200,32 @@ def _draw_edge_count(rng: np.random.Generator, m: int, p: float) -> int:
     return int(rng.poisson(mean))
 
 
+# size-optimal compare-exchange networks: applying each (i, j) pair in turn,
+# min to column i and max to column j, sorts every row of r <= 8 columns
+_SORTING_NETWORKS = {
+    2: [(0, 1)],
+    3: [(0, 2), (0, 1), (1, 2)],
+    4: [(0, 1), (2, 3), (0, 2), (1, 3), (1, 2)],
+    5: [(0, 3), (1, 4), (0, 2), (1, 3), (0, 1), (2, 4), (1, 2), (3, 4), (2, 3)],
+    6: [(0, 5), (1, 3), (2, 4), (1, 2), (3, 4), (0, 3), (2, 5), (0, 1), (2, 3), (4, 5),
+        (1, 2), (3, 4)],
+    7: [(0, 6), (2, 3), (4, 5), (0, 2), (1, 4), (3, 6), (0, 1), (2, 5), (3, 4), (1, 2),
+        (4, 6), (2, 3), (4, 5), (1, 2), (3, 4), (5, 6)],
+    8: [(0, 2), (1, 3), (4, 6), (5, 7), (0, 4), (1, 5), (2, 6), (3, 7), (0, 1), (2, 3),
+        (4, 5), (6, 7), (2, 4), (3, 5), (1, 4), (3, 6), (1, 2), (3, 4), (5, 6)],
+}
+
+
+def _sorted_columns(rows: np.ndarray) -> list[np.ndarray]:
+    """The columns of ``rows`` (k, r <= 8) with each row sorted, by the
+    compare-exchange network for r: elementwise over whole columns, where
+    ``rows.sort(axis=1)`` runs a sort per row."""
+    cols = list(rows.T)
+    for i, j in _SORTING_NETWORKS[rows.shape[1]]:
+        cols[i], cols[j] = np.minimum(cols[i], cols[j]), np.maximum(cols[i], cols[j])
+    return cols
+
+
 def _draw_subset_rows(rng: np.random.Generator, n: int, r: int, count: int) -> np.ndarray:
     """``count`` i.i.d. uniform r-subsets of {1..n}, one sorted row each.
 
@@ -207,12 +234,16 @@ def _draw_subset_rows(rng: np.random.Generator, n: int, r: int, count: int) -> n
     if r <= 8 and 4 * r <= n:
         # rejection on within-row collisions; collision probability is
         # at most C(r, 2)/n <= (r - 1)/8 per row under the guard above
-        rows = rng.integers(1, n + 1, size=(count, r), dtype=np.int64)
-        rows.sort(axis=1)
-        ok = rows[:, 1] != rows[:, 0]
+        cols = _sorted_columns(rng.integers(1, n + 1, size=(count, r), dtype=np.int64))
+        ok = cols[1] != cols[0]
         for j in range(2, r):
-            ok &= rows[:, j] != rows[:, j - 1]
-        return rows[ok]
+            ok &= cols[j] != cols[j - 1]
+        # kept column by column, as a 2-D boolean gather of the rows is
+        # several times slower; the result is a (count', r) view
+        rows = np.empty((r, np.count_nonzero(ok)), dtype=np.int64)
+        for j in range(r):
+            rows[j] = cols[j][ok]
+        return rows.T
     # random-keys method: the r smallest of n i.i.d. uniform keys index a
     # uniform r-subset; chunked to bound memory
     out = []
@@ -233,51 +264,77 @@ def _row_keys(rows: np.ndarray, n: int) -> np.ndarray:
     when (n+1)^r < 2^63, else each row's big-endian bytes as one void scalar."""
     r = rows.shape[1]
     if r * math.log2(n + 1) < 63:
-        # int64 on both sides: uint64 @ int64 would promote to float64
-        weights = (n + 1) ** np.arange(r - 1, -1, -1, dtype=np.int64)
-        return (rows.astype(np.int64, copy=False) @ weights).view(np.uint64)
+        # Horner over the columns, accumulated in int64 whatever the rows' dtype
+        rows = rows.astype(np.int64, copy=False)
+        keys = rows[:, 0].copy()
+        for j in range(1, r):
+            keys *= n + 1
+            keys += rows[:, j]
+        return keys.view(np.uint64)
     return np.ascontiguousarray(rows, dtype=">i8").view(np.dtype((np.void, 8 * r))).ravel()
+
+
+def _rows_from_keys(keys: np.ndarray, n: int, r: int) -> np.ndarray:
+    """The (k, r) int64 rows whose ``_row_keys`` are ``keys``, in the same order."""
+    if keys.dtype != np.uint64:
+        return np.ascontiguousarray(keys).view(">i8").reshape(-1, r).astype(np.int64)
+    rows = np.empty((len(keys), r), dtype=np.int64)
+    q = keys.astype(np.int64)
+    for j in range(r - 1, 0, -1):
+        np.divmod(q, n + 1, out=(q, rows[:, j]))
+    rows[:, 0] = q
+    return rows
 
 
 def _first_occurrences(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Position of the first occurrence of each distinct key, and that key, in
     key order: the smallest position in each run of equal sorted keys."""
+    shift = max(len(keys) - 1, 0).bit_length()
+    if keys.dtype == np.uint64 and int(keys.max(initial=0)).bit_length() + shift <= 64:
+        # one sort of key << shift | position puts equal keys together with
+        # their first position leading, and is much faster than an argsort
+        packed = np.sort((keys << np.uint64(shift)) | np.arange(len(keys), dtype=np.uint64))
+        keys = packed >> np.uint64(shift)
+        starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+        return (packed[starts] & np.uint64((1 << shift) - 1)).view(np.int64), keys[starts]
     order = np.argsort(keys)
     keys = keys[order]
     starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
     return np.minimum.reduceat(order, starts), keys[starts]
 
 
-def _sample_distinct_edges(
-    rng: np.random.Generator, n: int, r: int, k: int, m: int
-) -> np.ndarray:
-    """First k distinct subsets of an i.i.d. uniform subset stream (uniform over
-    k-subsets of the m possible edges), or the complement trick when k > m/2.
-    Returns a (k, r) array in lexicographic order: each round drops the keys
-    seen before and keeps the smallest first stream positions still needed, by
-    a partition cut-off.  They stay in key order, so one round needs no sort."""
+def _distinct_keys(rng: np.random.Generator, n: int, r: int, k: int, m: int) -> np.ndarray:
+    """Sorted ``_row_keys`` of the first k distinct subsets of an i.i.d. uniform
+    subset stream (uniform over k-subsets of the m possible edges), or of the
+    complement trick when k > m/2.  Each round drops the keys seen before and
+    keeps the smallest first stream positions still needed, by a partition
+    cut-off; a round's keys stay in key order, so only a second round sorts."""
     if 2 * k > m:
         # sampling the complement preserves uniformity and avoids the long
         # coupon-collector tail; m <= 2k is small enough to enumerate
-        rows = _edge_rows(n, r)
-        excluded = _row_keys(_sample_distinct_edges(rng, n, r, m - k, m), n)
-        return np.delete(rows, np.searchsorted(_row_keys(rows, n), excluded), axis=0)
+        keys = _row_keys(_edge_rows(n, r), n)
+        return np.delete(keys, np.searchsorted(keys, _distinct_keys(rng, n, r, m - k, m)))
 
-    chunks = [np.empty((0, r), dtype=np.int64)]
-    seen = _row_keys(chunks[0], n)
+    rounds = [_row_keys(np.empty((0, r), dtype=np.int64), n)]
+    seen = rounds[0]
     while len(seen) < k:
         batch = max(1024, 2 * (k - len(seen)))
-        rows = _draw_subset_rows(rng, n, r, batch)
-        first, keys = _first_occurrences(_row_keys(rows, n))
+        first, keys = _first_occurrences(_row_keys(_draw_subset_rows(rng, n, r, batch), n))
         fresh = ~np.isin(keys, seen)
         first, keys = first[fresh], keys[fresh]
         take = k - len(seen)
         if len(first) > take:
-            cut = first <= np.partition(first, take - 1)[take - 1]
-            first, keys = first[cut], keys[cut]
-        chunks.append(rows[first])
-        seen = np.concatenate([seen, keys])
-    return chunks[1] if len(chunks) == 2 else np.concatenate(chunks)[np.argsort(seen)]
+            keys = keys[first <= np.partition(first, take - 1)[take - 1]]
+        rounds.append(keys)
+        seen = np.concatenate(rounds)
+    return rounds[1] if len(rounds) == 2 else np.sort(seen)
+
+
+def _sample_distinct_edges(
+    rng: np.random.Generator, n: int, r: int, k: int, m: int
+) -> np.ndarray:
+    """The (k, r) rows of ``_distinct_keys``, in lexicographic order."""
+    return _rows_from_keys(_distinct_keys(rng, n, r, k, m), n, r)
 
 
 def check_edge_budget(

@@ -1,5 +1,6 @@
 """Tests for exact counting and hypergraph sampling."""
 
+import hashlib
 import itertools
 import math
 
@@ -157,6 +158,90 @@ class TestRowKeys:
         keys = combinatorics._row_keys(rows, 11)
         np.testing.assert_array_equal(np.argsort(keys), np.lexsort(rows.T[::-1]))
 
+    @pytest.mark.parametrize("n,r", [(200, 3), (9, 3), (2**20, 3), (1, 1)])
+    def test_codes_decode_to_their_rows(self, n, r):
+        rows = np.sort(np.random.default_rng(n).integers(1, n + 1, size=(500, r)), axis=1)
+        keys = combinatorics._row_keys(rows, n)
+        assert keys.dtype == np.uint64
+        back = combinatorics._rows_from_keys(keys, n, r)
+        assert back.dtype == np.int64 and back.flags.c_contiguous
+        np.testing.assert_array_equal(back, rows)
+
+    @pytest.mark.parametrize("n,r", [(40, 20), (2**20, 5), (20, 15)])
+    def test_bytes_decode_to_their_rows(self, n, r):
+        rows = np.sort(np.random.default_rng(n).integers(1, n + 1, size=(500, r)), axis=1)
+        keys = combinatorics._row_keys(rows.astype(np.int32), n)
+        assert keys.dtype.kind == "V"
+        back = combinatorics._rows_from_keys(keys, n, r)
+        assert back.dtype == np.int64
+        np.testing.assert_array_equal(back, rows)
+
+    @pytest.mark.parametrize("n,r", [(10, 3), (40, 20)])
+    def test_empty_keys_decode_to_no_rows(self, n, r):
+        keys = combinatorics._row_keys(np.empty((0, r), dtype=np.int64), n)
+        back = combinatorics._rows_from_keys(keys, n, r)
+        assert back.shape == (0, r) and back.dtype == np.int64
+
+
+class TestSortingNetworks:
+    @pytest.mark.parametrize("r", range(2, 9))
+    def test_sorts_every_zero_one_row(self, r):
+        # 0-1 principle: a compare-exchange network that sorts every 0/1 row
+        # sorts every row
+        rows = np.array(list(itertools.product([0, 1], repeat=r)))
+        expected = np.sort(rows, axis=1)
+        np.testing.assert_array_equal(
+            np.column_stack(combinatorics._sorted_columns(rows)), expected
+        )
+
+    @pytest.mark.parametrize("r,n", [(r, n) for r in range(2, 9) for n in (4 * r, 200)])
+    def test_matches_np_sort_with_colliding_rows(self, r, n):
+        rows = np.random.default_rng(r * n).integers(1, n + 1, size=(20_000, r))
+        expected = np.sort(rows, axis=1)
+        assert np.any(expected[:, 1:] == expected[:, :-1])  # collisions are kept
+        np.testing.assert_array_equal(
+            np.column_stack(combinatorics._sorted_columns(rows)), expected
+        )
+
+    @pytest.mark.parametrize("r,n", [(r, n) for r in range(2, 9) for n in (4 * r, 200)])
+    def test_rejection_draw_keeps_the_rows_without_collisions(self, r, n):
+        rows = combinatorics._draw_subset_rows(np.random.default_rng(r + n), n, r, 5000)
+        drawn = np.sort(
+            np.random.default_rng(r + n).integers(1, n + 1, size=(5000, r), dtype=np.int64),
+            axis=1,
+        )
+        expected = drawn[np.all(drawn[:, 1:] != drawn[:, :-1], axis=1)]
+        assert rows.dtype == np.int64
+        np.testing.assert_array_equal(rows, expected)
+
+
+class TestFirstOccurrences:
+    @pytest.mark.parametrize("total_bits,packed", [(64, True), (65, False), (40, True)])
+    def test_packed_sort_agrees_with_argsort(self, monkeypatch, total_bits, packed):
+        # 1000 positions take 10 bits; the largest key takes the rest
+        rng = np.random.default_rng(total_bits)
+        key_bits = total_bits - 10
+        pool = rng.integers(0, 2**key_bits, size=300, dtype=np.uint64)
+        pool[0] = 2**key_bits - 1
+        keys = rng.choice(pool, size=1000)
+        keys[rng.integers(1000)] = pool[0]
+        expected_keys, expected_first = np.unique(keys, return_index=True)
+        calls = []
+        argsort = np.argsort
+        monkeypatch.setattr(np, "argsort", lambda *a, **k: calls.append(1) or argsort(*a, **k))
+        first, distinct = combinatorics._first_occurrences(keys)
+        monkeypatch.undo()
+        assert bool(calls) is not packed
+        np.testing.assert_array_equal(distinct, expected_keys)
+        np.testing.assert_array_equal(first, expected_first)
+
+    def test_byte_keys_use_argsort(self):
+        rows = np.array([[5, 6], [1, 2], [5, 6], [1, 3], [1, 2]])
+        keys = combinatorics._row_keys(rows, 2**40)
+        first, distinct = combinatorics._first_occurrences(keys)
+        assert first.tolist() == [1, 3, 0]
+        np.testing.assert_array_equal(distinct, keys[[1, 3, 0]])
+
 
 class TestSampleHypergraph:
     def test_p_one_gives_all_edges(self):
@@ -234,6 +319,18 @@ class TestSampleHypergraph:
         assert np.all(np.abs(freqs - p) <= band), (
             f"worst deviation {np.abs(freqs - p).max():.4f} vs band {band:.4f}"
         )
+
+    # recorded before the sampler carried keys only through its rounds; the
+    # benchmark's Bernoulli configs at their own and held-out master seeds
+    @pytest.mark.parametrize("n,r,p,master,digest", [
+        (200, 3, 0.3, 51, "e3eb0fb0018714520521de749620133bac5b7b0e46e36070ddf139b036c3fc4e"),
+        (200, 3, 0.3, 151, "9544b8fa68e8815095ddd5a7d4b4854e179fbd09ad309fa1d25acadcbac2fe6f"),
+        (150, 3, 0.7, 5, "cb1bfadc8707a5cbf58b1da97ab9baad9f66625cbfe58ad4d27ed4897304a882"),
+        (150, 3, 0.7, 105, "27ec9f56a00a837c765ac91cc7e0ea98cddbf21b3570fe9451580644078e5c99"),
+    ])
+    def test_benchmark_configs_sample_the_recorded_edges(self, n, r, p, master, digest):
+        edges = sample_hypergraph(ModelParams(n, r, p), derive_seed(master, 0)).edges
+        assert hashlib.sha256(edges.tobytes()).hexdigest() == digest
 
 
 class TestSerialization:

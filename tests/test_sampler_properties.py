@@ -110,8 +110,9 @@ def test_sampler_peak_memory_per_edge():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the edges take 24 bytes each; the bound sits between the 117 bytes per
-    # edge of the sort-once selection and the 173 of a stable np.unique one
+    # the edges take 24 bytes each; the keys-only selection peaks at 128
+    # bytes per edge, inside the draw of its one batch of 2k rows, and a
+    # stable np.unique selection at 173
     assert peak / len(sample.edges) < 150
 
 
