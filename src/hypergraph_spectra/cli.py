@@ -23,13 +23,7 @@ from .combinatorics import (
     sample_hypergraph,
     save_hypergraph_json,
 )
-from .gham import (
-    adjacency_from_hypergraph,
-    gham_from_adjacency,
-    laplacian,
-    laplacian_tilde,
-    sample_surrogate,
-)
+from .gham import MATRICES, adjacency_from_hypergraph, gham_from_adjacency, sample_surrogate
 from .spectra import Scaling, load_spectrum_csv, save_spectrum_csv, symmetric_eigenvalues
 from .svgplot import render_histogram_svg
 
@@ -59,20 +53,16 @@ def _build_matrix(args) -> tuple[np.ndarray, ModelParams, str, int]:
         sample = load_hypergraph_json(args.input)
         params = sample.params
         h = gham_from_adjacency(adjacency_from_hypergraph(sample), params)
-        ensemble, seed = "bernoulli_hypergraph", sample.seed
+        ensemble, seed = experiments.BERNOULLI, sample.seed
     elif args.surrogate:
         if args.n is None or args.r is None:
             raise ValueError("surrogate mode needs -n and -r")
         params = ModelParams(n=args.n, r=args.r, p=args.p)
-        _, h = sample_surrogate(params, args.seed)
-        ensemble, seed = "gaussian_surrogate", args.seed
+        h = sample_surrogate(params, args.seed)[1]
+        ensemble, seed = experiments.SURROGATE, args.seed
     else:
         raise ValueError("spectrum needs --input FILE or --surrogate")
-    if args.matrix == "laplacian":
-        h = laplacian(h)
-    elif args.matrix == "laplacian_tilde":
-        h = laplacian_tilde(h, params.r)
-    return h, params, ensemble, seed
+    return MATRICES[args.matrix](h, params.r), params, ensemble, seed
 
 
 def cmd_spectrum(args) -> int:

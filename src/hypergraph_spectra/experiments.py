@@ -3,17 +3,20 @@
 ``run_experiment`` takes an ExperimentConfig and returns an ExperimentRecord
 holding the config snapshot, one summary row per trial, aggregate statistics
 recomputable from those rows, raw eigenvalue arrays for persistence, and a
-provenance block (versions, BLAS libraries, pool size).  Each kind is a row
+provenance block (versions, the BLAS library, pool size).  Each kind is a row
 (runner, check) of the table ``_KINDS``; a config runs its kind's check when
 built, and the runner calls the same check for its parameters; a config is
 frozen, so no field changes after its check.  No field sets a scaling: each
 limit law fixes its own, n^{-1/2} for ``bulk`` and the (matrix, regime) row of
-``_LAPLACIAN_LAWS`` for ``laplacian_bulk``.  Every Monte-Carlo kind goes
-through one trial loop, ``_run``: a kind supplies only ``trial(index, seed)``,
-giving its row statistics and per-trial arrays, and ``finish(rows, data)``,
-giving its aggregate and gate keys.  The loop owns the timer, the per-trial
-seeds (derived from the master seed by splitmix64), the rows, the stacking of
-arrays in trial order, the tolerance gate and the record.  The three edge
+``_LAPLACIAN_LAWS`` for ``laplacian_bulk``.  Every kind, ``diagnostics``
+included, goes through one trial loop, ``_run``: a kind supplies only its legs,
+(config, trial) pairs whose ``trial(index, seed)`` gives the row statistics and
+per-trial arrays (one leg for most kinds, two for ``concentration``, none for
+``diagnostics``), and ``finish(rows, data)``, giving its aggregate and gate
+keys.  The loop owns the timer, the per-trial seeds (derived from the master
+seed by splitmix64), the rows, the stacking of arrays in trial order, the
+tolerance gate and the record.  A trial's matrix is one draw of its ensemble,
+``_draw``, mapped by one row of ``gham.MATRICES``.  The three edge
 kinds are rows of one (kind, regime) table, ``_edge_table``, all run by
 ``_run_edge``: each reads at most depth = k + 1 eigenvalues at each end and
 computes only those, by a seeded Lanczos solve that stops once they converge
@@ -48,7 +51,6 @@ import numpy as np
 import scipy
 
 from .combinatorics import (
-    DEFAULT_EDGE_BUDGET,
     ModelParams,
     average_degree,
     check_edge_budget,
@@ -57,10 +59,10 @@ from .combinatorics import (
     sample_hypergraph,
 )
 from .gham import (
+    MATRICES,
+    MATRIX_KINDS,
     adjacency_from_hypergraph,
     gham_from_adjacency,
-    laplacian,
-    laplacian_tilde,
     sample_surrogate,
 )
 from .laws import (
@@ -88,8 +90,6 @@ __all__ = [
 
 BERNOULLI = "bernoulli_hypergraph"
 SURROGATE = "gaussian_surrogate"
-# the matrices a spectrum is taken of: the GHAM and its two Laplacians
-MATRIX_KINDS = ("gham", "laplacian", "laplacian_tilde")
 
 class RegimeError(ValueError):
     """An experiment regime's side condition on (n, r) is violated."""
@@ -110,7 +110,6 @@ class ExperimentConfig:
     tolerance: float | None = None
     scale_r_with_n: bool = False
     threads: int = 1
-    edge_budget: float = DEFAULT_EDGE_BUDGET
     # explicit constants standing in for "<<" and ">>" side conditions
     side_factor_small: float = 0.2
     side_factor_large: float = 5.0
@@ -140,13 +139,14 @@ class ExperimentConfig:
             raise ValueError(f"need r < n (c = r/n < 1), got r={self.r}, n={self.n}")
         if self.k >= self.n:
             raise ValueError(f"need k < n={self.n}, got k={self.k}")
-        if self.kind == "universality":
-            check_edge_budget(params, self.edge_budget, advice=(
-                "every universality trial samples a hypergraph, whatever the ensemble, "
-                "so lower n, r or p"
-            ))
-        elif self.ensemble == BERNOULLI:
-            check_edge_budget(params, self.edge_budget)
+        if _samples_hypergraphs(self):
+            if self.kind != "universality":
+                check_edge_budget(params)
+            else:  # the surrogate ensemble is no way out: advise a smaller model
+                check_edge_budget(params, advice=(
+                    "every universality trial samples a hypergraph, whatever the ensemble, "
+                    "so lower n, r or p"
+                ))
         _KINDS[self.kind][1](self)
 
     def model_params(self) -> ModelParams:
@@ -187,6 +187,13 @@ class ExperimentRecord:
         }
 
 
+def _samples_hypergraphs(cfg: ExperimentConfig) -> bool:
+    """Whether the config's trials sample hypergraphs: every universality trial
+    does, whatever the ensemble, and diagnostics samples nothing."""
+    return cfg.kind == "universality" or (cfg.ensemble == BERNOULLI
+                                          and cfg.kind != "diagnostics")
+
+
 def _pool_size(cfg: ExperimentConfig) -> int:
     try:
         cores = len(os.sched_getaffinity(0))
@@ -198,9 +205,9 @@ def _pool_size(cfg: ExperimentConfig) -> int:
 def _map_trials(cfg: ExperimentConfig, worker):
     """Run worker(index, seed) for every trial; results in trial order.
 
-    With threads > 1 the pool runs inside ``spectra._one_blas_thread``: every
+    With threads > 1 the pool runs inside ``spectra._one_blas_thread``: numpy's
     bundled OpenBLAS at one thread until the pool has joined, also when a
-    trial raises, then back at the caller's counts."""
+    trial raises, then back at the caller's count."""
     seeds = [cfg.trial_seed(i) for i in range(cfg.trials)]
     if cfg.threads == 1:
         return [worker(i, s) for i, s in zip(range(cfg.trials), seeds)]
@@ -209,7 +216,7 @@ def _map_trials(cfg: ExperimentConfig, worker):
 
 
 def _provenance(cfg: ExperimentConfig) -> dict:
-    """Versions, bundled BLAS libraries with the thread count trials ran at,
+    """Versions, numpy's bundled OpenBLAS with the thread count trials ran at,
     and the pool size; kept out of the rows and the aggregate.  Pooled trials
     and every edge solve (which pins itself) run BLAS at one thread."""
     pooled = cfg.threads > 1
@@ -227,26 +234,26 @@ def _provenance(cfg: ExperimentConfig) -> dict:
     }
 
 
-def _run(cfg: ExperimentConfig, trial, finish, legs=None) -> ExperimentRecord:
-    """The Monte-Carlo loop shared by every experiment kind.
+def _run(cfg: ExperimentConfig, legs, finish) -> ExperimentRecord:
+    """The trial loop shared by every experiment kind.
 
-    ``trial(index, seed)`` returns the kind's row statistics and a dict of
-    per-trial arrays; each row gets ``trial`` and ``seed`` first, and each
-    array is stacked across trials, in trial order, into ``data``.
+    ``legs`` lists (config, trial) pairs, run in order, each for its config's
+    trials: one leg for most kinds, one per model size for concentration, none
+    for diagnostics.  ``trial(index, seed)`` returns the kind's row statistics
+    and a dict of per-trial arrays; each row gets ``trial`` and ``seed`` first,
+    and each array is stacked across trials, in trial order, into ``data``.
     ``finish(rows, data)`` returns the aggregate and its gate keys: with a
     tolerance set, ``tolerance`` and ``passed`` (every gate key below the
-    tolerance) end the aggregate, unless a gate key is None.  ``legs`` lists
-    (sub-config, trial) pairs for a kind that samples several model sizes; by
-    default the one leg is (cfg, trial).
+    tolerance) end the aggregate, unless a gate key is None.
     """
-    if cfg.ensemble == BERNOULLI or cfg.kind == "universality":
+    if _samples_hypergraphs(cfg):
         # import the edge-count draw's module before the pool: a first import inside
         # a pool worker while another allocates n x n blocks can fragment the heap
         import scipy.stats  # noqa: F401
     t0 = time.perf_counter()
     rows: list[dict] = []
     data: dict[str, np.ndarray] = {}
-    for leg, leg_trial in legs or [(cfg, trial)]:
+    for leg, leg_trial in legs:
 
         def worker(index: int, seed: int):
             stats, arrays = leg_trial(index, seed)
@@ -270,25 +277,22 @@ def _run(cfg: ExperimentConfig, trial, finish, legs=None) -> ExperimentRecord:
     )
 
 
-def _trial_matrix(cfg: ExperimentConfig, seed: int, matrix: str = "gham"):
-    """One draw of the normalised adjacency matrix, or of one of its
-    Laplacians, plus the surrogate's scalar Gaussian U (None for hypergraphs).
-
-    The surrogate's components are dropped before a Laplacian is built, so
-    their n x n Z is not held beside the matrix and the Laplacian."""
-    params = cfg.model_params()
-    if cfg.ensemble == SURROGATE:
+def _draw(ensemble: str, params: ModelParams, seed: int) -> tuple[np.ndarray, float | None]:
+    """One draw of an ensemble's normalised adjacency matrix (the GHAM), with
+    the surrogate's scalar Gaussian U (None for a hypergraph).  The surrogate's
+    components, and their n x n Z, are released when this returns."""
+    if ensemble == SURROGATE:
         comp, h = sample_surrogate(params, seed)
-        u = comp.U
-        del comp
-    else:
-        hg = sample_hypergraph(params, seed, max_expected_edges=cfg.edge_budget)
-        u, h = None, gham_from_adjacency(adjacency_from_hypergraph(hg), params)
-    if matrix == "laplacian":
-        return laplacian(h), u
-    if matrix == "laplacian_tilde":
-        return laplacian_tilde(h, cfg.r), u
-    return h, u
+        return h, comp.U
+    hg = sample_hypergraph(params, seed)
+    return gham_from_adjacency(adjacency_from_hypergraph(hg), params), None
+
+
+def _trial_matrix(cfg: ExperimentConfig, seed: int, matrix: str = "gham"):
+    """One draw of the config's ensemble mapped to a matrix kind of
+    ``gham.MATRICES``, with the surrogate's U (None for hypergraphs)."""
+    h, u = _draw(cfg.ensemble, cfg.model_params(), seed)
+    return MATRICES[matrix](h, cfg.r), u
 
 
 def _row_stats(rows: list[dict], *keys: str) -> dict:
@@ -353,7 +357,7 @@ def _run_esd(cfg: ExperimentConfig, scaling: Scaling, reference: Law, w1: bool):
         }
         return aggregate, ["mean_esd_ks"]
 
-    return _run(cfg, trial, finish)
+    return _run(cfg, [(cfg, trial)], finish)
 
 
 def _reads_gham(cfg: ExperimentConfig) -> None:
@@ -561,7 +565,7 @@ def _run_edge(cfg: ExperimentConfig) -> ExperimentRecord:
         aggregate["abs_error_min"] = abs(aggregate[f"mean_{keys[1]}"] + target)
         return aggregate, ["abs_error_max", "abs_error_min"]
 
-    return _run(cfg, trial, finish)
+    return _run(cfg, [(cfg, trial)], finish)
 
 
 def _run_concentration(cfg: ExperimentConfig) -> ExperimentRecord:
@@ -600,7 +604,7 @@ def _run_concentration(cfg: ExperimentConfig) -> ExperimentRecord:
         }
         return aggregate, ["ratio"]
 
-    return _run(cfg, None, finish, legs)
+    return _run(cfg, legs, finish)
 
 
 def _run_universality(cfg: ExperimentConfig) -> ExperimentRecord:
@@ -611,11 +615,10 @@ def _run_universality(cfg: ExperimentConfig) -> ExperimentRecord:
     reference = SemicircleLaw((1.0 - params.size_ratio) ** 2)
 
     def trial(index: int, seed: int):
-        hg = sample_hypergraph(params, seed, max_expected_edges=cfg.edge_budget)
-        h_bern = gham_from_adjacency(adjacency_from_hypergraph(hg), params)
+        h_bern, _ = _draw(BERNOULLI, params, seed)
         lam_bern = symmetric_eigenvalues(h_bern) / math.sqrt(cfg.n)
         # independent surrogate stream, offset past the Bernoulli seeds
-        _, h_gauss = sample_surrogate(params, cfg.trial_seed(cfg.trials + index))
+        h_gauss, _ = _draw(SURROGATE, params, cfg.trial_seed(cfg.trials + index))
         lam_gauss = symmetric_eigenvalues(h_gauss) / math.sqrt(cfg.n)
         stats = {
             "ks_bernoulli": ks_distance(EmpiricalLaw(lam_bern), reference),
@@ -639,7 +642,7 @@ def _run_universality(cfg: ExperimentConfig) -> ExperimentRecord:
         }
         return aggregate, ["ks_difference"]
 
-    return _run(cfg, trial, finish)
+    return _run(cfg, [(cfg, trial)], finish)
 
 
 def assumption_diagnostics(params: ModelParams, threshold: float = 1.0) -> dict:
@@ -674,16 +677,8 @@ def assumption_diagnostics(params: ModelParams, threshold: float = 1.0) -> dict:
 
 
 def _run_diagnostics(cfg: ExperimentConfig) -> ExperimentRecord:
-    """The sparsity diagnostics of the config's model: no trials."""
-    t0 = time.perf_counter()
-    report = assumption_diagnostics(cfg.model_params())
-    return ExperimentRecord(
-        config=cfg.to_dict(),
-        trials=[],
-        aggregate=report,
-        wall_clock_s=time.perf_counter() - t0,
-        provenance=_provenance(cfg),
-    )
+    """The sparsity diagnostics of the config's model: no trials and no gate."""
+    return _run(cfg, [], lambda rows, data: (assumption_diagnostics(cfg.model_params()), []))
 
 
 # kind -> (runner, check).  ExperimentConfig runs the check when it is built;

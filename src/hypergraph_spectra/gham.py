@@ -12,9 +12,11 @@ follows the GOE convention (off-diagonal variance 1, diagonal variance 2) so
 that the diagonal of G has the matching variance alpha^2 + 4 beta^2 + 2 theta^2.
 
 ``sample_surrogate`` holds two n x n float64 arrays at its peak, Z and G,
-plus one block-sized temporary.  Also provided: the two Laplacian maps.  The
-brute-force references that check this construction (edge-by-edge GHAM, trace
-identity, the full surrogate matrix) live with the tests.
+plus one block-sized temporary.  Also provided: the two Laplacian maps, and
+``MATRICES``, the one table from a matrix kind to the map that builds that
+matrix from a GHAM.  The brute-force references that check this construction
+(edge-by-edge GHAM, trace identity, the full surrogate matrix) live with the
+tests.
 """
 
 from __future__ import annotations
@@ -36,6 +38,8 @@ __all__ = [
     "sample_surrogate",
     "laplacian",
     "laplacian_tilde",
+    "MATRICES",
+    "MATRIX_KINDS",
 ]
 
 
@@ -192,3 +196,14 @@ def laplacian_tilde(x: np.ndarray, r: int) -> np.ndarray:
     out = np.subtract(0.0, x)
     np.fill_diagonal(out, x.sum(axis=1) / (r - 1) - x.diagonal())
     return out
+
+
+# matrix kind -> (GHAM h, edge size r) -> the matrix a spectrum is taken of: the
+# GHAM and its two Laplacians.  The entries look up laplacian and laplacian_tilde
+# when they are called, so a wrapper set on this module sees every Laplacian.
+MATRICES = {
+    "gham": lambda h, r: h,
+    "laplacian": lambda h, r: laplacian(h),
+    "laplacian_tilde": lambda h, r: laplacian_tilde(h, r),
+}
+MATRIX_KINDS = tuple(MATRICES)

@@ -23,7 +23,6 @@ from enum import Enum
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from .combinatorics import derive_seed
 from .laws import EmpiricalLaw
@@ -110,19 +109,19 @@ def low_rank_eigenvalues(
 @functools.cache
 def _openblas() -> tuple:
     """((file name, get_num_threads, set_num_threads_local) for each OpenBLAS
-    bundled with numpy or scipy that exports both symbols, numpy's ILP64
-    ``cblas_dsymv`` or None); no handles and None under any other BLAS."""
+    bundled with numpy that exports both symbols, numpy's ILP64
+    ``cblas_dsymv`` or None); no handles and None under any other BLAS.  Every
+    solve runs on numpy's BLAS; the package calls no scipy routine that runs
+    BLAS, so scipy's bundled OpenBLAS is neither loaded nor pinned."""
     found, symv = [], None
-    for module, getter in ((np, "scipy_openblas_get_num_threads64_"),
-                           (scipy, "scipy_openblas_get_num_threads")):
-        libs = Path(module.__file__).parent.parent / f"{module.__name__}.libs"
-        for path in sorted(libs.glob("*openblas*")):
-            try:
-                lib = ctypes.CDLL(str(path))
-                found.append((path.name, getattr(lib, getter), lib.openblas_set_num_threads_local))
-            except (OSError, AttributeError):
-                continue
-            symv = symv or getattr(lib, "scipy_cblas_dsymv64_", None)
+    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+        try:
+            lib = ctypes.CDLL(str(path))
+            found.append((path.name, lib.scipy_openblas_get_num_threads64_,
+                          lib.openblas_set_num_threads_local))
+        except (OSError, AttributeError):
+            continue
+        symv = symv or getattr(lib, "scipy_cblas_dsymv64_", None)
     if symv is not None:  # (order, uplo, n, alpha, a, lda, x, incx, beta, y, incy)
         i, n, d, p = ctypes.c_int, ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
         symv.argtypes, symv.restype = (i, i, n, d, p, n, p, n, d, p, n), None
@@ -134,7 +133,7 @@ _pin_lock, _pin = threading.Lock(), [0, []]  # entrants, the counts the first on
 
 @contextlib.contextmanager
 def _one_blas_thread():
-    """Every bundled OpenBLAS at one thread inside the block.  The count is
+    """numpy's bundled OpenBLAS at one thread inside the block.  The count is
     process-wide, so concurrent and nested blocks share one pin: the first
     entrant saves the counts, the last restores them, also on an exception."""
     handles = _openblas()[0]

@@ -282,6 +282,14 @@ class TestExperimentCommand:
         assert code == 1
         assert capsys.readouterr().err.startswith("error: unknown config keys: scaling")
 
+    def test_config_edge_budget_from_an_older_record_rejected(self, tmp_path, capsys):
+        # records from earlier versions carry an edge_budget; the budget is fixed now
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"kind": "bulk", "n": 30, "r": 3, "edge_budget": 1e7}))
+        code = main(["--out-dir", str(tmp_path), "experiment", "--config", str(cfg_file)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: unknown config keys: edge_budget")
+
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps({"kind": "bulk", "n": 30, "r": 3, "trails": 2}))
@@ -489,6 +497,19 @@ class TestSetUp:
             print(seen)
         """)
         assert fresh_interpreter(code) == "[True]"
+
+    def test_diagnostics_samples_nothing(self):
+        # diagnostics reports how sparse a model is, so a Bernoulli model far past
+        # the edge budget builds and runs, and the edge-count draw's scipy.stats
+        # is never imported
+        code = textwrap.dedent("""\
+            import sys
+            from hypergraph_spectra.experiments import ExperimentConfig, run_experiment
+            rec = run_experiment(ExperimentConfig(
+                kind="diagnostics", n=2000, r=5, p=0.5, ensemble="bernoulli_hypergraph"))
+            print(f"{rec.aggregate['d_avg']:.2g}", "scipy.stats" in sys.modules)
+        """)
+        assert fresh_interpreter(code) == "3.3e+11 False"
 
     def test_concurrent_first_lanczos_solves_match_serial(self):
         # two threads reach the first Lanczos solve, which loads the OpenBLAS

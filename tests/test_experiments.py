@@ -615,15 +615,14 @@ class TestWignerSpecialisation:
     def test_r2_classical_semicircle(self):
         # at r = 2 the ensemble is an off-diagonal Wigner matrix; the pooled
         # ESD over 20 trials at n = 500 must match sc(1) to ks < 0.05
-        from hypergraph_spectra.laws import SemicircleLaw
+        from hypergraph_spectra.laws import EmpiricalLaw, SemicircleLaw
         from hypergraph_spectra.metrics import ks_distance
-        from hypergraph_spectra.spectra import EmpiricalMeasure
 
         cfg = ExperimentConfig(
             kind="bulk", n=500, r=2, trials=20, master_seed=13, threads=4
         )
         rec = run_experiment(cfg)
-        pooled = EmpiricalMeasure(rec.data["eigenvalues"].ravel())
+        pooled = EmpiricalLaw(rec.data["eigenvalues"].ravel())
         assert ks_distance(pooled, SemicircleLaw(1.0)) < 0.05
 
 

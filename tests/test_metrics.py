@@ -10,7 +10,7 @@ import pytest
 from scipy import integrate
 
 from hypergraph_spectra.experiments import ExperimentConfig, run_experiment
-from hypergraph_spectra.laws import GaussianLaw, SemicircleLaw
+from hypergraph_spectra.laws import EmpiricalLaw, GaussianLaw, SemicircleLaw
 from hypergraph_spectra.metrics import (
     MetricReport,
     bl_upper_bound,
@@ -19,23 +19,22 @@ from hypergraph_spectra.metrics import (
     metric_report,
     w1_distance,
 )
-from hypergraph_spectra.spectra import EmpiricalMeasure
 
 
 class TestKsDistance:
     def test_identical_empirical(self):
-        m = EmpiricalMeasure(atoms=[0.0, 1.0, 2.5])
+        m = EmpiricalLaw(atoms=[0.0, 1.0, 2.5])
         assert ks_distance(m, m) == 0.0
 
     def test_point_masses(self):
-        assert ks_distance(EmpiricalMeasure([0.0]), EmpiricalMeasure([1.0])) == 1.0
+        assert ks_distance(EmpiricalLaw([0.0]), EmpiricalLaw([1.0])) == 1.0
 
     def test_two_atoms_vs_semicircle(self):
         # sup attained at the atoms; reference CDF from a quadrature oracle
         sc = SemicircleLaw(1.0)
         f_minus1, _ = integrate.quad(sc.density, -2.0, -1.0)
         expected = max(f_minus1, abs(f_minus1 - 0.5))
-        m = EmpiricalMeasure([-1.0, 1.0])
+        m = EmpiricalLaw([-1.0, 1.0])
         assert ks_distance(m, sc) == pytest.approx(max(expected, 0.5 - f_minus1), abs=1e-9)
         assert ks_distance(m, sc) == pytest.approx(0.3044989, abs=1e-6)
 
@@ -49,7 +48,7 @@ class TestKsDistance:
         assert ks_distance(a, b) >= oracle - 1e-12
 
     def test_symmetric_arguments(self):
-        m = EmpiricalMeasure([0.0, 0.7])
+        m = EmpiricalLaw([0.0, 0.7])
         law = GaussianLaw(1.0)
         assert ks_distance(m, law) == ks_distance(law, m)
 
@@ -59,13 +58,13 @@ class TestKsLattice:
     equal gaps must give equal floats wherever they are attained."""
 
     def test_tied_gaps_compare_equal(self):
-        pooled = EmpiricalMeasure(np.arange(180.0))
+        pooled = EmpiricalLaw(np.arange(180.0))
         spread = 3.0 * np.arange(60) + 1.0
         late = spread.copy()
         late[[29, 30]] = 87.0  # gap 5/180 only at 31 of 60 against 88 of 180
         early = spread + 4.0  # gap 5/180 at 0 of 60 against 5 of 180, and later
-        ks_late = ks_distance(EmpiricalMeasure(late), pooled)
-        ks_early = ks_distance(EmpiricalMeasure(early), pooled)
+        ks_late = ks_distance(EmpiricalLaw(late), pooled)
+        ks_early = ks_distance(EmpiricalLaw(early), pooled)
         assert ks_late == ks_early == 5 / 180
 
     def test_exact_against_fractions(self):
@@ -78,7 +77,7 @@ class TestKsLattice:
                 abs(Fraction(int((a <= x).sum()), a.size) - Fraction(int((b <= x).sum()), b.size))
                 for x in grid
             )
-            assert ks_distance(EmpiricalMeasure(a), EmpiricalMeasure(b)) == float(exact)
+            assert ks_distance(EmpiricalLaw(a), EmpiricalLaw(b)) == float(exact)
 
     def test_concentration_tied_trials_have_zero_spread(self):
         # the golden case whose three large-model KS values tie at 5/180
@@ -95,14 +94,14 @@ class TestKsLattice:
 class TestW1Distance:
     def test_point_mass_translation(self):
         for t in (-2.0, 0.5, 3.0):
-            assert w1_distance(EmpiricalMeasure([0.0]), EmpiricalMeasure([t])) == abs(t)
+            assert w1_distance(EmpiricalLaw([0.0]), EmpiricalLaw([t])) == abs(t)
 
     def test_identical_pairs(self):
-        m = EmpiricalMeasure([0.0, 1.0])
-        assert w1_distance(m, EmpiricalMeasure([0.0, 1.0])) == 0.0
+        m = EmpiricalLaw([0.0, 1.0])
+        assert w1_distance(m, EmpiricalLaw([0.0, 1.0])) == 0.0
 
     def test_two_atoms_vs_point_mass(self):
-        assert w1_distance(EmpiricalMeasure([-1.0, 1.0]), EmpiricalMeasure([0.0])) == 1.0
+        assert w1_distance(EmpiricalLaw([-1.0, 1.0]), EmpiricalLaw([0.0])) == 1.0
 
     def test_empirical_vs_gaussian_against_quadrature(self):
         rng = np.random.default_rng(3)
@@ -117,7 +116,7 @@ class TestW1Distance:
                 cuts[i], cuts[i + 1], limit=200,
             )
             oracle += seg
-        assert w1_distance(EmpiricalMeasure(atoms), law) == pytest.approx(oracle, abs=1e-8)
+        assert w1_distance(EmpiricalLaw(atoms), law) == pytest.approx(oracle, abs=1e-8)
 
     def test_gaussian_mean_shiftless_scale(self):
         # W1 between N(0,1) and N(0,4) = (2-1) E|Z| = sqrt(2/pi)
@@ -141,12 +140,12 @@ class TestW1Distance:
 
 class TestBlUpperBound:
     def test_identical(self):
-        m = EmpiricalMeasure([1.0, 2.0])
+        m = EmpiricalLaw([1.0, 2.0])
         assert bl_upper_bound(m, m) == 0.0
 
     def test_distant_point_masses_capped_by_ks(self):
         # w1 = 3, 2 ks = 2 -> bound 2
-        assert bl_upper_bound(EmpiricalMeasure([0.0]), EmpiricalMeasure([3.0])) == 2.0
+        assert bl_upper_bound(EmpiricalLaw([0.0]), EmpiricalLaw([3.0])) == 2.0
 
     def test_decreasing_with_sample_size_on_semicircle(self):
         sc = SemicircleLaw(1.0)
@@ -156,14 +155,14 @@ class TestBlUpperBound:
             raw = rng.standard_normal((n, n))
             z = (raw + raw.T) / math.sqrt(2.0)
             lam = np.linalg.eigvalsh(z) / math.sqrt(n)
-            bounds.append(bl_upper_bound(EmpiricalMeasure(lam), sc))
+            bounds.append(bl_upper_bound(EmpiricalLaw(lam), sc))
         assert bounds[1] < bounds[0]
 
     def test_never_exceeds_either_bound(self):
         rng = np.random.default_rng(7)
         for _ in range(25):
-            a = EmpiricalMeasure(rng.standard_normal(rng.integers(2, 12)))
-            b = EmpiricalMeasure(rng.standard_normal(rng.integers(2, 12)))
+            a = EmpiricalLaw(rng.standard_normal(rng.integers(2, 12)))
+            b = EmpiricalLaw(rng.standard_normal(rng.integers(2, 12)))
             bl = bl_upper_bound(a, b)
             assert bl <= w1_distance(a, b) + 1e-12
             assert bl <= 2.0 * ks_distance(a, b) + 1e-12
@@ -178,7 +177,7 @@ class TestMetricAxioms:
         scales = np.random.default_rng(22)
         for round_ in range(200):
             sizes = rng.integers(2, 21, size=3)
-            ms = [EmpiricalMeasure(rng.standard_normal(k)) for k in sizes]
+            ms = [EmpiricalLaw(rng.standard_normal(k)) for k in sizes]
             if round_ < 40:
                 sigma2 = scales.uniform(0.2, 3.0, size=2)
                 ms += [SemicircleLaw(sigma2[0]), GaussianLaw(sigma2[1])]
@@ -201,7 +200,7 @@ class TestRankPerturbationIntegration:
             perturbation = vecs @ vecs.T
             lam_a = np.linalg.eigvalsh(a)
             lam_b = np.linalg.eigvalsh(a + perturbation)
-            ks = ks_distance(EmpiricalMeasure(lam_a), EmpiricalMeasure(lam_b))
+            ks = ks_distance(EmpiricalLaw(lam_a), EmpiricalLaw(lam_b))
             assert ks <= k / n + 1e-12
 
 
@@ -235,7 +234,7 @@ class TestHausdorff:
 class TestMetricReport:
     def test_json_round_trip(self):
         report = metric_report(
-            EmpiricalMeasure([0.0, 1.0]), SemicircleLaw(1.0), notes="demo"
+            EmpiricalLaw([0.0, 1.0]), SemicircleLaw(1.0), notes="demo"
         )
         payload = json.loads(report.to_json())
         assert payload["notes"] == "demo"
@@ -244,8 +243,8 @@ class TestMetricReport:
         assert payload["bl_upper"] <= min(payload["w1"], 2 * payload["ks"]) + 1e-12
 
     def test_report_consistency(self):
-        a = EmpiricalMeasure([0.0, 2.0])
-        b = EmpiricalMeasure([1.0])
+        a = EmpiricalLaw([0.0, 2.0])
+        b = EmpiricalLaw([1.0])
         report = metric_report(a, b)
         assert report.ks == ks_distance(a, b)
         assert report.w1 == w1_distance(a, b)

@@ -16,7 +16,6 @@ from hypergraph_spectra.gham import laplacian, sample_surrogate
 from hypergraph_spectra.laws import EmpiricalLaw
 from hypergraph_spectra.spectra import (
     EigensolverError,
-    EmpiricalMeasure,
     Scaling,
     extreme_eigenvalues,
     load_spectrum_csv,
@@ -173,18 +172,18 @@ class TestEsd:
 
 class TestEmpiricalStieltjes:
     def test_point_mass_at_zero(self):
-        measure = EmpiricalMeasure(atoms=[0.0])
+        measure = EmpiricalLaw(atoms=[0.0])
         assert measure.stieltjes(1j) == pytest.approx(1j)
 
     def test_large_z_asymptote(self):
-        measure = EmpiricalMeasure(atoms=[3.0, -1.0, 0.4])
+        measure = EmpiricalLaw(atoms=[3.0, -1.0, 0.4])
         z = 1e6j
         value = measure.stieltjes(z)
         assert abs(value - (-1.0 / z)) <= 1e-5 * abs(1.0 / z)
 
     def test_two_atom_value(self):
         # (1/2)(1/(1-i) + 1/(-1-i)) = i/2 by direct complex arithmetic
-        measure = EmpiricalMeasure(atoms=[1.0, -1.0])
+        measure = EmpiricalLaw(atoms=[1.0, -1.0])
         oracle = 0.5 * (1.0 / (1.0 - 1j) + 1.0 / (-1.0 - 1j))
         assert oracle == pytest.approx(0.5j)
         assert measure.stieltjes(1j) == pytest.approx(oracle)
@@ -192,12 +191,12 @@ class TestEmpiricalStieltjes:
     def test_upper_half_plane_preserved(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
-            measure = EmpiricalMeasure(atoms=rng.standard_normal(9))
+            measure = EmpiricalLaw(atoms=rng.standard_normal(9))
             for z in (1j, 0.5 + 0.1j, -2.0 + 3j):
                 assert measure.stieltjes(z).imag > 0
 
     def test_lower_half_plane_rejected(self):
-        measure = EmpiricalMeasure(atoms=[0.0])
+        measure = EmpiricalLaw(atoms=[0.0])
         with pytest.raises(ValueError):
             measure.stieltjes(1.0 - 1j)
 

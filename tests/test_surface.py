@@ -1,6 +1,7 @@
 """Every public name of the package is used by the package itself, every
-dense eigensolve goes through one function, and every law is evaluated through
-the one contract of the ``Law`` base class.
+dense eigensolve goes through one function, every trial matrix comes from one
+draw and one matrix table, and every law is evaluated through the one contract
+of the ``Law`` base class.
 
 A name in a module's ``__all__`` must be read somewhere else in ``src/``: its
 own definition, the ``__all__`` entry and the re-exports of ``__init__.py`` do
@@ -86,6 +87,28 @@ def test_one_dense_eigensolve_path():
     # spectra.symmetric_eigenvalues
     counts = {path.name: path.read_text().count("eigvalsh") for path in PACKAGE.glob("*.py")}
     assert {name: count for name, count in counts.items() if count} == {"spectra.py": 1}
+
+
+def _calls(name: str) -> dict[str, int]:
+    """Module file -> calls of ``name``, bare or as an attribute, where any."""
+    counts = {}
+    for path in PACKAGE.glob("*.py"):
+        count = sum(
+            isinstance(node, ast.Call)
+            and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+            for node in ast.walk(ast.parse(path.read_text()))
+        )
+        if count:
+            counts[path.name] = count
+    return counts
+
+
+def test_one_trial_matrix_path():
+    # a trial's matrix is one ensemble draw, experiments._draw, mapped by one
+    # row of the table gham.MATRICES; only that table builds a Laplacian
+    assert set(_calls("laplacian")) | set(_calls("laplacian_tilde")) == {"gham.py"}
+    for sampler in ("sample_surrogate", "sample_hypergraph"):
+        assert _calls(sampler)["experiments.py"] == 1
 
 
 def _subclasses(cls: type):
