@@ -568,23 +568,34 @@ def _run_edge(cfg: ExperimentConfig) -> ExperimentRecord:
     return _run(cfg, [(cfg, trial)], finish)
 
 
+def _concentration_legs(cfg: ExperimentConfig) -> list[ExperimentConfig]:
+    """The two bulk configs of a concentration config, at sizes (n, r) and
+    (2n, r), or (2n, 2r) with scale_r_with_n; building them checks each as a
+    bulk config, its edge budget too."""
+    sizes = [(cfg.n, cfg.r), (2 * cfg.n, 2 * cfg.r if cfg.scale_r_with_n else cfg.r)]
+    return [replace(cfg, kind="bulk", n=n, r=r, master_seed=derive_seed(cfg.master_seed, which))
+            for which, (n, r) in enumerate(sizes)]
+
+
+def _check_concentration(cfg: ExperimentConfig) -> None:
+    """The check of concentration: that of bulk, at both of its sizes."""
+    _reads_no_regime(cfg)
+    _concentration_legs(cfg)
+
+
 def _run_concentration(cfg: ExperimentConfig) -> ExperimentRecord:
     """Fluctuation-scaling experiment: the per-trial KS distance between each
     ESD and the pooled mean ESD is collected at sizes n and 2n, and the ratio
     of sample standard deviations reported (about 1/2 at fixed r if the
     fluctuation scale is 1/n)."""
-    sizes = [(cfg.n, cfg.r), (2 * cfg.n, 2 * cfg.r if cfg.scale_r_with_n else cfg.r)]
+    subs = _concentration_legs(cfg)
     legs = []
-    for which, (n_size, r_size) in enumerate(sizes):
-        # each leg is a bulk config, so it is checked as one
-        sub = replace(cfg, kind="bulk", n=n_size, r=r_size,
-                      master_seed=derive_seed(cfg.master_seed, which))
-
-        # defaults bind this leg's values; the legs run after the loop
-        def trial(index: int, seed: int, sub=sub, n_size=n_size, r_size=r_size):
+    for sub in subs:
+        # the default binds this leg's config; the legs run after the loop
+        def trial(index: int, seed: int, sub=sub):
             h, _ = _trial_matrix(sub, seed)
-            lam = symmetric_eigenvalues(h) / math.sqrt(n_size)
-            return {"n": n_size, "r": r_size}, {f"eigenvalues_n{n_size}": lam}
+            lam = symmetric_eigenvalues(h) / math.sqrt(sub.n)
+            return {"n": sub.n, "r": sub.r}, {f"eigenvalues_n{sub.n}": lam}
 
         legs.append((sub, trial))
 
@@ -600,7 +611,7 @@ def _run_concentration(cfg: ExperimentConfig) -> ExperimentRecord:
             "std_small": stds[0],
             "std_large": stds[1],
             "ratio": (None if None in stds or stds[0] == 0 else stds[1] / stds[0]),
-            "sizes": [list(s) for s in sizes],
+            "sizes": [[sub.n, sub.r] for sub in subs],
         }
         return aggregate, ["ratio"]
 
@@ -689,7 +700,7 @@ _KINDS = {
     "edge_bbp": (_run_edge, _edge_row),
     "edge_regimes": (_run_edge, _edge_row),
     "laplacian_edge": (_run_edge, _edge_row),
-    "concentration": (_run_concentration, _reads_no_regime),
+    "concentration": (_run_concentration, _check_concentration),
     "universality": (_run_universality, _reads_no_regime),
     "diagnostics": (_run_diagnostics, _reads_no_trials),
 }

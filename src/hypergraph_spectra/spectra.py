@@ -156,18 +156,24 @@ def _one_blas_thread():
 _LANCZOS_NCV = 80
 # thick restarts before a solve gives up, the counterpart of ARPACK's maxiter
 _MAX_RESTARTS = 100
-_EPS = np.finfo(float).eps / 2  # unit roundoff, ARPACK's tolerance at tol=0
+# unit roundoff: ARPACK's tolerance at tol=0 on a Ritz residual, and here also
+# the tolerance on a Ritz value's Kato-Temple error bound
+_EPS = np.finfo(float).eps / 2
 
 
 class EigensolverError(RuntimeError):
-    """The Lanczos solve did not converge; carries its size and progress."""
+    """The Lanczos solve did not converge; carries its size, its progress and
+    the work it did."""
 
-    def __init__(self, n: int, depth: int, ncv: int, converged: int):
+    def __init__(self, n: int, depth: int, ncv: int, converged: int, matvecs: int,
+                 restarts: int):
         super().__init__(
             f"Lanczos solve for {depth} eigenvalue(s) at each end of an n={n} "
-            f"matrix converged {converged} of {2 * depth} with ncv={ncv}"
+            f"matrix converged {converged} of {2 * depth} with ncv={ncv} after "
+            f"{matvecs} matvecs and {restarts} restarts"
         )
         self.n, self.depth, self.ncv, self.converged = n, depth, ncv, converged
+        self.matvecs, self.restarts = matvecs, restarts
 
 
 def extreme_eigenvalues(matrix: np.ndarray, depth: int, seed: int) -> np.ndarray:
@@ -177,17 +183,24 @@ def extreme_eigenvalues(matrix: np.ndarray, depth: int, seed: int) -> np.ndarray
     A thick-restart Lanczos solve (Wu & Simon 2000) finds both ends with a
     basis of at most ncv + 1 vectors, ncv = min(n, max(80, 4 * depth)), each
     reorthogonalised by classical Gram-Schmidt run twice.  Every 8 steps and
-    at a full basis it stops if the 2 * depth Ritz pairs at the ends all have
-    beta * |s_last| <= eps * max(|theta|, eps^(2/3)) (ARPACK's test at
-    tol=0); a full basis restarts from max(depth, ncv / 8) Ritz vectors at
-    each end, and an invariant subspace goes on from a new random vector.
+    at a full basis it stops if each of the 2 * depth Ritz values theta at the
+    ends has converged: with residual res = beta * |s_last| and tolerance
+    tol = eps * max(|theta|, eps^(2/3)), either res <= tol (ARPACK's test at
+    tol=0, which alone decides a cluster), or res < gap and res^2 <= gap * tol,
+    gap being the distance from theta to the nearer of its Ritz neighbours:
+    the Kato-Temple bound |theta - lambda| <= res^2 / gap (Parlett, The
+    Symmetric Eigenvalue Problem, ch. 11) puts the value within tol while its
+    vector still has a residual above it.  A full basis restarts from
+    max(depth, ncv / 8) Ritz vectors at each end, and an invariant subspace
+    goes on from a new random vector.
     Start and new vectors come from ``derive_seed(seed, 0)``.  The matvec
     reads only the upper triangle (OpenBLAS ``dsymv``; symmetry is not
     checked) at one BLAS thread, as a threaded ``dsymv``'s bits depend on
     the thread count, so the values depend on (matrix, seed) alone; a
     non-OpenBLAS build multiplies by the whole matrix.  The dense solver runs
-    at 2 * depth >= n - 1.  Raises EigensolverError past ``_MAX_RESTARTS``
-    restarts or on a non-finite value.
+    at 2 * depth >= n - 1.  Raises EigensolverError, which carries the
+    matvecs and restarts made, past ``_MAX_RESTARTS`` restarts or on a
+    non-finite value.
     """
     n = matrix.shape[0]
     if not 1 <= depth <= n:
@@ -216,8 +229,9 @@ def extreme_eigenvalues(matrix: np.ndarray, depth: int, seed: int) -> np.ndarray
     with _one_blas_thread():
         basis[0] = rng.uniform(-1.0, 1.0, n)
         basis[0] /= np.linalg.norm(basis[0])
-        j, restarts, done = 0, 0, np.zeros(2 * depth, dtype=bool)
+        j, matvecs, restarts, done = 0, 0, 0, np.zeros(2 * depth, dtype=bool)
         while True:
+            matvecs += 1
             x, w = basis[j], basis[j + 1]
             if symv is None:
                 np.matmul(a, x, out=w)
@@ -234,17 +248,20 @@ def extreme_eigenvalues(matrix: np.ndarray, depth: int, seed: int) -> np.ndarray
                 if j % 8 or j < 2 * depth:
                     continue
             if not math.isfinite(beta):  # a non-finite entry reaches every later vector
-                raise EigensolverError(n, depth, ncv, int(done.sum()))
+                raise EigensolverError(n, depth, ncv, int(done.sum()), matvecs, restarts)
             theta, s = np.linalg.eigh(h[:j, :j])
             ends = np.r_[:depth, j - depth:j]
-            done = beta * np.abs(s[-1, ends]) <= _EPS * np.maximum(np.abs(theta[ends]),
-                                                                   _EPS ** (2 / 3))
+            res = beta * np.abs(s[-1, ends])
+            tol = _EPS * np.maximum(np.abs(theta[ends]), _EPS ** (2 / 3))
+            step = np.diff(theta)  # the gap to the nearer Ritz neighbour, of those there are
+            gap = np.minimum(np.r_[np.inf, step], np.r_[step, np.inf])[ends]
+            done = (res <= tol) | ((res < gap) & (res * res <= gap * tol))
             if done.all():
                 return np.sort(theta[ends])[::-1]
             if j < ncv:
                 continue
             if restarts == _MAX_RESTARTS:
-                raise EigensolverError(n, depth, ncv, int(done.sum()))
+                raise EigensolverError(n, depth, ncv, int(done.sum()), matvecs, restarts)
             restarts, kept = restarts + 1, np.r_[:keep, j - keep:j]
             basis[:2 * keep] = s[:, kept].T @ basis[:j]
             basis[2 * keep] = basis[j]

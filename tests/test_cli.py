@@ -193,6 +193,7 @@ class TestExperimentCommand:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: Lanczos solve") and "n=1500" in err
+        assert "after 80 matvecs and 0 restarts" in err  # one full basis of ncv=80
 
     def test_threads_below_one_rejected(self, tmp_path, capsys):
         code = main(

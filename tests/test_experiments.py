@@ -46,6 +46,13 @@ class TestConfig:
         )):
             ExperimentConfig(kind="bulk", n=80, r=40, p=0.5, ensemble=BERNOULLI)
 
+    def test_concentration_budget_checked_at_its_second_size(self):
+        # C(300, 3) * 0.9 edges fit the budget; the second leg's C(600, 3) * 0.9 do not
+        ExperimentConfig(kind="bulk", n=300, r=3, p=0.9, ensemble=BERNOULLI)
+        with pytest.raises(SamplingBudgetError, match=r"exceeds budget 1e\+07"):
+            ExperimentConfig(kind="concentration", n=300, r=3, p=0.9, trials=2,
+                             ensemble=BERNOULLI)
+
     # universality samples a hypergraph in every trial whatever the ensemble, so
     # its budget error advises a smaller model, not the surrogate ensemble
     UNIVERSALITY_ADVICE = (r"exceeds budget 1e\+07; every universality trial samples a "
@@ -206,7 +213,7 @@ class TestTrialPool:
         def spy(matrix, depth, seed):
             seen.append((threading.get_ident(), blas_threads()))
             if seed == fail_seed:
-                raise EigensolverError(matrix.shape[0], depth, 0, 0)
+                raise EigensolverError(matrix.shape[0], depth, 0, 0, 0, 0)
             return solve(matrix, depth, seed)
 
         monkeypatch.setattr(experiments, "extreme_eigenvalues", spy)

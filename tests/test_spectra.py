@@ -12,7 +12,7 @@ import pytest
 from hypergraph_spectra import spectra
 from hypergraph_spectra.combinatorics import ModelParams
 from hypergraph_spectra.experiments import ExperimentConfig, run_experiment
-from hypergraph_spectra.gham import laplacian, sample_surrogate
+from hypergraph_spectra.gham import laplacian, laplacian_tilde, sample_surrogate
 from hypergraph_spectra.laws import EmpiricalLaw
 from hypergraph_spectra.spectra import (
     EigensolverError,
@@ -264,13 +264,13 @@ def dense_extremes(m, depth):
     return np.concatenate([lam[:depth], lam[lam.size - depth:]])
 
 
-def assert_agrees_with_dense(m, depth, seed=0):
-    """Lanczos extremes equal the dense solver's to 1e-10 relative; values near
+def assert_agrees_with_dense(m, depth, seed=0, rtol=1e-10):
+    """Lanczos extremes equal the dense solver's to rtol relative; values near
     zero are compared on the scale of the spectral norm."""
     expected = dense_extremes(m, depth)
-    atol = 1e-10 * np.abs(expected).max()
+    atol = rtol * np.abs(expected).max()
     np.testing.assert_allclose(
-        extreme_eigenvalues(m, depth, seed), expected, rtol=1e-10, atol=atol
+        extreme_eigenvalues(m, depth, seed), expected, rtol=rtol, atol=atol
     )
 
 
@@ -335,12 +335,26 @@ class TestExtremeEigenvalues:
             with np.errstate(all="raise"):
                 assert_agrees_with_dense(m, 2, seed)
 
+    @pytest.mark.parametrize("r", [3, 4, 300])
+    def test_surrogate_edges_agree_with_dense_to_1e13(self, r):
+        # a Ritz value is accepted by its Kato-Temple bound before its vector
+        # has converged, and is still within 1e-13 of LAPACK's
+        _, g = sample_surrogate(ModelParams(n=1000, r=r, p=0.5), 40 + r)
+        for depth in (1, 3):
+            assert_agrees_with_dense(g, depth, seed=depth, rtol=1e-13)
+
+    def test_surrogate_laplacian_edges_agree_with_dense_to_1e13(self):
+        _, g = sample_surrogate(ModelParams(n=1000, r=4, p=0.5), 12)
+        assert_agrees_with_dense(laplacian(g), 2, seed=1, rtol=1e-13)
+        assert_agrees_with_dense(laplacian_tilde(g, 4), 2, seed=1, rtol=1e-13)
+
     def test_stops_when_converged(self, monkeypatch):
         # convergence is tested every 8 steps; a solve that tests it only at the
-        # end of each 80-vector cycle makes at least 81 matvecs (159 and 81 here)
+        # end of each 80-vector cycle makes at least 81 matvecs, and one that
+        # waits for every Ritz vector's residual to reach roundoff 100 and 24 here
         calls = []
         wrap_dsymv(monkeypatch, lambda: calls.append(None))
-        for r, seed, most in ((4, 6, 120), (300, 3, 40)):
+        for r, seed, most in ((4, 6, 72), (300, 3, 16)):
             _, g = sample_surrogate(ModelParams(n=1000, r=r, p=0.5), seed)
             calls.clear()
             assert_agrees_with_dense(g, 1, seed)
@@ -377,6 +391,15 @@ class TestExtremeEigenvalues:
         assert (err.n, err.depth, err.ncv) == (1500, 2, 80)
         assert 0 <= err.converged < 4
         assert "n=1500" in str(err) and "ncv=80" in str(err)
+
+    def test_no_convergence_error_counts_matvecs_and_restarts(self, monkeypatch):
+        # a restart keeps max(2, 80 // 8) = 10 Ritz vectors at each end, so the
+        # second basis takes 80 - 20 more matvecs
+        monkeypatch.setattr(spectra, "_MAX_RESTARTS", 1)
+        _, g = sample_surrogate(ModelParams(n=1500, r=3, p=0.5), 9)
+        with pytest.raises(EigensolverError, match="after 140 matvecs and 1 restarts") as info:
+            extreme_eigenvalues(g, 2, 0)
+        assert (info.value.matvecs, info.value.restarts) == (140, 1)
 
     def test_reads_only_the_upper_triangle(self):
         # the matvec is a row-major upper dsymv: the strict lower triangle is never read
