@@ -38,7 +38,7 @@ def _parse_compare_input(text: str):
 
 def cmd_sample(args) -> int:
     params = ModelParams(n=args.n, r=args.r, p=args.p)
-    sample = sample_hypergraph(params, args.seed)
+    sample = sample_hypergraph(params, args.seed or 0)
     out = Path(args.out or Path(args.out_dir) / f"hypergraph_n{args.n}_r{args.r}.json")
     out.parent.mkdir(parents=True, exist_ok=True)
     save_hypergraph_json(sample, out)
@@ -58,8 +58,8 @@ def _build_matrix(args) -> tuple[np.ndarray, ModelParams, str, int]:
         if args.n is None or args.r is None:
             raise ValueError("surrogate mode needs -n and -r")
         params = ModelParams(n=args.n, r=args.r, p=args.p)
-        h = sample_surrogate(params, args.seed)[1]
-        ensemble, seed = experiments.SURROGATE, args.seed
+        ensemble, seed = experiments.SURROGATE, args.seed or 0
+        h = sample_surrogate(params, seed)[1]
     else:
         raise ValueError("spectrum needs --input FILE or --surrogate")
     return MATRICES[args.matrix](h, params.r), params, ensemble, seed
@@ -107,6 +107,8 @@ def cmd_experiment(args) -> int:
             ("matrix", args.matrix_kind),
             ("k", args.k),
             ("tolerance", args.tolerance),
+            ("master_seed", args.seed),
+            ("threads", args.threads),
         )
         if value is not None
     }
@@ -115,8 +117,6 @@ def cmd_experiment(args) -> int:
         raise ValueError(f"config {args.config} must hold a JSON object")
     payload.pop("schema_version", None)
     payload.update(overrides)
-    payload.setdefault("master_seed", args.seed)
-    payload["threads"] = args.threads
     fields = {f.name for f in dataclasses.fields(experiments.ExperimentConfig)}
     unknown = sorted(payload.keys() - fields)
     if unknown:
@@ -181,12 +181,12 @@ def build_parser() -> argparse.ArgumentParser:
         prog="hgspec",
         description="Spectral Monte-Carlo laboratory for random r-uniform hypergraphs",
     )
-    parser.add_argument("--seed", type=int, default=0, help="master seed")
+    parser.add_argument("--seed", type=int, help="master seed (default 0, or a config file's)")
     parser.add_argument("--out-dir", default=".", help="output directory")
     parser.add_argument(
-        "--threads", type=int, default=1,
-        help="experiment trial pool size, capped at the usable cores and the trial "
-        "count; above 1 every trial runs the bundled OpenBLAS at one thread",
+        "--threads", type=int,
+        help="experiment trial pool size (default 1, or a config file's), capped at the "
+        "usable cores and trial count; above 1 every trial runs the bundled OpenBLAS at one thread",
     )
     parser.add_argument("--format", choices=["csv", "json"], default="csv")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -339,25 +339,22 @@ def _sample_distinct_edges(
 
 def check_edge_budget(
     params: ModelParams,
-    max_expected_edges: float = DEFAULT_EDGE_BUDGET,
     advice: str = "use the Gaussian surrogate ensemble "
     "(ensemble='gaussian_surrogate', gham.sample_surrogate) at this scale",
 ) -> None:
     """Raise SamplingBudgetError, ending in ``advice``, when the expected edge
-    count C(n,r)*p exceeds ``max_expected_edges``; compared in log space, since
-    C(n,r) may overflow."""
+    count C(n,r)*p exceeds ``DEFAULT_EDGE_BUDGET``; compared in log space,
+    since C(n,r) may overflow."""
     if params.p > 0.0:
         log_expected = math.log(params.num_possible_edges) + math.log(params.p)
-        if log_expected > math.log(max_expected_edges):
+        if log_expected > math.log(DEFAULT_EDGE_BUDGET):
             raise SamplingBudgetError(
                 f"expected edge count C({params.n},{params.r})*{params.p} exceeds "
-                f"budget {max_expected_edges:g}; {advice}"
+                f"budget {DEFAULT_EDGE_BUDGET:g}; {advice}"
             )
 
 
-def sample_hypergraph(
-    params: ModelParams, seed: int, max_expected_edges: float = DEFAULT_EDGE_BUDGET
-) -> HypergraphSample:
+def sample_hypergraph(params: ModelParams, seed: int) -> HypergraphSample:
     """Sample an Erdos-Renyi r-uniform hypergraph: each of the C(n, r) potential
     hyperedges is included independently with probability p.
 
@@ -365,8 +362,8 @@ def sample_hypergraph(
     uniform r-subsets are then selected, which is distributionally identical to
     per-edge coin flips.  Identical (params, seed) reproduce identical output.
 
-    Raises SamplingBudgetError when the expected edge count C(n,r)*p exceeds
-    ``max_expected_edges``.
+    Raises SamplingBudgetError, before any draw, when the expected edge count
+    C(n,r)*p exceeds ``DEFAULT_EDGE_BUDGET`` (1e7).
 
     Examples
     --------
@@ -376,7 +373,7 @@ def sample_hypergraph(
     >>> sample.edges[0].tolist()
     [1, 2, 3]
     """
-    check_edge_budget(params, max_expected_edges)
+    check_edge_budget(params)
     m = params.num_possible_edges
     rng = np.random.default_rng(seed)
     # clamped: binom.ppf(0, m, p) is -1 when the uniform draw is exactly 0

@@ -4,9 +4,11 @@
 holding the config snapshot, one summary row per trial, aggregate statistics
 recomputable from those rows, raw eigenvalue arrays for persistence, and a
 provenance block (versions, the BLAS library, pool size).  Each kind is a row
-(runner, check) of the table ``_KINDS``; a config runs its kind's check when
-built, and the runner calls the same check for its parameters; a config is
-frozen, so no field changes after its check.  No field sets a scaling: each
+(runner, check, reads) of the table ``_KINDS``; a config runs its kind's check
+when built, and the runner calls the same check for its parameters; a config
+is frozen, so no field changes after its check.  One rule, ``_reject_unread``,
+rejects an optional field set off its default that neither ``reads`` nor an
+edge regime's row of ``_edge_table`` names.  No field sets a scaling: each
 limit law fixes its own, n^{-1/2} for ``bulk`` and the (matrix, regime) row of
 ``_LAPLACIAN_LAWS`` for ``laplacian_bulk``.  Every kind, ``diagnostics``
 included, goes through one trial loop, ``_run``: a kind supplies only its legs,
@@ -97,6 +99,9 @@ class RegimeError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One experiment, checked when built: every kind accepts ``_ALWAYS_READ``,
+    and its row of ``_KINDS`` or ``_edge_table`` names the other fields it reads."""
+
     kind: str
     n: int
     r: int
@@ -122,6 +127,11 @@ class ExperimentConfig:
                 continue
             if not isinstance(value, want) or isinstance(value, bool) != (type_name == "bool"):
                 raise ValueError(f"config key {f.name!r} must be a JSON {type_name}, got {value!r}")
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"config key {f.name!r} must be finite, got {value!r}")
+            # the tolerance and side factors: at or below 0 a gate never passes or is vacuous
+            if type_name == "float" and f.name != "p" and value <= 0:
+                raise ValueError(f"need {f.name} > 0, got {f.name}={value!r}")
         if self.kind not in _KINDS:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
         if self.trials < 1:
@@ -147,7 +157,10 @@ class ExperimentConfig:
                     "every universality trial samples a hypergraph, whatever the ensemble, "
                     "so lower n, r or p"
                 ))
-        _KINDS[self.kind][1](self)
+        _, check, reads = _KINDS[self.kind]
+        _reject_unread(self, reads)
+        if check is not None:
+            check(self)
 
     def model_params(self) -> ModelParams:
         return ModelParams(n=self.n, r=self.r, p=self.p)
@@ -185,6 +198,24 @@ class ExperimentRecord:
             "provenance": self.provenance,
             "artifacts": self.artifacts,
         }
+
+
+# the fields every kind accepts: the CLI or a caller may set them for any kind
+_ALWAYS_READ = ("kind", "n", "r", "p", "master_seed", "ensemble", "threads")
+# the optional fields of every Monte-Carlo kind, and of every edge kind
+_GATED = ("trials", "tolerance")
+_EDGE = (*_GATED, "regime")
+
+
+def _reject_unread(cfg: ExperimentConfig, reads: tuple, regime: str | None = None) -> None:
+    """Reject an optional field, one outside ``_ALWAYS_READ`` and ``reads``,
+    whose value differs from its default: the kind, or its regime, does not
+    read it."""
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if f.name not in _ALWAYS_READ + reads and value != f.default:
+            reader = f"{cfg.kind} regime {regime}" if regime else cfg.kind
+            raise ValueError(f"{reader} does not read {f.name}; got {f.name}={value!r}")
 
 
 def _samples_hypergraphs(cfg: ExperimentConfig) -> bool:
@@ -360,40 +391,6 @@ def _run_esd(cfg: ExperimentConfig, scaling: Scaling, reference: Law, w1: bool):
     return _run(cfg, [(cfg, trial)], finish)
 
 
-def _reads_gham(cfg: ExperimentConfig) -> None:
-    if cfg.matrix != "gham":
-        raise ValueError(f"only laplacian_bulk reads matrix; {cfg.kind} needs gham, "
-                         f"got {cfg.matrix}")
-
-
-# the edge regimes whose statistic reads k
-_READS_K = ("secondary", "A", "C_i", "C_ii")
-
-
-def _reads_no_k(cfg: ExperimentConfig, reader: str) -> None:
-    if cfg.k != 1:
-        raise ValueError(f"only the edge regimes {', '.join(_READS_K)} read k; {reader} got "
-                         f"k={cfg.k}")
-
-
-def _reads_no_regime(cfg: ExperimentConfig) -> None:
-    """The check of bulk, concentration, universality and diagnostics: they
-    read the GHAM at scale n^{-1/2}, and no regime or k."""
-    _reads_gham(cfg)
-    if cfg.regime is not None:
-        raise ValueError(f"only laplacian_bulk and the edge kinds read a regime; {cfg.kind} "
-                         f"got regime={cfg.regime!r}")
-    _reads_no_k(cfg, cfg.kind)
-
-
-def _reads_no_trials(cfg: ExperimentConfig) -> None:
-    """The check of diagnostics: no regime or k, and no trials or gate."""
-    _reads_no_regime(cfg)
-    if cfg.trials != ExperimentConfig.trials or cfg.tolerance is not None:  # the defaults
-        raise ValueError(f"only the Monte-Carlo kinds read trials and a tolerance; {cfg.kind} "
-                         f"got trials={cfg.trials}, tolerance={cfg.tolerance}")
-
-
 def _run_bulk(cfg: ExperimentConfig) -> ExperimentRecord:
     """Bulk spectrum experiment: the ESD of n^{-1/2} H against the semicircle
     law with variance (1 - r/n)^2."""
@@ -420,7 +417,6 @@ def _laplacian_reference(cfg: ExperimentConfig) -> tuple[Scaling, Law]:
     (matrix, regime).  A free convolution is solved on first use, not here."""
     if cfg.matrix == "gham":
         raise ValueError("laplacian_bulk needs matrix='laplacian' or 'laplacian_tilde'")
-    _reads_no_k(cfg, cfg.kind)
     row = _LAPLACIAN_LAWS.get((cfg.matrix, cfg.regime or "fixed_r"))
     if row is None:
         supported = ", ".join(f"({m}, {g})" for m, g in _LAPLACIAN_LAWS)
@@ -453,7 +449,8 @@ _PROPORTIONAL_NOTE = (
 
 def _edge_table(n: int, r: int, k: int) -> dict:
     """kind -> regime -> (matrix, row keys, order-statistic position j,
-    multiplier, divisor, target) for the extreme-eigenvalue kinds at (n, r, k).
+    multiplier, divisor, target, the optional fields the regime reads beyond
+    ``_EDGE``) for the extreme-eigenvalue kinds at (n, r, k).
 
     A trial records multiplier * lambda_{1+j} / divisor and its mirror at
     lambda_{n-j} (eigenvalues descending).  The mean of each is scored against
@@ -483,21 +480,21 @@ def _edge_table(n: int, r: int, k: int) -> dict:
     stat = ("stat_max", "stat_min")
     tilde = "laplacian_tilde"
     return {
-        "edge_bbp": {"fixed_r": ("gham", scaled, 0, 1, root_n, bbp_edge_limit(r))},
+        "edge_bbp": {"fixed_r": ("gham", scaled, 0, 1, root_n, bbp_edge_limit(r), ())},
         "edge_regimes": {
-            "proportional": ("gham", ("lambda_max_over_n", "lambda_min_over_n"), 0, 1, n, None),
-            "sqrt_nr": ("gham", scaled, 0, 1, math.sqrt(n * r), 1.0),
+            "proportional": ("gham", ("lambda_max_over_n", "lambda_min_over_n"), 0, 1, n, None, ()),
+            "sqrt_nr": ("gham", scaled, 0, 1, math.sqrt(n * r), 1.0, ()),
             "secondary": (
                 "gham", ("lambda_sub_max_scaled", "lambda_sub_min_scaled"), k, 1, root_n,
-                2.0 * (1.0 - c),
+                2.0 * (1.0 - c), ("k",),
             ),
         },
         "laplacian_edge": {
-            "A": ("laplacian", stat, k - 1, 1, log_scale, centering),
-            "B_i": (tilde, stat, 0, r - 1, log_scale, centering),
-            "B_ii": (tilde, stat, 0, 1, n, None),
-            "C_i": (tilde, stat, k, r - 1, log_scale, centering),
-            "C_ii": (tilde, stat, k, 1, root_n, 2.0 * (1.0 - c)),
+            "A": ("laplacian", stat, k - 1, 1, log_scale, centering, ("k",)),
+            "B_i": (tilde, stat, 0, r - 1, log_scale, centering, ("side_factor_small",)),
+            "B_ii": (tilde, stat, 0, 1, n, None, ()),
+            "C_i": (tilde, stat, k, r - 1, log_scale, centering, ("k", "side_factor_small")),
+            "C_ii": (tilde, stat, k, 1, root_n, 2.0 * (1.0 - c), ("k", "side_factor_large")),
         },
     }
 
@@ -505,9 +502,8 @@ def _edge_table(n: int, r: int, k: int) -> dict:
 def _edge_row(cfg: ExperimentConfig) -> tuple[str, tuple]:
     """The check of the edge kinds: (regime, row of ``_edge_table``).  It
     rejects an ensemble other than the surrogate, an unknown regime, a side
-    condition that fails with the config's explicit constants, and a matrix
-    or k that the row does not read."""
-    _reads_gham(cfg)
+    condition that fails with the config's explicit constants, and an
+    optional field that the regime does not read."""
     if cfg.ensemble != SURROGATE:
         raise ValueError(f"{cfg.kind} is defined for the Gaussian surrogate ensemble; "
                          f"got ensemble={cfg.ensemble!r}")
@@ -529,8 +525,7 @@ def _edge_row(cfg: ExperimentConfig) -> tuple[str, tuple]:
             raise RegimeError(
                 f"regime {regime} requires {condition}: need r {op} {bound:.3g}, got r={r}"
             )
-    if regime not in _READS_K:
-        _reads_no_k(cfg, f"{cfg.kind} regime {regime}")
+    _reject_unread(cfg, _EDGE + table[regime][-1], regime)
     return regime, table[regime]
 
 
@@ -540,7 +535,7 @@ def _run_edge(cfg: ExperimentConfig) -> ExperimentRecord:
     Gaussian U and the two statistics; the aggregate holds the regime, their
     mean, std and stderr, then the target and the absolute errors of the
     means, or the KS distances to the exact edge law and a note."""
-    regime, (matrix, keys, j, multiplier, divisor, target) = _edge_row(cfg)
+    regime, (matrix, keys, j, multiplier, divisor, target, _) = _edge_row(cfg)
 
     def trial(index: int, seed: int):
         m, u = _trial_matrix(cfg, seed, matrix)
@@ -569,18 +564,13 @@ def _run_edge(cfg: ExperimentConfig) -> ExperimentRecord:
 
 
 def _concentration_legs(cfg: ExperimentConfig) -> list[ExperimentConfig]:
-    """The two bulk configs of a concentration config, at sizes (n, r) and
-    (2n, r), or (2n, 2r) with scale_r_with_n; building them checks each as a
-    bulk config, its edge budget too."""
+    """The check of concentration: its two bulk configs, at sizes (n, r) and
+    (2n, r), or (2n, 2r) with scale_r_with_n, which bulk does not read;
+    building them checks each as a bulk config, its edge budget too."""
     sizes = [(cfg.n, cfg.r), (2 * cfg.n, 2 * cfg.r if cfg.scale_r_with_n else cfg.r)]
-    return [replace(cfg, kind="bulk", n=n, r=r, master_seed=derive_seed(cfg.master_seed, which))
+    return [replace(cfg, kind="bulk", n=n, r=r, scale_r_with_n=False,
+                    master_seed=derive_seed(cfg.master_seed, which))
             for which, (n, r) in enumerate(sizes)]
-
-
-def _check_concentration(cfg: ExperimentConfig) -> None:
-    """The check of concentration: that of bulk, at both of its sizes."""
-    _reads_no_regime(cfg)
-    _concentration_legs(cfg)
 
 
 def _run_concentration(cfg: ExperimentConfig) -> ExperimentRecord:
@@ -692,17 +682,19 @@ def _run_diagnostics(cfg: ExperimentConfig) -> ExperimentRecord:
     return _run(cfg, [], lambda rows, data: (assumption_diagnostics(cfg.model_params()), []))
 
 
-# kind -> (runner, check).  ExperimentConfig runs the check when it is built;
-# the runner calls the same check where it needs its result.
+# kind -> (runner, check or None, the optional fields it reads in any regime).
+# ExperimentConfig runs the rule and the check when it is built; the runner
+# calls the same check where it needs its result.
 _KINDS = {
-    "bulk": (_run_bulk, _reads_no_regime),
-    "laplacian_bulk": (_run_laplacian_bulk, _laplacian_reference),
-    "edge_bbp": (_run_edge, _edge_row),
-    "edge_regimes": (_run_edge, _edge_row),
-    "laplacian_edge": (_run_edge, _edge_row),
-    "concentration": (_run_concentration, _check_concentration),
-    "universality": (_run_universality, _reads_no_regime),
-    "diagnostics": (_run_diagnostics, _reads_no_trials),
+    "bulk": (_run_bulk, None, _GATED),
+    "laplacian_bulk": (_run_laplacian_bulk, _laplacian_reference, (*_GATED, "matrix", "regime")),
+    "edge_bbp": (_run_edge, _edge_row, _EDGE),
+    "edge_regimes": (_run_edge, _edge_row, (*_EDGE, "k")),
+    "laplacian_edge": (_run_edge, _edge_row,
+                       (*_EDGE, "k", "side_factor_small", "side_factor_large")),
+    "concentration": (_run_concentration, _concentration_legs, (*_GATED, "scale_r_with_n")),
+    "universality": (_run_universality, None, _GATED),
+    "diagnostics": (_run_diagnostics, None, ()),
 }
 EXPERIMENT_KINDS = tuple(_KINDS)
 

@@ -271,7 +271,42 @@ class TestExperimentCommand:
             ]
         )
         assert code == 1
-        assert capsys.readouterr().err.startswith("error: only laplacian_bulk reads matrix")
+        assert capsys.readouterr().err == "error: bulk does not read matrix; got matrix='laplacian'\n"
+
+    def test_non_finite_tolerance_rejected(self, tmp_path, capsys):
+        # NaN failed every gate and was written into record.json as a bare NaN
+        code = main(
+            [
+                "--out-dir", str(tmp_path), "experiment", "--kind", "bulk",
+                "-n", "40", "-r", "3", "--tolerance", "nan",
+            ]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == "error: config key 'tolerance' must be finite, got nan\n"
+        assert not (tmp_path / "runs").exists()
+
+    # a flag beats the config file, and the file beats the flag's default
+    @pytest.mark.parametrize("key, flag, file_value, flag_value, default", [
+        ("master_seed", "--seed", 5, 9, 0),
+        ("threads", "--threads", 2, 1, 1),
+    ])
+    @pytest.mark.parametrize("source", ["flag", "file", "default"])
+    def test_seed_and_threads_precedence(self, tmp_path, key, flag, file_value, flag_value,
+                                         default, source):
+        payload = {"kind": "bulk", "n": 20, "r": 3, "trials": 2}
+        if source != "default":
+            payload[key] = file_value
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps(payload))
+        flags = [flag, str(flag_value)] if source == "flag" else []
+        code = main(["--out-dir", str(tmp_path), *flags, "experiment", "--config", str(cfg_file),
+                     "--timestamp", "t"])
+        assert code == 0
+        (run_dir,) = (tmp_path / "runs" / "bulk").iterdir()
+        record = json.loads((run_dir / "record.json").read_text())
+        want = {"flag": flag_value, "file": file_value, "default": default}[source]
+        assert record["config"][key] == want
+        assert run_dir.name == f"t-{record['config']['master_seed']}"
 
     def test_config_scaling_from_an_older_record_rejected(self, tmp_path, capsys):
         # records from earlier versions carry a scaling; no field sets it now

@@ -14,6 +14,7 @@ from hypergraph_spectra.combinatorics import (
     SamplingBudgetError,
     average_degree,
     binomial_coefficient,
+    check_edge_budget,
     derive_seed,
     load_hypergraph_json,
     sample_hypergraph,
@@ -297,11 +298,23 @@ class TestSampleHypergraph:
         with pytest.raises(SamplingBudgetError, match="surrogate"):
             sample_hypergraph(ModelParams(60, 30, 0.5), 1)
 
-    def test_budget_override(self):
-        sample = sample_hypergraph(ModelParams(6, 3, 1.0), 0, max_expected_edges=25)
-        assert len(sample.edges) == 20
+    @pytest.mark.parametrize("factor, over", [(1 - 1e-9, False), (1 + 1e-9, True)])
+    def test_budget_boundary(self, monkeypatch, factor, over):
+        # C(400, 3) * p expected edges, a relative 1e-9 either side of 1e7
+        assert combinatorics.DEFAULT_EDGE_BUDGET == 10**7
+        params = ModelParams(400, 3, factor * 1e7 / math.comb(400, 3))
+        if not over:
+            check_edge_budget(params)
+            return
+        with pytest.raises(SamplingBudgetError, match=r"exceeds budget 1e\+07"):
+            check_edge_budget(params)
+
+        def no_draw(seed):
+            raise AssertionError("sampled past the budget")
+
+        monkeypatch.setattr(combinatorics.np.random, "default_rng", no_draw)
         with pytest.raises(SamplingBudgetError):
-            sample_hypergraph(ModelParams(6, 3, 1.0), 0, max_expected_edges=19)
+            sample_hypergraph(params, 0)
 
     @pytest.mark.parametrize("n,r", [(6, 3), (10, 4), (8, 2), (5, 4)])
     @pytest.mark.parametrize("p", [0.3, 0.7])

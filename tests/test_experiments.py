@@ -66,11 +66,6 @@ class TestConfig:
         with pytest.raises(SamplingBudgetError, match=self.UNIVERSALITY_ADVICE):
             ExperimentConfig(kind="universality", n=80, r=40, p=0.5, ensemble=BERNOULLI)
 
-    @pytest.mark.parametrize("kind", ["bulk", "concentration", "universality", "diagnostics"])
-    def test_kinds_that_read_no_regime_reject_one(self, kind):
-        with pytest.raises(ValueError, match=f"read a regime; {kind} got regime='bogus'"):
-            ExperimentConfig(kind=kind, n=40, r=3, regime="bogus")
-
     def test_no_scaling_field(self):
         # each limit law fixes the scaling of its spectrum
         assert "scaling" not in {f.name for f in dataclasses.fields(ExperimentConfig)}
@@ -96,16 +91,6 @@ class TestConfig:
         with pytest.raises(ValueError, match=r"need k < n=30, got k=3[01]"):
             ExperimentConfig(kind=kind, n=30, r=3, k=k, regime=regime)
 
-    @pytest.mark.parametrize("kind", [k for k in experiments.EXPERIMENT_KINDS if k != "laplacian_bulk"])
-    @pytest.mark.parametrize("field,value,valid", [
-        ("matrix", "laplacian", dict(matrix="laplacian")),
-    ], ids=["matrix-laplacian"])
-    def test_matrix_and_scaling_only_for_laplacian_bulk(self, kind, field, value, valid):
-        with pytest.raises(ValueError, match=f"only laplacian_bulk reads matrix; {kind}"):
-            ExperimentConfig(kind=kind, n=40, r=3, **{field: value})
-        cfg = ExperimentConfig(kind="laplacian_bulk", n=40, r=3, **valid)
-        assert cfg.to_dict()[field] == valid[field]
-
     @pytest.mark.parametrize("config, error, message", [
         # built, then raised by the run
         (dict(kind="laplacian_edge", n=100, r=10), RegimeError,
@@ -129,13 +114,6 @@ class TestConfig:
          "got 'bogus'"),
         (dict(kind="laplacian_edge", n=1000, r=3, regime="B_i"), RegimeError,
          "regime B_i requires r << sqrt(log n): need r <= 0.526, got r=3"),
-        # built and ran, recording a field that nothing read
-        (dict(kind="edge_bbp", n=30, r=3, k=7), ValueError,
-         "only the edge regimes secondary, A, C_i, C_ii read k; edge_bbp regime fixed_r got k=7"),
-        (dict(kind="bulk", n=30, r=3, k=5), ValueError,
-         "only the edge regimes secondary, A, C_i, C_ii read k; bulk got k=5"),
-        (dict(kind="laplacian_bulk", n=30, r=3, matrix="laplacian", k=2), ValueError,
-         "only the edge regimes secondary, A, C_i, C_ii read k; laplacian_bulk got k=2"),
         (dict(kind="bulk", n=30, r=3, p=True), ValueError,
          "config key 'p' must be a JSON float, got True"),
         (dict(kind="bulk", n=30, r=3, threads=True), ValueError,
@@ -146,21 +124,25 @@ class TestConfig:
     ], ids=[
         "laplacian_edge-no-regime", "edge_bbp-bernoulli", "laplacian_bulk-gham",
         "tilde-edge-regime", "laplacian_bulk-bogus", "edge_regimes-bogus", "B_i-default-factor",
-        "edge_bbp-k", "bulk-k", "laplacian_bulk-k", "bool-p", "bool-threads", "float-n",
+        "bool-p", "bool-threads", "float-n",
     ])
     def test_config_that_cannot_run_raises_when_built(self, config, error, message):
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
             ExperimentConfig(trials=2, **config)
 
-    # diagnostics runs no trial and has no gate, yet recorded both fields
-    @pytest.mark.parametrize("field, value, got", [
-        ("trials", 3, "trials=3, tolerance=None"),
-        ("tolerance", 0.1, "trials=10, tolerance=0.1"),
-    ])
-    def test_diagnostics_rejects_trials_and_tolerance(self, field, value, got):
-        message = f"only the Monte-Carlo kinds read trials and a tolerance; diagnostics got {got}"
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            ExperimentConfig(kind="diagnostics", n=20, r=3, **{field: value})
+    # a non-finite value, or a bound at or below zero, would turn the gate or the
+    # side condition off
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -0.5])
+    @pytest.mark.parametrize("field, config", [
+        ("tolerance", dict(kind="bulk", n=40, r=3)),
+        ("side_factor_small", dict(kind="laplacian_edge", regime="B_i", n=60, r=3)),
+        ("side_factor_large", dict(kind="laplacian_edge", regime="C_ii", n=60, r=3)),
+    ], ids=["tolerance", "side_factor_small", "side_factor_large"])
+    def test_gate_bound_must_be_finite_and_positive(self, field, config, value):
+        message = (rf"^config key '{field}' must be finite, got {value!r}$"
+                   if not math.isfinite(value) else rf"^need {field} > 0, got {field}={value!r}$")
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig(**config, **{field: value})
 
     def test_diagnostics_takes_the_fields_the_cli_always_sets(self):
         cfg = ExperimentConfig(kind="diagnostics", n=20, r=3, master_seed=4, threads=2,
@@ -386,6 +368,64 @@ EDGE_ROWS = [
     (dict(kind="laplacian_edge", regime="C_ii", n=40, r=30, k=2, side_factor_large=1.0),
      ("stat_max", "stat_min"), TARGET),
 ]
+
+
+# every kind, and every edge kind at each of its regimes: (config that builds,
+# the optional fields it reads).  A field set off its default that the kind or
+# regime does not read raises, so no record holds a knob that nothing read.
+GATED = {"trials", "tolerance"}
+EDGE = GATED | {"regime"}
+READERS = [
+    (dict(kind="bulk", n=40, r=3), GATED),
+    (dict(kind="laplacian_bulk", n=40, r=3, matrix="laplacian"), GATED | {"matrix", "regime"}),
+    (dict(kind="concentration", n=40, r=3), GATED | {"scale_r_with_n"}),
+    (dict(kind="universality", n=40, r=3), GATED),
+    (dict(kind="diagnostics", n=40, r=3), set()),
+    *((config, EDGE | reads) for config, reads in [
+        (dict(kind="edge_bbp", regime="fixed_r", n=40, r=4), set()),
+        (dict(kind="edge_regimes", regime="proportional", n=40, r=12), set()),
+        (dict(kind="edge_regimes", regime="sqrt_nr", n=40, r=12), set()),
+        (dict(kind="edge_regimes", regime="secondary", n=40, r=4), {"k"}),
+        (dict(kind="laplacian_edge", regime="A", n=40, r=8), {"k"}),
+        (dict(kind="laplacian_edge", regime="B_i", n=40, r=3, side_factor_small=2.0),
+         {"side_factor_small"}),
+        (dict(kind="laplacian_edge", regime="B_ii", n=40, r=12), set()),
+        (dict(kind="laplacian_edge", regime="C_i", n=40, r=2, side_factor_small=1.0),
+         {"k", "side_factor_small"}),
+        (dict(kind="laplacian_edge", regime="C_ii", n=40, r=30, side_factor_large=1.0),
+         {"k", "side_factor_large"}),
+    ]),
+]
+# a value off the default for every optional field, valid wherever it is read
+OFF_DEFAULT = dict(trials=3, tolerance=0.5, matrix="laplacian_tilde", regime="fixed_r", k=2,
+                   scale_r_with_n=True, side_factor_small=2.0, side_factor_large=1.0)
+
+
+class TestFieldsAKindReads:
+    def test_every_optional_field_is_covered(self):
+        fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+        assert set(OFF_DEFAULT) == fields - {
+            "kind", "n", "r", "p", "master_seed", "ensemble", "threads"
+        }
+
+    @pytest.mark.parametrize("field", sorted(OFF_DEFAULT))
+    @pytest.mark.parametrize(
+        "config, reads", READERS,
+        ids=["-".join(filter(None, (c["kind"], c.get("regime")))) for c, _ in READERS],
+    )
+    def test_a_field_builds_where_read_and_raises_elsewhere(self, config, reads, field):
+        # an edge regime is part of the reader, so its config keeps it
+        value = config.get("regime", OFF_DEFAULT[field]) if field == "regime" else OFF_DEFAULT[field]
+        changed = {**config, field: value}
+        if field in reads:
+            assert getattr(ExperimentConfig(**changed), field) == value
+            return
+        reader = config["kind"]
+        if "regime" in config:  # the kind, or the regime, does not read it
+            reader += f"( regime {config['regime']})?"
+        message = rf"^{reader} does not read {field}; got {field}={re.escape(repr(value))}$"
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig(**changed)
 
 
 class TestEdgeTable:

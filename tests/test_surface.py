@@ -1,7 +1,7 @@
 """Every public name of the package is used by the package itself, every
 dense eigensolve goes through one function, every trial matrix comes from one
-draw and one matrix table, and every law is evaluated through the one contract
-of the ``Law`` base class.
+draw and one matrix table, every law is evaluated through the one contract
+of the ``Law`` base class, and every config field says what reads it.
 
 A name in a module's ``__all__`` must be read somewhere else in ``src/``: its
 own definition, the ``__all__`` entry and the re-exports of ``__init__.py`` do
@@ -10,10 +10,12 @@ not count.  Reference code that only the tests need belongs in
 """
 
 import ast
+import dataclasses
 import importlib
 from pathlib import Path
 
 import hypergraph_spectra
+from hypergraph_spectra import experiments
 from hypergraph_spectra.laws import Law
 
 PACKAGE = Path(hypergraph_spectra.__file__).parent
@@ -132,3 +134,17 @@ def test_laws_write_only_kernels():
     assert overrides == []
     counts = {path.name: path.read_text().count("ndim == 0") for path in PACKAGE.glob("*.py")}
     assert {name: count for name, count in counts.items() if count} == {"laws.py": 1}
+
+
+def test_every_config_field_is_always_accepted_or_read_somewhere():
+    # a field is either accepted by every kind (the CLI or the benchmark sets it
+    # for any kind; universality takes an ensemble) or read by a kind or an edge
+    # regime, so a new field cannot be added without saying what reads it
+    always = {"kind", "n", "r", "p", "master_seed", "ensemble", "threads"}
+    assert set(experiments._ALWAYS_READ) == always
+    read = {name for _, _, reads in experiments._KINDS.values() for name in reads}
+    for regimes in experiments._edge_table(n=40, r=4, k=1).values():
+        read |= {name for row in regimes.values() for name in (*experiments._EDGE, *row[-1])}
+    fields = {f.name for f in dataclasses.fields(experiments.ExperimentConfig)}
+    assert always.isdisjoint(read)
+    assert always | read == fields
