@@ -4,7 +4,9 @@ Vertices are 1-indexed.  Hyperedges are r-subsets of {1..n}; a hypergraph
 stores them as one read-only (k, r) int64 array of increasing rows in
 lexicographic order.  All counting is done in exact integer arithmetic
 (binomials can be astronomically large), with log-space fallbacks for
-quantities that are consumed as floats.
+quantities that are consumed as floats.  A hypergraph's edge count is one
+exact Binomial(C(n, r), p) quantile, computed in numpy; ``scipy.stats`` is
+imported only in the rare draw that lands next to a step of the binomial CDF.
 """
 
 from __future__ import annotations
@@ -176,22 +178,63 @@ def derive_seed(master_seed: int, index: int) -> int:
     return (z ^ (z >> 31)) & _MASK64
 
 
-def _draw_edge_count(rng: np.random.Generator, m: int, p: float) -> int:
-    """One draw from Binomial(m, p).
+# Bernstein's inequality bounds the Binomial(m, p) mass t or more from the mean
+# by 2 exp(-t^2 / (2 (variance + t/3))); the quantile's window leaves out less
+# than _TAIL_MASS of it
+_TAIL_MASS = 1e-17
+# a uniform draw this close to a step of the window's CDF is left to scipy, so
+# that rounding in that CDF never decides the count
+_STEP_MARGIN = 1e-9
 
-    Exact CDF inversion (via the regularised incomplete beta function) while m
-    fits in float64 integers; beyond that the count is approximated by a
-    Gaussian when m*p*(1-p) > 1e6 and by Poisson(m*p) otherwise.  The budget
-    check in ``sample_hypergraph`` guarantees m*p is moderate here.
+
+def _binomial_quantile(u: float, m: int, p: float) -> int:
+    """The smallest k with F(k) >= u for Binomial(m, p), 0 < u < 1, 0 < p < 1,
+    m <= 2**53: what ``scipy.stats.binom.ppf`` returns.
+
+    The pmf is built on a window around the mean that leaves out less than
+    ``_TAIL_MASS``, as running products of pmf(j+1)/pmf(j) = (m-j)/(j+1) *
+    p/(1-p) outward from the mode; its cumulative sum, normalised by the
+    window total, is searched for u.  A u within ``_STEP_MARGIN`` of a step is
+    answered by ``binom.ppf`` itself, so the count matches scipy's bits.
+    """
+    mean = m * p
+    log_bound = math.log(2.0 / _TAIL_MASS)
+    t = log_bound / 3.0 + math.sqrt(log_bound**2 / 9.0 + 2.0 * log_bound * mean * (1.0 - p))
+    lo, hi = max(0, math.floor(mean - t)), min(m, math.ceil(mean + t))
+    mode = min(max(math.floor((m + 1) * p), lo), hi)
+    odds = p / (1.0 - p)
+    down = np.arange(mode, lo, -1, dtype=np.float64)
+    up = np.arange(mode, hi, dtype=np.float64)
+    cdf = np.cumsum(np.concatenate((
+        np.cumprod(down / (m + 1.0 - down) / odds)[::-1],
+        [1.0],
+        np.cumprod((m - up) / (up + 1.0) * odds),
+    )))
+    cdf /= cdf[-1]
+    i = int(np.searchsorted(cdf, u))
+    below = cdf[i - 1] if i else 0.0
+    if cdf[i] - u <= _STEP_MARGIN or u - below <= _STEP_MARGIN:
+        from scipy.stats import binom  # slow to import; this branch is rare
+        return int(binom.ppf(u, m, p))
+    return lo + i
+
+
+def _draw_edge_count(rng: np.random.Generator, m: int, p: float) -> int:
+    """One draw from Binomial(m, p), in [0, m].
+
+    Exact inversion of one uniform draw by ``_binomial_quantile`` while m fits
+    in float64 integers (a draw of exactly 0 gives 0); beyond that the count is
+    approximated by a Gaussian when m*p*(1-p) > 1e6 and by Poisson(m*p)
+    otherwise.  The budget check in ``sample_hypergraph`` guarantees m*p, and
+    so the quantile's window, is moderate here.
     """
     if p == 0.0:
         return 0
     if p == 1.0:
         return m
     if m <= 2**53:
-        from scipy import stats  # deferred: slow to import, and only this draw needs it
         u = rng.random()
-        return int(stats.binom.ppf(u, m, p))
+        return _binomial_quantile(u, m, p) if u > 0.0 else 0
     mean = math.exp(math.log(m) + math.log(p))
     variance = mean * (1.0 - p)
     if variance > 1e6:
@@ -376,8 +419,7 @@ def sample_hypergraph(params: ModelParams, seed: int) -> HypergraphSample:
     check_edge_budget(params)
     m = params.num_possible_edges
     rng = np.random.default_rng(seed)
-    # clamped: binom.ppf(0, m, p) is -1 when the uniform draw is exactly 0
-    k = min(max(_draw_edge_count(rng, m, params.p), 0), m)
+    k = _draw_edge_count(rng, m, params.p)
     edges = _sample_distinct_edges(rng, params.n, params.r, k, m)
     return HypergraphSample(params=params, edges=edges, seed=seed)
 

@@ -150,6 +150,10 @@ class ExperimentConfig:
         if self.k >= self.n:
             raise ValueError(f"need k < n={self.n}, got k={self.k}")
         if _samples_hypergraphs(self):
+            # at p = 0 or 1 every sample is empty or complete, with no variance to
+            # standardise the adjacency by
+            if not 0.0 < self.p < 1.0:
+                raise ValueError(f"sampling a hypergraph needs 0 < p < 1, got p={self.p}")
             if self.kind != "universality":
                 check_edge_budget(params)
             else:  # the surrogate ensemble is no way out: advise a smaller model
@@ -277,10 +281,6 @@ def _run(cfg: ExperimentConfig, legs, finish) -> ExperimentRecord:
     tolerance set, ``tolerance`` and ``passed`` (every gate key below the
     tolerance) end the aggregate, unless a gate key is None.
     """
-    if _samples_hypergraphs(cfg):
-        # import the edge-count draw's module before the pool: a first import inside
-        # a pool worker while another allocates n x n blocks can fragment the heap
-        import scipy.stats  # noqa: F401
     t0 = time.perf_counter()
     rows: list[dict] = []
     data: dict[str, np.ndarray] = {}

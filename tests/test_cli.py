@@ -18,6 +18,7 @@ from hypergraph_spectra import experiments, spectra
 from hypergraph_spectra.cli import build_parser, main
 from hypergraph_spectra.spectra import Scaling
 from hypergraph_spectra.svgplot import histogram_svg
+from test_experiment_records import BERNOULLI, CASES
 
 
 class TestSample:
@@ -482,12 +483,13 @@ def fresh_interpreter(code: str) -> str:
 
 class TestSetUp:
     def test_cli_import_defers_scipy_stats(self):
-        # only the Bernoulli edge-count draw needs scipy.stats, only Gaussian laws
-        # need scipy.special; each is imported on first use, since importing it
-        # with the package would lengthen every set-up.  The Lanczos solve needs
-        # no scipy.sparse.linalg, and no metric uses quadrature, so scipy.integrate
-        # (which pulls in scipy.optimize) is never loaded at all, and the SVG
-        # writer escapes text without xml.sax (which pulls in urllib.request)
+        # only Gaussian laws need scipy.special, which is imported on first use,
+        # since importing it with the package would lengthen every set-up;
+        # scipy.stats is loaded only by a rare edge-count draw next to a CDF step.
+        # The Lanczos solve needs no scipy.sparse.linalg, and no metric uses
+        # quadrature, so scipy.integrate (which pulls in scipy.optimize) is never
+        # loaded at all, and the SVG writer escapes text without xml.sax (which
+        # pulls in urllib.request)
         deferred = ("scipy.stats", "scipy.integrate", "scipy.optimize", "scipy.special",
                     "scipy.sparse.linalg", "xml.sax", "urllib.request")
         code = f"import sys, hypergraph_spectra.cli; print([m in sys.modules for m in {deferred}])"
@@ -500,39 +502,52 @@ class TestSetUp:
 
     def test_experiments_load_only_the_scipy_they_use(self):
         # the surrogate bulk kind is scored against a semicircle and solves densely;
-        # edge_bbp solves by Lanczos, in numpy alone, against a closed-form edge
+        # edge_bbp solves by Lanczos, in numpy alone, against a closed-form edge;
+        # the Bernoulli bulk kind (the benchmark's bernoulli_dense config) draws its
+        # edge count in numpy
         code = textwrap.dedent("""\
             import sys
             from hypergraph_spectra.experiments import ExperimentConfig, run_experiment
-            mods = ("scipy.special", "scipy.sparse.linalg")
+            mods = ("scipy.special", "scipy.sparse.linalg", "scipy.stats")
             run_experiment(ExperimentConfig(kind="bulk", n=300, r=3, trials=1))
             print([m in sys.modules for m in mods])
             run_experiment(ExperimentConfig(kind="edge_bbp", n=300, r=3, trials=1))
             print([m in sys.modules for m in mods])
+            run_experiment(ExperimentConfig(kind="bulk", ensemble="bernoulli_hypergraph",
+                                            n=150, r=3, p=0.7, trials=1, master_seed=5))
+            print([m in sys.modules for m in mods])
         """)
-        assert fresh_interpreter(code).splitlines() == ["[False, False]", "[False, False]"]
+        assert fresh_interpreter(code).splitlines() == ["[False, False, False]"] * 3
 
     @pytest.mark.parametrize("kind, ensemble", [
         ("universality", "gaussian_surrogate"), ("bulk", "bernoulli_hypergraph")])
-    def test_pooled_hypergraph_trials_import_scipy_stats_before_the_pool(self, kind, ensemble):
-        # the Bernoulli edge-count draw needs scipy.stats; first imported inside a
-        # pool worker it can fragment the heap, so the runner imports it first
+    def test_pooled_hypergraph_trials_load_no_scipy_stats(self, kind, ensemble):
+        # the edge-count draw of each pooled trial runs in numpy, so a pool
+        # worker imports neither scipy.stats nor the scipy.special under it
         code = textwrap.dedent(f"""\
             import sys
             from hypergraph_spectra import experiments
-            seen = []
-
-            class Pool(experiments.ThreadPoolExecutor):
-                def __init__(self, *args, **kwargs):
-                    seen.append("scipy.stats" in sys.modules)
-                    super().__init__(*args, **kwargs)
-
-            experiments.ThreadPoolExecutor = Pool
             experiments.run_experiment(experiments.ExperimentConfig(
                 kind="{kind}", ensemble="{ensemble}", n=30, r=3, trials=2, threads=2))
-            print(seen)
+            print([m in sys.modules for m in ("scipy.stats", "scipy.special")])
         """)
-        assert fresh_interpreter(code) == "[True]"
+        assert fresh_interpreter(code) == "[False, False]"
+
+    def test_bernoulli_golden_and_benchmark_configs_leave_scipy_stats_unloaded(self):
+        # every golden record that samples hypergraphs, then the benchmark's
+        # bernoulli_sparse config at its seed
+        configs = [case for case in CASES.values() if case.get("ensemble") == BERNOULLI
+                   or case["kind"] == "universality"]
+        configs.append(dict(kind="universality", ensemble=BERNOULLI, n=200, r=3, p=0.3,
+                            trials=1, master_seed=51))
+        code = textwrap.dedent(f"""\
+            import sys
+            from hypergraph_spectra.experiments import ExperimentConfig, run_experiment
+            for config in {configs!r}:
+                run_experiment(ExperimentConfig(**config))
+                print("scipy.stats" in sys.modules)
+        """)
+        assert fresh_interpreter(code).splitlines() == ["False"] * len(configs)
 
     def test_diagnostics_samples_nothing(self):
         # diagnostics reports how sparse a model is, so a Bernoulli model far past

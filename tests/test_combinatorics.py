@@ -20,6 +20,8 @@ from hypergraph_spectra.combinatorics import (
     sample_hypergraph,
     save_hypergraph_json,
 )
+from scipy import stats
+
 from oracles import edge_overlap_count, enumerate_edges
 
 
@@ -244,6 +246,48 @@ class TestFirstOccurrences:
         np.testing.assert_array_equal(distinct, keys[[1, 3, 0]])
 
 
+# (m, p) of every Bernoulli golden record (C(50,3)*0.4, C(40,3)*0.5), benchmark
+# config (C(200,3)*0.3, C(150,3)*0.7) and golden sampler case with 0 < p < 1;
+# then means below 1, p near 0 and near 1, and m at and near 2**53
+QUANTILE_CASES = [
+    (19600, 0.4), (9880, 0.5), (1313400, 0.3), (551300, 0.7),
+    (35, 0.9), (4060, 0.8), (15504, 0.9), (495, 0.3), (34220, 0.3),
+    (137846528820, 5e-09), (3268760, 0.0003), (155117520, 1e-05), (1225, 0.3),
+    (36, 0.7), (1820, 0.49),
+    (20, 0.01), (10**6, 1e-7), (10**4, 1e-9), (10**3, 1 - 1e-12), (10**6, 1 - 1e-9),
+    (2**53, 1e-12), (2**53 - 1, 1e-10), (math.comb(10**5, 3), 2e5 / math.comb(10**5, 3)),
+]
+
+
+class TestBinomialQuantile:
+    def test_matches_scipy_binom_ppf(self):
+        rng = np.random.default_rng(2024)
+        for m, p in QUANTILE_CASES:
+            us = rng.random(500)
+            ours = [combinatorics._binomial_quantile(u, m, p) for u in us]
+            assert ours == stats.binom.ppf(us, m, p).astype(np.int64).tolist(), (m, p)
+
+    @pytest.mark.parametrize("m, p", [(551300, 0.7), (1313400, 0.3), (20, 0.5), (35, 0.9)])
+    def test_draw_at_a_cdf_step_is_scipys(self, monkeypatch, m, p):
+        # u exactly at F(k) is within the step margin, so scipy answers it
+        calls = []
+        ppf = stats.binom.ppf
+        monkeypatch.setattr(stats.binom, "ppf", lambda *a: calls.append(a) or ppf(*a))
+        mean = round(m * p)
+        ks = [k for k in range(mean - 3, mean + 4) if 0 <= k < m]
+        for k in ks:
+            u = float(stats.binom.cdf(k, m, p))
+            assert combinatorics._binomial_quantile(u, m, p) == int(ppf(u, m, p))
+        assert len(calls) == len(ks)
+
+    @pytest.mark.parametrize("m, p", [(20, 0.5), (551300, 0.7), (10**3, 1 - 1e-12)])
+    def test_extreme_draws_stay_in_range(self, m, p):
+        for u in (np.nextafter(0.0, 1.0), 1.0 - 2.0**-53):
+            k = combinatorics._binomial_quantile(u, m, p)
+            assert 0 <= k <= m
+            assert k == int(stats.binom.ppf(u, m, p))
+
+
 class TestSampleHypergraph:
     def test_p_one_gives_all_edges(self):
         sample = sample_hypergraph(ModelParams(6, 3, 1.0), 7)
@@ -284,12 +328,12 @@ class TestSampleHypergraph:
         assert abs(np.mean(counts) - 0.9 * 35) < band
 
     def test_uniform_draw_of_zero_gives_no_edges(self, monkeypatch):
-        # binom.ppf(0, m, p) is -1, so the edge count must be clamped at 0
+        # the smallest k with F(k) >= 0 is 0, where binom.ppf(0, m, p) gives -1
         class ZeroUniform:
             def random(self):
                 return 0.0
 
-        assert combinatorics._draw_edge_count(ZeroUniform(), 20, 0.5) == -1
+        assert combinatorics._draw_edge_count(ZeroUniform(), 20, 0.5) == 0
         monkeypatch.setattr(combinatorics.np.random, "default_rng", lambda seed: ZeroUniform())
         sample = sample_hypergraph(ModelParams(6, 3, 0.5), 0)
         assert sample.edges.shape == (0, 3)

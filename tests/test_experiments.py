@@ -66,6 +66,24 @@ class TestConfig:
         with pytest.raises(SamplingBudgetError, match=self.UNIVERSALITY_ADVICE):
             ExperimentConfig(kind="universality", n=80, r=40, p=0.5, ensemble=BERNOULLI)
 
+    @pytest.mark.parametrize("p", [0.0, 1.0])
+    @pytest.mark.parametrize("config", [
+        dict(kind="bulk", ensemble=BERNOULLI),
+        dict(kind="laplacian_bulk", ensemble=BERNOULLI, regime="fixed_r"),
+        dict(kind="universality"),
+    ])
+    def test_sampled_hypergraph_at_p_zero_or_one_rejected(self, config, p):
+        # every sample is empty or complete, so its adjacency has no variance to
+        # standardise by; rejected when built, not in the first trial
+        with pytest.raises(ValueError, match=rf"^sampling a hypergraph needs 0 < p < 1, got p={p}$"):
+            ExperimentConfig(n=20, r=3, p=p, trials=2, **config)
+
+    @pytest.mark.parametrize("p", [0.0, 1.0])
+    def test_diagnostics_builds_at_p_zero_or_one(self, p):
+        # diagnostics samples nothing, so an empty or complete model is reported
+        cfg = ExperimentConfig(kind="diagnostics", n=20, r=3, p=p, ensemble=BERNOULLI)
+        assert run_experiment(cfg).config["p"] == p
+
     def test_no_scaling_field(self):
         # each limit law fixes the scaling of its spectrum
         assert "scaling" not in {f.name for f in dataclasses.fields(ExperimentConfig)}

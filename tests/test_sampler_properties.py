@@ -62,7 +62,7 @@ def reference_distinct_edges(rng, n, r, k, m):
 def reference_sample(params, seed):
     rng = np.random.default_rng(seed)
     m = params.num_possible_edges
-    k = min(max(_draw_edge_count(rng, m, params.p), 0), m)
+    k = _draw_edge_count(rng, m, params.p)
     return reference_distinct_edges(rng, params.n, params.r, k, m)
 
 
@@ -101,8 +101,8 @@ def test_distinct_edges_come_back_in_lexicographic_order(params, seed):
 
 
 def test_sampler_peak_memory_per_edge():
-    # the warm-up imports scipy.stats, whose one-time allocations would
-    # otherwise be counted as the sampler's
+    # the warm-up makes the sampler's first call, whose one-time allocations
+    # would otherwise be counted as the sampler's
     sample_hypergraph(ModelParams(10, 3, 0.3), 0)
     tracemalloc.start()
     try:

@@ -148,3 +148,31 @@ def test_every_config_field_is_always_accepted_or_read_somewhere():
     fields = {f.name for f in dataclasses.fields(experiments.ExperimentConfig)}
     assert always.isdisjoint(read)
     assert always | read == fields
+
+
+def _scipy_stats_imports() -> list[tuple[str, str | None]]:
+    """(module file, innermost enclosing function or None) of every import of
+    scipy.stats in the package: ``import scipy.stats``, ``from scipy.stats
+    import ...`` or ``from scipy import stats``."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            if any(name == "scipy.stats" or name.startswith("scipy.stats.") for name in names):
+                owners = [f for f in functions if f.lineno < node.lineno <= f.end_lineno]
+                owner = max(owners, key=lambda f: f.lineno, default=None)
+                found.append((path.name, owner and owner.name))
+    return found
+
+
+def test_scipy_stats_imported_only_by_the_edge_count_fallback():
+    # importing scipy.stats costs about 1 s and 60 MB; the only import is the
+    # quantile's fallback for a draw next to a CDF step, inside its function
+    assert _scipy_stats_imports() == [("combinatorics.py", "_binomial_quantile")]
