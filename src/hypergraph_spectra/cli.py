@@ -23,7 +23,7 @@ from .combinatorics import (
     sample_hypergraph,
     save_hypergraph_json,
 )
-from .gham import MATRICES, adjacency_from_hypergraph, gham_from_adjacency, sample_surrogate
+from .gham import MATRICES
 from .spectra import Scaling, load_spectrum_csv, save_spectrum_csv, symmetric_eigenvalues
 from .svgplot import render_histogram_svg
 
@@ -48,27 +48,21 @@ def cmd_sample(args) -> int:
     return 0
 
 
-def _build_matrix(args) -> tuple[np.ndarray, ModelParams, str, int]:
+def cmd_spectrum(args) -> int:
     if args.input:
         sample = load_hypergraph_json(args.input)
-        params = sample.params
-        h = gham_from_adjacency(adjacency_from_hypergraph(sample), params)
-        ensemble, seed = experiments.BERNOULLI, sample.seed
+        params, ensemble, seed = sample.params, experiments.BERNOULLI, sample.seed
+        h = experiments._hypergraph_gham(sample)
     elif args.surrogate:
         if args.n is None or args.r is None:
             raise ValueError("surrogate mode needs -n and -r")
-        params = ModelParams(n=args.n, r=args.r, p=args.p)
         ensemble, seed = experiments.SURROGATE, args.seed or 0
-        h = sample_surrogate(params, seed)[1]
+        params = ModelParams(args.n, args.r, 0.5)  # the surrogate reads n and r alone
+        h, _ = experiments._ENSEMBLES[ensemble][0](params, seed)
     else:
         raise ValueError("spectrum needs --input FILE or --surrogate")
-    return MATRICES[args.matrix](h, params.r), params, ensemble, seed
-
-
-def cmd_spectrum(args) -> int:
-    matrix, params, ensemble, seed = _build_matrix(args)
     scaling = Scaling(args.scaling)
-    lam = symmetric_eigenvalues(matrix, scaling=scaling, r=params.r)
+    lam = symmetric_eigenvalues(MATRICES[args.matrix](h, params.r), scaling=scaling, r=params.r)
     out = Path(args.out or Path(args.out_dir) / "spectrum.csv")
     out.parent.mkdir(parents=True, exist_ok=True)
     save_spectrum_csv(lam, out, ensemble, seed, scaling)
@@ -203,7 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_spec.add_argument("--surrogate", action="store_true", help="Gaussian surrogate")
     p_spec.add_argument("-n", type=int)
     p_spec.add_argument("-r", type=int)
-    p_spec.add_argument("-p", type=float, default=0.5)
     p_spec.add_argument("--matrix", choices=experiments.MATRIX_KINDS, default="gham")
     p_spec.add_argument(
         "--scaling", choices=[s.value for s in Scaling], default=Scaling.BY_SQRT_N.value
@@ -222,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("-r", type=int)
     p_exp.add_argument("-p", type=float)
     p_exp.add_argument("--trials", type=int)
-    p_exp.add_argument("--ensemble", choices=[experiments.BERNOULLI, experiments.SURROGATE])
+    p_exp.add_argument("--ensemble", choices=list(experiments._ENSEMBLES))
     p_exp.add_argument("--matrix-kind", choices=experiments.MATRIX_KINDS, dest="matrix_kind")
     p_exp.add_argument("--regime")
     p_exp.add_argument("--k", type=int)

@@ -1,28 +1,26 @@
 """Seeded Monte-Carlo experiment suites over the hypergraph matrix ensembles.
 
-``run_experiment`` takes an ExperimentConfig and returns an ExperimentRecord
-holding the config snapshot, one summary row per trial, aggregate statistics
-recomputable from those rows, raw eigenvalue arrays for persistence, and a
-provenance block (versions, the BLAS library, pool size).  Each kind is a row
-(runner, check, reads) of the table ``_KINDS``; a config runs its kind's check
-when built, and the runner calls the same check for its parameters; a config
-is frozen, so no field changes after its check.  One rule, ``_reject_unread``,
-rejects an optional field set off its default that neither ``reads`` nor an
-edge regime's row of ``_edge_table`` names.  No field sets a scaling: each
-limit law fixes its own, n^{-1/2} for ``bulk`` and the (matrix, regime) row of
-``_LAPLACIAN_LAWS`` for ``laplacian_bulk``.  Every kind, ``diagnostics``
-included, goes through one trial loop, ``_run``: a kind supplies only its legs,
-(config, trial) pairs whose ``trial(index, seed)`` gives the row statistics and
-per-trial arrays (one leg for most kinds, two for ``concentration``, none for
-``diagnostics``), and ``finish(rows, data)``, giving its aggregate and gate
-keys.  The loop owns the timer, the per-trial seeds (derived from the master
-seed by splitmix64), the rows, the stacking of arrays in trial order, the
-tolerance gate and the record.  A trial's matrix is one draw of its ensemble,
-``_draw``, mapped by one row of ``gham.MATRICES``.  The three edge
-kinds are rows of one (kind, regime) table, ``_edge_table``, all run by
-``_run_edge``: each reads at most depth = k + 1 eigenvalues at each end and
-computes only those, by a seeded Lanczos solve that stops once they converge
-(``spectra.extreme_eigenvalues``, no scipy).  The other kinds solve densely.
+``run_experiment`` takes an ExperimentConfig and returns an ExperimentRecord:
+the config, one summary row per trial, an aggregate recomputable from the rows,
+the per-trial eigenvalue arrays and a provenance block (versions, the BLAS
+library, pool size).  A kind is a row (runner, check, reads, draws) of
+``_KINDS`` and an ensemble a row (draw, reads, check) of ``_ENSEMBLES``: the
+surrogate reads n and r alone, the Bernoulli hypergraph p too.  A config runs
+its kind's check and those of the ensembles it draws when built, and is
+frozen; ``_reject_unread`` rejects an optional field set off its default that
+no row of its kind, of an ensemble it draws or of its edge regime reads.  No
+field sets a scaling: each limit law fixes its own.  Every kind runs through
+one trial loop, ``_run``, giving only its legs, (config, trial) pairs whose
+``trial(index, seed)`` returns the row statistics and per-trial arrays (one
+leg for most kinds, two for ``concentration``, none for ``diagnostics``), and
+``finish(rows, data)``, returning its aggregate and gate keys.  The loop owns
+the timer, the per-trial seeds (splitmix64 of the master seed), the rows, the
+stacking of arrays in trial order, the tolerance gate and the record.  A
+trial's matrix is one draw of its ensemble's row, mapped by one row of
+``gham.MATRICES``.  The three edge kinds are rows of one (kind, regime) table,
+``_edge_table``, run by ``_run_edge``, which computes only the depth = k + 1
+eigenvalues it reads at each end, by a seeded Lanczos solve that stops once
+they converge (``spectra.extreme_eigenvalues``).  The other kinds solve densely.
 
 With ``threads > 1`` trials run on a thread pool (the eigensolvers release the
 GIL) of at most as many workers as usable cores, inside the one-thread pin of
@@ -100,7 +98,7 @@ class RegimeError(ValueError):
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One experiment, checked when built: every kind accepts ``_ALWAYS_READ``,
-    and its row of ``_KINDS`` or ``_edge_table`` names the other fields it reads."""
+    and its rows of ``_KINDS``, ``_ENSEMBLES`` or ``_edge_table`` name the rest."""
 
     kind: str
     n: int
@@ -138,30 +136,24 @@ class ExperimentConfig:
             raise ValueError("need at least one trial")
         if self.threads < 1:
             raise ValueError(f"need threads >= 1, got {self.threads}")
-        if self.ensemble not in (BERNOULLI, SURROGATE):
+        if self.ensemble not in _ENSEMBLES:
             raise ValueError(f"unknown ensemble {self.ensemble!r}")
         if self.matrix not in MATRIX_KINDS:
             raise ValueError(f"unknown matrix kind {self.matrix!r}")
         if self.k < 1:
             raise ValueError(f"need k >= 1, got k={self.k}")
-        params = self.model_params()  # validates (n, r, p)
+        self.model_params()  # validates (n, r, p)
         if self.r >= self.n:
             raise ValueError(f"need r < n (c = r/n < 1), got r={self.r}, n={self.n}")
         if self.k >= self.n:
             raise ValueError(f"need k < n={self.n}, got k={self.k}")
-        if _samples_hypergraphs(self):
-            # at p = 0 or 1 every sample is empty or complete, with no variance to
-            # standardise the adjacency by
-            if not 0.0 < self.p < 1.0:
-                raise ValueError(f"sampling a hypergraph needs 0 < p < 1, got p={self.p}")
-            if self.kind != "universality":
-                check_edge_budget(params)
-            else:  # the surrogate ensemble is no way out: advise a smaller model
-                check_edge_budget(params, advice=(
-                    "every universality trial samples a hypergraph, whatever the ensemble, "
-                    "so lower n, r or p"
-                ))
-        _, check, reads = _KINDS[self.kind]
+        _, check, reads, draws = _KINDS[self.kind]
+        if draws and self.ensemble not in draws:
+            names = " or ".join(draws).replace("_", " ").capitalize()  # "Gaussian surrogate"
+            raise ValueError(f"{self.kind} is defined for the {names} ensemble; "
+                             f"got ensemble={self.ensemble!r}")
+        for ensemble_check in filter(None, (_ENSEMBLES[e][2] for e in _drawn(self))):
+            ensemble_check(self)
         _reject_unread(self, reads)
         if check is not None:
             check(self)
@@ -205,28 +197,27 @@ class ExperimentRecord:
 
 
 # the fields every kind accepts: the CLI or a caller may set them for any kind
-_ALWAYS_READ = ("kind", "n", "r", "p", "master_seed", "ensemble", "threads")
+_ALWAYS_READ = ("kind", "n", "r", "master_seed", "ensemble", "threads")
 # the optional fields of every Monte-Carlo kind, and of every edge kind
 _GATED = ("trials", "tolerance")
 _EDGE = (*_GATED, "regime")
 
 
 def _reject_unread(cfg: ExperimentConfig, reads: tuple, regime: str | None = None) -> None:
-    """Reject an optional field, one outside ``_ALWAYS_READ`` and ``reads``,
-    whose value differs from its default: the kind, or its regime, does not
-    read it."""
+    """Reject an optional field set off its default that neither ``_ALWAYS_READ``,
+    ``reads`` nor an ensemble the config draws reads: the kind, or its regime."""
+    reads = _ALWAYS_READ + reads + sum((_ENSEMBLES[e][1] for e in _drawn(cfg)), ())
     for f in fields(cfg):
         value = getattr(cfg, f.name)
-        if f.name not in _ALWAYS_READ + reads and value != f.default:
+        if f.name not in reads and value != f.default:
             reader = f"{cfg.kind} regime {regime}" if regime else cfg.kind
             raise ValueError(f"{reader} does not read {f.name}; got {f.name}={value!r}")
 
 
-def _samples_hypergraphs(cfg: ExperimentConfig) -> bool:
-    """Whether the config's trials sample hypergraphs: every universality trial
-    does, whatever the ensemble, and diagnostics samples nothing."""
-    return cfg.kind == "universality" or (cfg.ensemble == BERNOULLI
-                                          and cfg.kind != "diagnostics")
+def _drawn(cfg: ExperimentConfig) -> tuple[str, ...]:
+    """The ensembles the config draws: its kind's row names them, or None for its own."""
+    draws = _KINDS[cfg.kind][3]
+    return (cfg.ensemble,) if draws is None else draws
 
 
 def _pool_size(cfg: ExperimentConfig) -> int:
@@ -308,21 +299,40 @@ def _run(cfg: ExperimentConfig, legs, finish) -> ExperimentRecord:
     )
 
 
-def _draw(ensemble: str, params: ModelParams, seed: int) -> tuple[np.ndarray, float | None]:
-    """One draw of an ensemble's normalised adjacency matrix (the GHAM), with
-    the surrogate's scalar Gaussian U (None for a hypergraph).  The surrogate's
-    components, and their n x n Z, are released when this returns."""
-    if ensemble == SURROGATE:
-        comp, h = sample_surrogate(params, seed)
-        return h, comp.U
-    hg = sample_hypergraph(params, seed)
-    return gham_from_adjacency(adjacency_from_hypergraph(hg), params), None
+def _surrogate_draw(params: ModelParams, seed: int) -> tuple[np.ndarray, float]:
+    comp, h = sample_surrogate(params, seed)
+    return h, comp.U  # the components, and their n x n Z, are released on return
+
+
+def _hypergraph_gham(hg) -> np.ndarray:
+    return gham_from_adjacency(adjacency_from_hypergraph(hg), hg.params)
+
+
+def _check_hypergraph(cfg: ExperimentConfig) -> None:
+    """Needs 0 < p < 1, else no sample has variance to standardise by, and the edge budget."""
+    if not 0.0 < cfg.p < 1.0:
+        raise ValueError(f"sampling a hypergraph needs 0 < p < 1, got p={cfg.p}")
+    if _KINDS[cfg.kind][3] is None:
+        check_edge_budget(cfg.model_params())
+    else:  # the kind draws hypergraphs whatever the ensemble: advise a smaller model
+        check_edge_budget(cfg.model_params(), advice=f"every {cfg.kind} trial samples a "
+                          "hypergraph, whatever the ensemble, so lower n, r or p")
+
+
+# ensemble -> (draw: (ModelParams, seed) -> (GHAM, the surrogate's U or None),
+# the optional fields it reads, its check or None).  A draw looks up its
+# samplers when called, so a wrapper set on this module sees every draw.
+_ENSEMBLES = {
+    SURROGATE: (_surrogate_draw, (), None),
+    BERNOULLI: (lambda params, seed: (_hypergraph_gham(sample_hypergraph(params, seed)), None),
+                ("p",), _check_hypergraph),
+}
 
 
 def _trial_matrix(cfg: ExperimentConfig, seed: int, matrix: str = "gham"):
     """One draw of the config's ensemble mapped to a matrix kind of
     ``gham.MATRICES``, with the surrogate's U (None for hypergraphs)."""
-    h, u = _draw(cfg.ensemble, cfg.model_params(), seed)
+    h, u = _ENSEMBLES[cfg.ensemble][0](cfg.model_params(), seed)
     return MATRICES[matrix](h, cfg.r), u
 
 
@@ -501,12 +511,8 @@ def _edge_table(n: int, r: int, k: int) -> dict:
 
 def _edge_row(cfg: ExperimentConfig) -> tuple[str, tuple]:
     """The check of the edge kinds: (regime, row of ``_edge_table``).  It
-    rejects an ensemble other than the surrogate, an unknown regime, a side
-    condition that fails with the config's explicit constants, and an
-    optional field that the regime does not read."""
-    if cfg.ensemble != SURROGATE:
-        raise ValueError(f"{cfg.kind} is defined for the Gaussian surrogate ensemble; "
-                         f"got ensemble={cfg.ensemble!r}")
+    rejects an unknown regime, a side condition that fails with the config's
+    explicit constants, and an optional field that the regime does not read."""
     n, r = cfg.n, cfg.r
     table = _edge_table(n, r, cfg.k)[cfg.kind]
     # the regime that a kind runs when cfg.regime is None; laplacian_edge has none
@@ -616,10 +622,10 @@ def _run_universality(cfg: ExperimentConfig) -> ExperimentRecord:
     reference = SemicircleLaw((1.0 - params.size_ratio) ** 2)
 
     def trial(index: int, seed: int):
-        h_bern, _ = _draw(BERNOULLI, params, seed)
+        h_bern, _ = _ENSEMBLES[BERNOULLI][0](params, seed)
         lam_bern = symmetric_eigenvalues(h_bern) / math.sqrt(cfg.n)
         # independent surrogate stream, offset past the Bernoulli seeds
-        h_gauss, _ = _draw(SURROGATE, params, cfg.trial_seed(cfg.trials + index))
+        h_gauss, _ = _ENSEMBLES[SURROGATE][0](params, cfg.trial_seed(cfg.trials + index))
         lam_gauss = symmetric_eigenvalues(h_gauss) / math.sqrt(cfg.n)
         stats = {
             "ks_bernoulli": ks_distance(EmpiricalLaw(lam_bern), reference),
@@ -682,19 +688,20 @@ def _run_diagnostics(cfg: ExperimentConfig) -> ExperimentRecord:
     return _run(cfg, [], lambda rows, data: (assumption_diagnostics(cfg.model_params()), []))
 
 
-# kind -> (runner, check or None, the optional fields it reads in any regime).
-# ExperimentConfig runs the rule and the check when it is built; the runner
-# calls the same check where it needs its result.
+# kind -> (runner, check or None, the optional fields it reads in any regime,
+# the ensembles it draws, which the config's must be among if there are any, or
+# None to draw the config's).  The runner calls the same check for its result.
 _KINDS = {
-    "bulk": (_run_bulk, None, _GATED),
-    "laplacian_bulk": (_run_laplacian_bulk, _laplacian_reference, (*_GATED, "matrix", "regime")),
-    "edge_bbp": (_run_edge, _edge_row, _EDGE),
-    "edge_regimes": (_run_edge, _edge_row, (*_EDGE, "k")),
+    "bulk": (_run_bulk, None, _GATED, None),
+    "laplacian_bulk": (_run_laplacian_bulk, _laplacian_reference,
+                       (*_GATED, "matrix", "regime"), None),
+    "edge_bbp": (_run_edge, _edge_row, _EDGE, (SURROGATE,)),
+    "edge_regimes": (_run_edge, _edge_row, (*_EDGE, "k"), (SURROGATE,)),
     "laplacian_edge": (_run_edge, _edge_row,
-                       (*_EDGE, "k", "side_factor_small", "side_factor_large")),
-    "concentration": (_run_concentration, _concentration_legs, (*_GATED, "scale_r_with_n")),
-    "universality": (_run_universality, None, _GATED),
-    "diagnostics": (_run_diagnostics, None, ()),
+                       (*_EDGE, "k", "side_factor_small", "side_factor_large"), (SURROGATE,)),
+    "concentration": (_run_concentration, _concentration_legs, (*_GATED, "scale_r_with_n"), None),
+    "universality": (_run_universality, None, (*_GATED, "p"), (BERNOULLI, SURROGATE)),
+    "diagnostics": (_run_diagnostics, None, ("p",), ()),
 }
 EXPERIMENT_KINDS = tuple(_KINDS)
 

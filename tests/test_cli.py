@@ -345,7 +345,7 @@ class TestExperimentCommand:
     def test_config_int_for_float_and_null_for_optional_accepted(self, tmp_path):
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(
-            json.dumps({"kind": "bulk", "n": 20, "r": 3, "p": 1, "trials": 1, "tolerance": None})
+            json.dumps({"kind": "diagnostics", "n": 20, "r": 3, "p": 1, "tolerance": None})
         )
         assert main(["--out-dir", str(tmp_path), "experiment", "--config", str(cfg_file)]) == 0
 

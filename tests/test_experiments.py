@@ -395,10 +395,15 @@ GATED = {"trials", "tolerance"}
 EDGE = GATED | {"regime"}
 READERS = [
     (dict(kind="bulk", n=40, r=3), GATED),
+    (dict(kind="bulk", n=40, r=3, ensemble=BERNOULLI), GATED | {"p"}),
     (dict(kind="laplacian_bulk", n=40, r=3, matrix="laplacian"), GATED | {"matrix", "regime"}),
+    (dict(kind="laplacian_bulk", n=40, r=3, matrix="laplacian", ensemble=BERNOULLI),
+     GATED | {"matrix", "regime", "p"}),
     (dict(kind="concentration", n=40, r=3), GATED | {"scale_r_with_n"}),
-    (dict(kind="universality", n=40, r=3), GATED),
-    (dict(kind="diagnostics", n=40, r=3), set()),
+    # r = 2, so that the larger size of scale_r_with_n, (80, 4), fits the edge budget
+    (dict(kind="concentration", n=40, r=2, ensemble=BERNOULLI), GATED | {"scale_r_with_n", "p"}),
+    (dict(kind="universality", n=40, r=3), GATED | {"p"}),
+    (dict(kind="diagnostics", n=40, r=3), {"p"}),
     *((config, EDGE | reads) for config, reads in [
         (dict(kind="edge_bbp", regime="fixed_r", n=40, r=4), set()),
         (dict(kind="edge_regimes", regime="proportional", n=40, r=12), set()),
@@ -415,21 +420,22 @@ READERS = [
     ]),
 ]
 # a value off the default for every optional field, valid wherever it is read
-OFF_DEFAULT = dict(trials=3, tolerance=0.5, matrix="laplacian_tilde", regime="fixed_r", k=2,
-                   scale_r_with_n=True, side_factor_small=2.0, side_factor_large=1.0)
+OFF_DEFAULT = dict(p=0.3, trials=3, tolerance=0.5, matrix="laplacian_tilde", regime="fixed_r",
+                   k=2, scale_r_with_n=True, side_factor_small=2.0, side_factor_large=1.0)
 
 
 class TestFieldsAKindReads:
     def test_every_optional_field_is_covered(self):
         fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
         assert set(OFF_DEFAULT) == fields - {
-            "kind", "n", "r", "p", "master_seed", "ensemble", "threads"
+            "kind", "n", "r", "master_seed", "ensemble", "threads"
         }
 
     @pytest.mark.parametrize("field", sorted(OFF_DEFAULT))
     @pytest.mark.parametrize(
         "config, reads", READERS,
-        ids=["-".join(filter(None, (c["kind"], c.get("regime")))) for c, _ in READERS],
+        ids=["-".join(filter(None, (c["kind"], c.get("regime"), c.get("ensemble"))))
+             for c, _ in READERS],
     )
     def test_a_field_builds_where_read_and_raises_elsewhere(self, config, reads, field):
         # an edge regime is part of the reader, so its config keeps it
@@ -674,6 +680,27 @@ class TestUniversalityRun:
         )
         rec = run_experiment(cfg)
         assert rec.aggregate["mean_hausdorff_scaled"] < 0.5
+
+    def test_wrapped_samplers_see_every_draw(self, monkeypatch):
+        # the per-layer spans of perfbench/ rebind the samplers on this module; a
+        # table that captured them when imported would draw past the wrappers
+        seen = []
+        for name in ("sample_surrogate", "sample_hypergraph"):
+            def counting(params, seed, name=name, sampler=getattr(experiments, name)):
+                seen.append((name, seed))
+                return sampler(params, seed)
+
+            monkeypatch.setattr(experiments, name, counting)
+        bulk = ExperimentConfig(kind="bulk", n=30, r=3, trials=3, master_seed=1)
+        run_experiment(bulk)
+        assert seen == [("sample_surrogate", bulk.trial_seed(i)) for i in range(3)]
+        seen.clear()
+        both = ExperimentConfig(kind="universality", n=30, r=3, trials=2, master_seed=2)
+        run_experiment(both)
+        assert sorted(seen) == sorted(
+            [("sample_hypergraph", both.trial_seed(i)) for i in range(2)]
+            + [("sample_surrogate", both.trial_seed(2 + i)) for i in range(2)]
+        )
 
 
 class TestWignerSpecialisation:

@@ -106,11 +106,12 @@ def _calls(name: str) -> dict[str, int]:
 
 
 def test_one_trial_matrix_path():
-    # a trial's matrix is one ensemble draw, experiments._draw, mapped by one
-    # row of the table gham.MATRICES; only that table builds a Laplacian
+    # a trial's matrix is one draw of its row of experiments._ENSEMBLES, mapped
+    # by one row of the table gham.MATRICES; only that table builds a
+    # Laplacian, and hgspec spectrum draws and standardises through the same rows
     assert set(_calls("laplacian")) | set(_calls("laplacian_tilde")) == {"gham.py"}
-    for sampler in ("sample_surrogate", "sample_hypergraph"):
-        assert _calls(sampler)["experiments.py"] == 1
+    assert _calls("sample_surrogate") == _calls("gham_from_adjacency") == {"experiments.py": 1}
+    assert _calls("sample_hypergraph")["experiments.py"] == 1
 
 
 def _subclasses(cls: type):
@@ -138,11 +139,13 @@ def test_laws_write_only_kernels():
 
 def test_every_config_field_is_always_accepted_or_read_somewhere():
     # a field is either accepted by every kind (the CLI or the benchmark sets it
-    # for any kind; universality takes an ensemble) or read by a kind or an edge
-    # regime, so a new field cannot be added without saying what reads it
-    always = {"kind", "n", "r", "p", "master_seed", "ensemble", "threads"}
+    # for any kind; universality takes an ensemble) or read by a kind, an
+    # ensemble or an edge regime, so a new field cannot be added without saying
+    # what reads it
+    always = {"kind", "n", "r", "master_seed", "ensemble", "threads"}
     assert set(experiments._ALWAYS_READ) == always
-    read = {name for _, _, reads in experiments._KINDS.values() for name in reads}
+    read = {name for _, _, reads, _ in experiments._KINDS.values() for name in reads}
+    read |= {name for _, reads, _ in experiments._ENSEMBLES.values() for name in reads}
     for regimes in experiments._edge_table(n=40, r=4, k=1).values():
         read |= {name for row in regimes.values() for name in (*experiments._EDGE, *row[-1])}
     fields = {f.name for f in dataclasses.fields(experiments.ExperimentConfig)}
