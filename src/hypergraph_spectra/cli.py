@@ -58,6 +58,7 @@ def cmd_spectrum(args) -> int:
             raise ValueError("surrogate mode needs -n and -r")
         ensemble, seed = experiments.SURROGATE, args.seed or 0
         params = ModelParams(args.n, args.r, 0.5)  # the surrogate reads n and r alone
+        experiments._check_r_below_n(params)
         h, _ = experiments._ENSEMBLES[ensemble][0](params, seed)
     else:
         raise ValueError("spectrum needs --input FILE or --surrogate")

@@ -142,9 +142,7 @@ class ExperimentConfig:
             raise ValueError(f"unknown matrix kind {self.matrix!r}")
         if self.k < 1:
             raise ValueError(f"need k >= 1, got k={self.k}")
-        self.model_params()  # validates (n, r, p)
-        if self.r >= self.n:
-            raise ValueError(f"need r < n (c = r/n < 1), got r={self.r}, n={self.n}")
+        _check_r_below_n(self.model_params())  # model_params validates (n, r, p)
         if self.k >= self.n:
             raise ValueError(f"need k < n={self.n}, got k={self.k}")
         _, check, reads, draws = _KINDS[self.kind]
@@ -299,9 +297,15 @@ def _run(cfg: ExperimentConfig, legs, finish) -> ExperimentRecord:
     )
 
 
+def _check_r_below_n(params: ModelParams) -> None:
+    """Every kind, and the surrogate (whose theta^2 < 0 at r = n = 3), needs r < n."""
+    if params.r >= params.n:
+        raise ValueError(f"need r < n (c = r/n < 1), got r={params.r}, n={params.n}")
+
+
 def _surrogate_draw(params: ModelParams, seed: int) -> tuple[np.ndarray, float]:
     comp, h = sample_surrogate(params, seed)
-    return h, comp.U  # the components, and their n x n Z, are released on return
+    return h, comp.U
 
 
 def _hypergraph_gham(hg) -> np.ndarray:

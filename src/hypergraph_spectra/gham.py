@@ -11,12 +11,12 @@ with its diagonal removed, reproduces that covariance structure entrywise; Z
 follows the GOE convention (off-diagonal variance 1, diagonal variance 2) so
 that the diagonal of G has the matching variance alpha^2 + 4 beta^2 + 2 theta^2.
 
-``sample_surrogate`` holds two n x n float64 arrays at its peak, Z and G,
-plus one block-sized temporary.  Also provided: the two Laplacian maps, and
-``MATRICES``, the one table from a matrix kind to the map that builds that
-matrix from a GHAM.  The brute-force references that check this construction
-(edge-by-edge GHAM, trace identity, the full surrogate matrix) live with the
-tests.
+``sample_surrogate`` builds G over its own Gaussian draw: one n x n float64
+array at its peak, plus one block-sized temporary.  Also provided: the two
+Laplacian maps, and ``MATRICES``, the one table from a matrix kind to the map
+that builds that matrix in place on a GHAM.  The brute-force references that
+check this construction (edge-by-edge GHAM, trace identity, the full surrogate
+matrix) live with the tests.
 """
 
 from __future__ import annotations
@@ -65,14 +65,23 @@ class CovarianceParams:
 class SurrogateComponents:
     """Raw Gaussian draws behind one surrogate matrix.
 
-    U is a scalar standard Gaussian, V an n-vector of standard Gaussians and Z
-    a GOE-convention symmetric Gaussian matrix; seed reproduces all three.
+    U is a scalar standard Gaussian and V an n-vector of standard Gaussians;
+    seed reproduces both and the GOE-convention symmetric Gaussian matrix Z.
     """
 
     U: float
     V: np.ndarray
-    Z: np.ndarray
     seed: int
+
+    @property
+    def Z(self) -> np.ndarray:
+        """Z = (raw + raw^T)/sqrt(2), redrawn from the seed at each access: G' is
+        built over the draw.  Only the tests and the benchmark's byte counter read it."""
+        n = self.V.size
+        rng = np.random.default_rng(self.seed)
+        rng.standard_normal(n + 1)  # U and V
+        raw = rng.standard_normal((n, n))
+        return (raw + raw.T) / math.sqrt(2.0)
 
 
 def adjacency_from_hypergraph(sample: HypergraphSample) -> np.ndarray:
@@ -131,7 +140,7 @@ def covariance_params(params: ModelParams) -> CovarianceParams:
 
 
 # side of the square blocks the surrogate is symmetrised and assembled in: a
-# block pair's temporaries stay in cache and small beside the two n x n arrays
+# block pair's temporary stays in cache and small beside the n x n array
 _BLOCK = 256
 
 
@@ -143,16 +152,15 @@ def sample_surrogate(
 
     Entrywise G'_ij = alpha*U + beta*(V_i + V_j) + theta*Z_ij for i != j, which
     matches the normalised adjacency matrix of a Gaussian-weight hypergraph in
-    distribution.  The normals are drawn into the array that becomes Z, which
-    is symmetrised in place, and G' is written block by block beside it: the
-    peak is these two n x n arrays and one block.
+    distribution.  The normals are drawn into the array that becomes G', and
+    each block pair is symmetrised into one block-sized temporary before G' is
+    written over it: the peak is one n x n array and one block.
     """
     cov = covariance_params(params)
     rng = np.random.default_rng(seed)
     u = float(rng.standard_normal())
     v = rng.standard_normal(params.n)
-    z = rng.standard_normal((params.n, params.n))
-    g = np.empty_like(z)
+    g = rng.standard_normal((params.n, params.n))
     shift = cov.alpha * u
     root2 = math.sqrt(2.0)
     for i in range(0, params.n, _BLOCK):
@@ -161,49 +169,52 @@ def sample_surrogate(
             bj = slice(j, j + _BLOCK)
             # each entry is ((V_i + V_j) beta + alpha U) + theta (raw_ij + raw_ji)/sqrt(2),
             # in the operation order of the whole-matrix formula: the blocking
-            # does not change a bit
+            # does not change a bit.  Both raw blocks are read before either is
+            # written.
+            zb = g[bi, bj] + g[bj, bi].T
+            zb /= root2
+            zb *= cov.theta
             gb = g[bi, bj]
             np.add.outer(v[bi], v[bj], out=gb)
             gb *= cov.beta
             gb += shift
-            zb = z[bi, bj] + z[bj, bi].T
-            zb /= root2
-            z[bi, bj] = zb
-            zb *= cov.theta
             gb += zb
             del zb  # the one block-sized temporary; freed before the next is made
             # a diagonal block is already symmetric (IEEE addition commutes);
             # mirroring it onto itself would only cost an overlap copy
             if j != i:
-                z[bj, bi] = z[bi, bj].T
                 g[bj, bi] = gb.T
     np.fill_diagonal(g, 0.0)
-    return SurrogateComponents(U=u, V=v, Z=z, seed=seed), g
+    return SurrogateComponents(U=u, V=v, seed=seed), g
 
 
-def laplacian(x: np.ndarray) -> np.ndarray:
-    """Combinatorial Laplacian diag(X 1) - X.  Annihilates the all-ones vector."""
-    out = np.subtract(0.0, x)  # not -x: an exact zero of x stays +0.0, as in diag - x
-    np.fill_diagonal(out, x.sum(axis=1) - x.diagonal())
+def laplacian(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Combinatorial Laplacian diag(X 1) - X.  Annihilates the all-ones vector.
+    With out=x it is built in place over x; without out, x is left untouched."""
+    diag = x.sum(axis=1) - x.diagonal()
+    out = np.subtract(0.0, x, out=out)  # not -x: an exact zero of x stays +0.0, as in diag - x
+    np.fill_diagonal(out, diag)
     return out
 
 
-def laplacian_tilde(x: np.ndarray, r: int) -> np.ndarray:
+def laplacian_tilde(x: np.ndarray, r: int, out: np.ndarray | None = None) -> np.ndarray:
     """Degree-rescaled Laplacian diag(X 1)/(r-1) - X; coincides with the
-    combinatorial Laplacian at r = 2."""
+    combinatorial Laplacian at r = 2.  ``out`` as for ``laplacian``."""
     if r < 2:
         raise ValueError(f"edge size r must be >= 2, got {r}")
-    out = np.subtract(0.0, x)
-    np.fill_diagonal(out, x.sum(axis=1) / (r - 1) - x.diagonal())
+    diag = x.sum(axis=1) / (r - 1) - x.diagonal()
+    out = np.subtract(0.0, x, out=out)
+    np.fill_diagonal(out, diag)
     return out
 
 
 # matrix kind -> (GHAM h, edge size r) -> the matrix a spectrum is taken of: the
-# GHAM and its two Laplacians.  The entries look up laplacian and laplacian_tilde
-# when they are called, so a wrapper set on this module sees every Laplacian.
+# GHAM and its two Laplacians, which are built over h, so a caller passes a GHAM
+# it no longer needs.  The entries look up laplacian and laplacian_tilde when
+# they are called, so a wrapper set on this module sees every Laplacian.
 MATRICES = {
     "gham": lambda h, r: h,
-    "laplacian": lambda h, r: laplacian(h),
-    "laplacian_tilde": lambda h, r: laplacian_tilde(h, r),
+    "laplacian": lambda h, r: laplacian(h, out=h),
+    "laplacian_tilde": lambda h, r: laplacian_tilde(h, r, out=h),
 }
 MATRIX_KINDS = tuple(MATRICES)

@@ -59,13 +59,14 @@ def gham_from_weights(params, weights: np.ndarray) -> np.ndarray:
     return h / math.sqrt(params.edges_per_pair)
 
 
-def surrogate_matrix(comp, cov) -> np.ndarray:
+def surrogate_matrix(comp, z, cov) -> np.ndarray:
     """Full surrogate matrix alpha*U*11^T + beta*(V 1^T + 1 V^T) + theta*Z,
-    diagonal included, built in place."""
+    diagonal included, built in place, from the components' U and V and an
+    explicit Z (the components keep no Z of their own)."""
     g = np.add.outer(comp.V, comp.V)
     g *= cov.beta
     g += cov.alpha * comp.U
-    g += cov.theta * comp.Z
+    g += cov.theta * z
     return g
 
 

@@ -59,6 +59,14 @@ class TestSpectrum:
         rows = [l for l in out.read_text().splitlines() if l and not l.startswith("#")]
         assert len(rows) - 1 == 40
 
+    @pytest.mark.parametrize("n, r", [(3, 3), (5, 5)])
+    def test_surrogate_r_at_n_rejected(self, tmp_path, capsys, n, r):
+        out = tmp_path / "s.csv"
+        code = main(["spectrum", "--surrogate", "-n", str(n), "-r", str(r), "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: need r < n (c = r/n < 1), got r={r}, n={n}\n"
+        assert not out.exists()
+
     def test_from_hypergraph_file(self, tmp_path):
         hg = tmp_path / "hg.json"
         main(["sample", "-n", "10", "-r", "3", "-p", "0.5", "--out", str(hg)])

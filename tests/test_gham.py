@@ -1,5 +1,7 @@
 """Tests for matrix construction, covariance structure, and exact identities."""
 
+import dataclasses
+import functools
 import hashlib
 import math
 
@@ -173,8 +175,8 @@ class TestSurrogate:
         rng = np.random.default_rng(0)
         raw = rng.standard_normal((10, 10))
         z = (raw + raw.T) / math.sqrt(2)
-        comp = SurrogateComponents(U=0.0, V=np.zeros(10), Z=z, seed=0)
-        g = surrogate_matrix(comp, cov)
+        comp = SurrogateComponents(U=0.0, V=np.zeros(10), seed=0)
+        g = surrogate_matrix(comp, z, cov)
         np.testing.assert_allclose(g, cov.theta * z)
 
     def test_reproducible_and_zero_diagonal(self):
@@ -192,10 +194,11 @@ class TestSurrogate:
         for n, seed in ((9, 42), (513, 2)):
             params = ModelParams(n, 4, 0.5)
             comp, g = sample_surrogate(params, seed)
-            expected = surrogate_matrix(comp, covariance_params(params))
+            z = comp.Z
+            expected = surrogate_matrix(comp, z, covariance_params(params))
             np.fill_diagonal(expected, 0.0)
             assert g.tobytes() == expected.tobytes()
-            assert comp.Z.tobytes() == comp.Z.T.copy().tobytes()
+            assert z.tobytes() == z.T.copy().tobytes()
 
     # SHA-256 of G' and of Z as the dense build (draw, Z = (raw + raw.T)/sqrt(2),
     # then G) produced them at p = 0.5.  n = 300 and 513 cross the block edges,
@@ -224,12 +227,17 @@ class TestSurrogate:
         assert hashlib.sha256(g.tobytes()).hexdigest() == g_digest
         assert hashlib.sha256(comp.Z.tobytes()).hexdigest() == z_digest
 
-    def test_peak_is_two_matrices(self):
-        # Z and G' plus a block-sized temporary; the dense build held the draw
-        # beside them, about 3 * 8n^2 bytes
+    def test_peak_is_one_matrix(self):
+        # G' built over its own draw plus a block-sized temporary; the build
+        # that kept Z beside G' peaked at about 2.1 * 8n^2 bytes
         n = 1000
         peak = traced_peak(sample_surrogate, ModelParams(n, 4, 0.5), 1)
-        assert peak <= 2.1 * 8 * n * n
+        assert peak <= 1.25 * 8 * n * n
+
+    def test_components_keep_no_matrix(self):
+        comp, _ = sample_surrogate(ModelParams(40, 4, 0.5), 3)
+        assert [f.name for f in dataclasses.fields(SurrogateComponents)] == ["U", "V", "seed"]
+        assert comp.Z.tobytes() == comp.Z.tobytes()
 
     def test_goe_diagonal_variance_convention(self):
         # Z has off-diagonal variance 1 and diagonal variance 2
@@ -237,8 +245,9 @@ class TestSurrogate:
         diag_vals, off_vals = [], []
         for seed in range(300):
             comp, _ = sample_surrogate(params, seed)
-            diag_vals.extend(np.diag(comp.Z))
-            off_vals.extend(comp.Z[0, 1:6])
+            z = comp.Z
+            diag_vals.extend(np.diag(z))
+            off_vals.extend(z[0, 1:6])
         assert np.var(diag_vals) == pytest.approx(2.0, abs=0.15)
         assert np.var(off_vals) == pytest.approx(1.0, abs=0.15)
 
@@ -300,17 +309,25 @@ class TestLaplacians:
 
     def test_bits_equal_the_diag_formula(self):
         # at p = 0.5 a Bernoulli GHAM has exact off-diagonal zeros, which -x
-        # would turn into -0.0; tobytes tells the two apart
+        # would turn into -0.0; tobytes tells the two apart.  Without out the
+        # input is left as it was; with out=x, as gham.MATRICES calls them, x
+        # ends up holding the same bits
         params = ModelParams(30, 3, 0.5)
+        maps = [(2, laplacian)] + [(r, functools.partial(laplacian_tilde, r=r)) for r in (2, 3, 4)]
         for seed in (0, 1):
             x = gham_from_adjacency(adjacency_from_hypergraph(sample_hypergraph(params, seed)),
                                     params)
             assert (x == 0).sum() > 30
             _, g = sample_surrogate(ModelParams(40, 4, 0.5), seed)
             for m in (x, g):
-                assert laplacian(m).tobytes() == laplacian_from_diag(m).tobytes()
-                for r in (2, 3, 4):
-                    assert laplacian_tilde(m, r).tobytes() == laplacian_from_diag(m, r).tobytes()
+                before = m.tobytes()
+                for r, lap in maps:
+                    want = laplacian_from_diag(m, r).tobytes()
+                    assert lap(m).tobytes() == want
+                    assert m.tobytes() == before
+                    work = m.copy()
+                    assert lap(work, out=work) is work
+                    assert work.tobytes() == want
 
     def test_tilde_domain_error(self):
         with pytest.raises(ValueError):
