@@ -7,6 +7,14 @@ lexicographic order.  All counting is done in exact integer arithmetic
 quantities that are consumed as floats.  A hypergraph's edge count is one
 exact Binomial(C(n, r), p) quantile, computed in numpy; ``scipy.stats`` is
 imported only in the rare draw that lands next to a step of the binomial CDF.
+
+The sampler's memory is bounded by its keys: one base-(n+1) uint64 code per
+drawn subset (r big-endian int64 words when the code would not fit).  The
+draw runs in chunks of a fixed row count, so rows live only within a chunk
+and only keys live across chunks and rounds; the complement's keys are
+enumerated in key order, without rows; the edges are decoded from the keys
+once.  At n=200, r=3, p=0.3 the traced peak is about 45 bytes per edge, 24
+of them the edges returned.
 """
 
 from __future__ import annotations
@@ -100,7 +108,12 @@ class ModelParams:
 @dataclass(frozen=True, eq=False)
 class HypergraphSample:
     """A sampled hypergraph.  ``edges`` takes any array-like of increasing rows
-    in [1, n], stored as a read-only (k, r) int64 copy in lexicographic order."""
+    in [1, n], stored as a read-only (k, r) int64 copy in lexicographic order.
+
+    The constructor validates and sorts the rows it is given, as for loaded or
+    user rows.  ``sample_hypergraph`` skips both through ``_of_sampled``: its
+    rows are built distinct, increasing and in lexicographic order.
+    """
 
     params: ModelParams
     edges: np.ndarray
@@ -126,6 +139,16 @@ class HypergraphSample:
         edges = np.take(edges, order, axis=0).astype(np.int64, copy=False)
         edges.flags.writeable = False
         object.__setattr__(self, "edges", edges)
+
+    @classmethod
+    def _of_sampled(cls, params: ModelParams, edges: np.ndarray, seed: int) -> HypergraphSample:
+        """The sample of the sampler's own (k, r) int64 rows, stored read-only
+        as they are, without ``__post_init__``'s checks and sort."""
+        sample = object.__new__(cls)
+        edges.flags.writeable = False
+        for name, value in (("params", params), ("edges", edges), ("seed", seed)):
+            object.__setattr__(sample, name, value)
+        return sample
 
     def __eq__(self, other):
         if not isinstance(other, HypergraphSample):
@@ -157,6 +180,26 @@ def _edge_rows(n: int, r: int) -> np.ndarray:
         starts = np.repeat(np.cumsum(counts) - counts - last - 1, counts)
         rows = np.column_stack([np.repeat(rows, counts, axis=0), np.arange(counts.sum()) - starts])
     return rows
+
+
+def _edge_keys(n: int, r: int) -> np.ndarray:
+    """The ``_row_keys`` of all C(n, r) r-subsets of {1..n}, in key order.
+
+    Integer codes are enumerated as ``_edge_rows`` enumerates rows, from each
+    prefix's code and last element alone; byte keys encode ``_edge_rows``.
+    """
+    if not _fits_uint64(n, r):
+        return _row_keys(_edge_rows(n, r), n)
+    keys = last = np.zeros(1, dtype=np.int64)
+    for j in range(r):
+        counts = n - r + 1 + j - last
+        starts = np.repeat(np.cumsum(counts) - counts - last - 1, counts)
+        last = np.arange(len(starts))
+        last -= starts
+        del starts
+        keys = np.repeat(keys * (n + 1), counts)
+        keys += last
+    return keys.view(np.uint64)
 
 
 _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
@@ -270,25 +313,9 @@ def _sorted_columns(rows: np.ndarray) -> list[np.ndarray]:
 
 
 def _draw_subset_rows(rng: np.random.Generator, n: int, r: int, count: int) -> np.ndarray:
-    """``count`` i.i.d. uniform r-subsets of {1..n}, one sorted row each.
-
-    Duplicate rows are possible; distinctness is enforced by the caller.
-    """
-    if r <= 8 and 4 * r <= n:
-        # rejection on within-row collisions; collision probability is
-        # at most C(r, 2)/n <= (r - 1)/8 per row under the guard above
-        cols = _sorted_columns(rng.integers(1, n + 1, size=(count, r), dtype=np.int64))
-        ok = cols[1] != cols[0]
-        for j in range(2, r):
-            ok &= cols[j] != cols[j - 1]
-        # kept column by column, as a 2-D boolean gather of the rows is
-        # several times slower; the result is a (count', r) view
-        rows = np.empty((r, np.count_nonzero(ok)), dtype=np.int64)
-        for j in range(r):
-            rows[j] = cols[j][ok]
-        return rows.T
-    # random-keys method: the r smallest of n i.i.d. uniform keys index a
-    # uniform r-subset; chunked to bound memory
+    """``count`` i.i.d. uniform r-subsets of {1..n}, one sorted row each, by
+    the random-keys method: the r smallest of n i.i.d. uniform keys index a
+    uniform r-subset.  Chunked to bound memory; duplicate rows are possible."""
     out = []
     chunk = max(1, min(count, int(2e7) // max(n, 1)))
     done = 0
@@ -302,18 +329,61 @@ def _draw_subset_rows(rng: np.random.Generator, n: int, r: int, count: int) -> n
     return np.concatenate(out, axis=0)
 
 
+# rows per chunk of the rejection draw; a chunk's rows and sorted columns are
+# its only r-wide temporaries, a few MB at r <= 8
+_DRAW_CHUNK = 2**16
+
+
+def _draw_keys(rng: np.random.Generator, n: int, r: int, count: int) -> np.ndarray:
+    """``_row_keys`` of ``count`` i.i.d. uniform r-subsets of {1..n}, in draw
+    order.  Duplicate keys are possible; distinctness is enforced by the caller.
+
+    For r <= 8 and n >= 4r the rows are drawn as ``count`` rows of r uniform
+    values, and those with a within-row collision are dropped (at most
+    C(r, 2)/n <= (r - 1)/8 of them), so fewer keys may come back.  The draw
+    runs in chunks of ``_DRAW_CHUNK`` rows, which take the same values from
+    the stream as one whole draw; only the keys outlive a chunk.
+    """
+    if r > 8 or 4 * r > n:
+        return _row_keys(_draw_subset_rows(rng, n, r, count), n)
+    codes = _fits_uint64(n, r)
+    keys = np.empty(count, dtype=np.uint64 if codes else np.dtype((np.void, 8 * r)))
+    kept = 0
+    for start in range(0, count, _DRAW_CHUNK):
+        size = (min(_DRAW_CHUNK, count - start), r)
+        cols = _sorted_columns(rng.integers(1, n + 1, size=size, dtype=np.int64))
+        ok = cols[1] != cols[0]
+        for j in range(2, r):
+            ok &= cols[j] != cols[j - 1]
+        # coded over the whole chunk and gathered once: one boolean gather
+        # instead of one per column
+        chunk = _horner(cols, n)[ok] if codes else _row_keys(np.column_stack(cols)[ok], n)
+        keys[kept:kept + len(chunk)] = chunk
+        kept += len(chunk)
+    return keys[:kept]
+
+
+def _fits_uint64(n: int, r: int) -> bool:
+    """Do base-(n+1) codes of r-subsets of {1..n} fit in 63 bits?"""
+    return r * math.log2(n + 1) < 63
+
+
+def _horner(cols, n: int) -> np.ndarray:
+    """Base-(n+1) uint64 codes of the rows whose int64 columns are ``cols``."""
+    keys = cols[0].copy()
+    for col in cols[1:]:
+        keys *= n + 1
+        keys += col
+    return keys.view(np.uint64)
+
+
 def _row_keys(rows: np.ndarray, n: int) -> np.ndarray:
     """Keys ordered as the rows are lexicographically: base-(n+1) uint64 codes
     when (n+1)^r < 2^63, else each row's big-endian bytes as one void scalar."""
     r = rows.shape[1]
-    if r * math.log2(n + 1) < 63:
-        # Horner over the columns, accumulated in int64 whatever the rows' dtype
-        rows = rows.astype(np.int64, copy=False)
-        keys = rows[:, 0].copy()
-        for j in range(1, r):
-            keys *= n + 1
-            keys += rows[:, j]
-        return keys.view(np.uint64)
+    if _fits_uint64(n, r):
+        # accumulated in int64 whatever the rows' dtype
+        return _horner(rows.astype(np.int64, copy=False).T, n)
     return np.ascontiguousarray(rows, dtype=">i8").view(np.dtype((np.void, 8 * r))).ravel()
 
 
@@ -332,18 +402,54 @@ def _rows_from_keys(keys: np.ndarray, n: int, r: int) -> np.ndarray:
 def _first_occurrences(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Position of the first occurrence of each distinct key, and that key, in
     key order: the smallest position in each run of equal sorted keys."""
-    shift = max(len(keys) - 1, 0).bit_length()
-    if keys.dtype == np.uint64 and int(keys.max(initial=0)).bit_length() + shift <= 64:
-        # one sort of key << shift | position puts equal keys together with
-        # their first position leading, and is much faster than an argsort
-        packed = np.sort((keys << np.uint64(shift)) | np.arange(len(keys), dtype=np.uint64))
-        keys = packed >> np.uint64(shift)
-        starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
-        return (packed[starts] & np.uint64((1 << shift) - 1)).view(np.int64), keys[starts]
-    order = np.argsort(keys)
-    keys = keys[order]
-    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
-    return np.minimum.reduceat(order, starts), keys[starts]
+    if keys.dtype != np.uint64:
+        order = np.argsort(keys)
+        keys = keys[order]
+        starts = np.flatnonzero(_run_heads(keys))
+        first = np.minimum.reduceat(order, starts)
+        del order
+        return first, keys[starts]
+    # one in-place sort of the words key << shift | position, modulo 2**64,
+    # orders the draws by the key bits below the cut, then by position, and
+    # is much faster than an argsort.  Key bits above the cut, if any, go to
+    # ``top``, and a stable sort by them completes the key order (a radix
+    # sort while they take at most 16 bits).  Each array is dropped as soon
+    # as it is spent
+    shift = max(len(keys) - 1, 1).bit_length()
+    cut = np.uint64(64 - shift)
+    high = int(keys.max(initial=0)) >> int(cut)
+    top = (keys >> cut).astype(np.min_scalar_type(high)) if high else None
+    packed = keys << np.uint64(shift)
+    del keys
+    packed |= np.arange(len(packed), dtype=np.uint64)
+    packed.sort()
+    position = np.uint64((1 << shift) - 1)
+    if high:
+        top = top[(packed & position).view(np.int64)]
+        order = np.argsort(top, kind="stable")
+        top, packed = top[order], packed[order]
+        del order
+    keys = packed >> np.uint64(shift)
+    heads = _run_heads(keys)
+    if high:
+        heads |= _run_heads(top)
+    packed = packed[heads]
+    packed &= position
+    keys = keys[heads]
+    if high:
+        # the keys' bits below the cut came from the words; add those above
+        top = top[heads].astype(np.uint64)
+        top <<= cut
+        keys |= top
+    return packed.view(np.int64), keys
+
+
+def _run_heads(keys: np.ndarray) -> np.ndarray:
+    """Mask of the elements of ``keys`` that differ from their predecessor."""
+    heads = np.empty(len(keys), dtype=bool)
+    heads[:1] = True
+    heads[1:] = keys[1:] != keys[:-1]
+    return heads
 
 
 def _distinct_keys(rng: np.random.Generator, n: int, r: int, k: int, m: int) -> np.ndarray:
@@ -351,26 +457,33 @@ def _distinct_keys(rng: np.random.Generator, n: int, r: int, k: int, m: int) -> 
     subset stream (uniform over k-subsets of the m possible edges), or of the
     complement trick when k > m/2.  Each round drops the keys seen before and
     keeps the smallest first stream positions still needed, by a partition
-    cut-off; a round's keys stay in key order, so only a second round sorts."""
+    cut-off; a round's keys stay in key order, so only a second round sorts.
+
+    A round of b draws holds b keys plus one ``_draw_keys`` chunk, then about
+    three 8-byte words per key while finding first occurrences.  The
+    complement path finishes its draw before it enumerates the m keys."""
     if 2 * k > m:
         # sampling the complement preserves uniformity and avoids the long
-        # coupon-collector tail; m <= 2k is small enough to enumerate
-        keys = _row_keys(_edge_rows(n, r), n)
-        return np.delete(keys, np.searchsorted(keys, _distinct_keys(rng, n, r, m - k, m)))
+        # coupon-collector tail; m <= 2k is small enough to enumerate, which
+        # waits until the complement's draw has freed its temporaries
+        dropped = _distinct_keys(rng, n, r, m - k, m)
+        keys = _edge_keys(n, r)
+        return np.delete(keys, np.searchsorted(keys, dropped))
 
     rounds = [_row_keys(np.empty((0, r), dtype=np.int64), n)]
-    seen = rounds[0]
-    while len(seen) < k:
-        batch = max(1024, 2 * (k - len(seen)))
-        first, keys = _first_occurrences(_row_keys(_draw_subset_rows(rng, n, r, batch), n))
-        fresh = ~np.isin(keys, seen)
-        first, keys = first[fresh], keys[fresh]
-        take = k - len(seen)
+    kept = 0
+    while kept < k:
+        batch = max(1024, 2 * (k - kept))
+        first, keys = _first_occurrences(_draw_keys(rng, n, r, batch))
+        if kept:
+            fresh = ~np.isin(keys, np.concatenate(rounds))
+            first, keys = first[fresh], keys[fresh]
+        take = k - kept
         if len(first) > take:
             keys = keys[first <= np.partition(first, take - 1)[take - 1]]
         rounds.append(keys)
-        seen = np.concatenate(rounds)
-    return rounds[1] if len(rounds) == 2 else np.sort(seen)
+        kept += len(keys)
+    return rounds[1] if len(rounds) == 2 else np.sort(np.concatenate(rounds))
 
 
 def _sample_distinct_edges(
@@ -421,7 +534,7 @@ def sample_hypergraph(params: ModelParams, seed: int) -> HypergraphSample:
     rng = np.random.default_rng(seed)
     k = _draw_edge_count(rng, m, params.p)
     edges = _sample_distinct_edges(rng, params.n, params.r, k, m)
-    return HypergraphSample(params=params, edges=edges, seed=seed)
+    return HypergraphSample._of_sampled(params, edges, seed)
 
 
 def save_hypergraph_json(sample: HypergraphSample, path: str | Path) -> None:

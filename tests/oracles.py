@@ -1,5 +1,5 @@
 """Brute-force and closed-form reference code that only the tests use: counting
-oracles, the Catalan numbers, the GHAM built edge by edge from a weight vector, the full surrogate
+oracles, the sampler's rejection draw in one whole batch, the Catalan numbers, the GHAM built edge by edge from a weight vector, the full surrogate
 matrix built densely from its components, the Laplacians built from np.diag,
 the trace identity and Lipschitz
 constants of the matrix maps, the Stieltjes-inversion density, the aggregate
@@ -28,6 +28,14 @@ def edge_overlap_count(n: int, r: int, s: int) -> int:
     if not (0 <= s <= r <= n):
         raise ValueError(f"need 0 <= s <= r <= n, got n={n}, r={r}, s={s}")
     return math.comb(r, s) * math.comb(n - r, r - s)
+
+
+def whole_rejection_draw(rng, n: int, r: int, count: int) -> np.ndarray:
+    """The sorted rows without a within-row collision among ``count`` rows of r
+    uniform values in [1, n], drawn in one batch: what the sampler's chunked
+    rejection draw keeps for r <= 8, n >= 4r."""
+    rows = np.sort(rng.integers(1, n + 1, size=(count, r), dtype=np.int64), axis=1)
+    return rows[np.all(rows[:, 1:] != rows[:, :-1], axis=1)]
 
 
 def catalan(k: int) -> int:

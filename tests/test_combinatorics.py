@@ -22,7 +22,7 @@ from hypergraph_spectra.combinatorics import (
 )
 from scipy import stats
 
-from oracles import edge_overlap_count, enumerate_edges
+from oracles import edge_overlap_count, enumerate_edges, whole_rejection_draw
 
 
 def product_binomial(n, k):
@@ -208,7 +208,8 @@ class TestSortingNetworks:
 
     @pytest.mark.parametrize("r,n", [(r, n) for r in range(2, 9) for n in (4 * r, 200)])
     def test_rejection_draw_keeps_the_rows_without_collisions(self, r, n):
-        rows = combinatorics._draw_subset_rows(np.random.default_rng(r + n), n, r, 5000)
+        keys = combinatorics._draw_keys(np.random.default_rng(r + n), n, r, 5000)
+        rows = combinatorics._rows_from_keys(keys, n, r)
         drawn = np.sort(
             np.random.default_rng(r + n).integers(1, n + 1, size=(5000, r), dtype=np.int64),
             axis=1,
@@ -216,6 +217,52 @@ class TestSortingNetworks:
         expected = drawn[np.all(drawn[:, 1:] != drawn[:, :-1], axis=1)]
         assert rows.dtype == np.int64
         np.testing.assert_array_equal(rows, expected)
+
+
+class TestChunkedDraw:
+    @pytest.mark.parametrize("n", [150, 200, 2 * 10**4, 2**33])
+    @pytest.mark.parametrize(
+        "pieces", [[1] * 9 + [991], [3] * 9 + [973]], ids=["ones", "threes"]
+    )
+    def test_integers_drawn_in_pieces_equal_one_whole_draw(self, n, pieces):
+        # the chunked rejection draw is bit-identical to one whole batch only
+        # because numpy's stream has this property: split rows of 3 values,
+        # an odd count of them, then an odd remainder
+        whole_rng, piece_rng = np.random.default_rng(n), np.random.default_rng(n)
+        whole = whole_rng.integers(1, n + 1, size=(sum(pieces), 3), dtype=np.int64)
+        drawn = [piece_rng.integers(1, n + 1, size=(c, 3), dtype=np.int64) for c in pieces]
+        np.testing.assert_array_equal(np.concatenate(drawn), whole)
+        assert piece_rng.bit_generator.state == whole_rng.bit_generator.state
+        assert piece_rng.random() == whole_rng.random()
+
+    @pytest.mark.parametrize("chunk", [1, 3, 1000])
+    @pytest.mark.parametrize("r,n", [(2, 8), (3, 200), (8, 32), (5, 2**13), (8, 240)])
+    def test_keys_of_the_whole_batch_in_any_chunk_size(self, monkeypatch, chunk, r, n):
+        # (5, 2**13) and (8, 240) take byte keys
+        expected = whole_rejection_draw(np.random.default_rng(n), n, r, 5001)
+        monkeypatch.setattr(combinatorics, "_DRAW_CHUNK", chunk)
+        rng = np.random.default_rng(n)
+        keys = combinatorics._draw_keys(rng, n, r, 5001)
+        assert keys.dtype == combinatorics._row_keys(expected, n).dtype
+        np.testing.assert_array_equal(combinatorics._rows_from_keys(keys, n, r), expected)
+        after = np.random.default_rng(n)
+        after.integers(1, n + 1, size=(5001, r), dtype=np.int64)
+        assert rng.random() == after.random()
+
+
+class TestEdgeKeys:
+    @pytest.mark.parametrize("n,r", [(2, 2), (6, 3), (9, 4), (12, 2), (11, 11), (150, 3)])
+    def test_codes_of_every_row_in_key_order(self, n, r):
+        keys = combinatorics._edge_keys(n, r)
+        assert keys.dtype == np.uint64
+        np.testing.assert_array_equal(keys, combinatorics._row_keys(combinatorics._edge_rows(n, r), n))
+        assert len(keys) == math.comb(n, r)
+
+    def test_byte_keys_encode_the_rows(self):
+        keys = combinatorics._edge_keys(20, 15)
+        assert keys.dtype.kind == "V"
+        rows = combinatorics._rows_from_keys(keys, 20, 15)
+        assert [tuple(row) for row in rows.tolist()] == enumerate_edges(20, 15)
 
 
 class TestFirstOccurrences:
@@ -235,6 +282,35 @@ class TestFirstOccurrences:
         first, distinct = combinatorics._first_occurrences(keys)
         monkeypatch.undo()
         assert bool(calls) is not packed
+        np.testing.assert_array_equal(distinct, expected_keys)
+        np.testing.assert_array_equal(first, expected_first)
+
+    @pytest.mark.parametrize(
+        "key_bits,size", [(63, 1000), (60, 70_000), (63, 140_000), (43, 3000)]
+    )
+    def test_key_bits_above_the_cut_agree_with_unique(self, key_bits, size):
+        # key bits plus position bits: 73, 77 and 81 take the stable sort by
+        # the top bits (uint16, uint16, uint32 top), 55 does not.  Each key
+        # has a twin that differs only in its top bit
+        rng = np.random.default_rng(key_bits + size)
+        pool = rng.integers(0, 2**key_bits, size=size // 6, dtype=np.uint64)
+        pool[:2] = [2**key_bits - 1, 0]
+        keys = rng.choice(np.concatenate([pool, pool ^ np.uint64(2 ** (key_bits - 1))]), size=size)
+        keys[size // 2] = pool[0]
+        expected_keys, expected_first = np.unique(keys, return_index=True)
+        first, distinct = combinatorics._first_occurrences(keys.copy())
+        np.testing.assert_array_equal(distinct, expected_keys)
+        np.testing.assert_array_equal(first, expected_first)
+        assert first.dtype == np.int64 and distinct.dtype == np.uint64
+
+    @pytest.mark.parametrize("size", [1000, 140_000])
+    def test_keys_equal_below_the_cut_stay_apart(self, size):
+        # eight keys whose bits below the cut are equal: only the top bits
+        # tell them apart
+        family = (np.arange(8, dtype=np.uint64) << np.uint64(60)) | np.uint64(12345)
+        keys = np.random.default_rng(size).choice(family, size=size)
+        expected_keys, expected_first = np.unique(keys, return_index=True)
+        first, distinct = combinatorics._first_occurrences(keys.copy())
         np.testing.assert_array_equal(distinct, expected_keys)
         np.testing.assert_array_equal(first, expected_first)
 
