@@ -9,12 +9,15 @@ exact Binomial(C(n, r), p) quantile, computed in numpy; ``scipy.stats`` is
 imported only in the rare draw that lands next to a step of the binomial CDF.
 
 The sampler's memory is bounded by its keys: one base-(n+1) uint64 code per
-drawn subset (r big-endian int64 words when the code would not fit).  The
-draw runs in chunks of a fixed row count, so rows live only within a chunk
-and only keys live across chunks and rounds; the complement's keys are
-enumerated in key order, without rows; the edges are decoded from the keys
-once.  At n=200, r=3, p=0.3 the traced peak is about 45 bytes per edge, 24
-of them the edges returned.
+drawn subset (r big-endian int64 words when the code would not fit).  Both
+draw methods, rejection and random keys, run in chunks of one budget of
+random values, so rows live only within a chunk and only keys live across
+chunks and rounds; the complement's keys are enumerated in key order, without
+rows; the edges are decoded from the keys once.  At n=200, r=3, p=0.3 the
+traced peak is about 45 bytes per edge, 24 of them the edges returned.  The
+random-keys draw (r > 8 or n < 4r) adds one chunk of values and indices, 3 MB:
+about 195 bytes per edge at n=100, r=9 with 2e4 edges, and 320 to 420 with
+byte keys at n=1000, r=9 and n=40, r=12 with 2e5 edges.
 """
 
 from __future__ import annotations
@@ -312,26 +315,10 @@ def _sorted_columns(rows: np.ndarray) -> list[np.ndarray]:
     return cols
 
 
-def _draw_subset_rows(rng: np.random.Generator, n: int, r: int, count: int) -> np.ndarray:
-    """``count`` i.i.d. uniform r-subsets of {1..n}, one sorted row each, by
-    the random-keys method: the r smallest of n i.i.d. uniform keys index a
-    uniform r-subset.  Chunked to bound memory; duplicate rows are possible."""
-    out = []
-    chunk = max(1, min(count, int(2e7) // max(n, 1)))
-    done = 0
-    while done < count:
-        take = min(chunk, count - done)
-        keys = rng.random((take, n))
-        rows = np.argpartition(keys, r - 1, axis=1)[:, :r].astype(np.int64) + 1
-        rows.sort(axis=1)
-        out.append(rows)
-        done += take
-    return np.concatenate(out, axis=0)
-
-
-# rows per chunk of the rejection draw; a chunk's rows and sorted columns are
-# its only r-wide temporaries, a few MB at r <= 8
-_DRAW_CHUNK = 2**16
+# random values per chunk of the subset draw, r per row by rejection and n per
+# row by random keys; a chunk's rows and their temporaries are its only
+# row-wide arrays, a few MB
+_DRAW_VALUES = 3 * 2**16
 
 
 def _draw_keys(rng: np.random.Generator, n: int, r: int, count: int) -> np.ndarray:
@@ -340,24 +327,36 @@ def _draw_keys(rng: np.random.Generator, n: int, r: int, count: int) -> np.ndarr
 
     For r <= 8 and n >= 4r the rows are drawn as ``count`` rows of r uniform
     values, and those with a within-row collision are dropped (at most
-    C(r, 2)/n <= (r - 1)/8 of them), so fewer keys may come back.  The draw
-    runs in chunks of ``_DRAW_CHUNK`` rows, which take the same values from
-    the stream as one whole draw; only the keys outlive a chunk.
+    C(r, 2)/n <= (r - 1)/8 of them), so fewer keys may come back.  Otherwise
+    each row is drawn by random keys: the r smallest of n i.i.d. uniform
+    values index a uniform r-subset.  Both draws run in chunks of
+    ``_DRAW_VALUES`` random values, which take the same values from the
+    stream as one whole draw; only the keys outlive a chunk.
     """
-    if r > 8 or 4 * r > n:
-        return _row_keys(_draw_subset_rows(rng, n, r, count), n)
+    rejection = r <= 8 and 4 * r <= n
     codes = _fits_uint64(n, r)
     keys = np.empty(count, dtype=np.uint64 if codes else np.dtype((np.void, 8 * r)))
     kept = 0
-    for start in range(0, count, _DRAW_CHUNK):
-        size = (min(_DRAW_CHUNK, count - start), r)
-        cols = _sorted_columns(rng.integers(1, n + 1, size=size, dtype=np.int64))
-        ok = cols[1] != cols[0]
-        for j in range(2, r):
-            ok &= cols[j] != cols[j - 1]
-        # coded over the whole chunk and gathered once: one boolean gather
-        # instead of one per column
-        chunk = _horner(cols, n)[ok] if codes else _row_keys(np.column_stack(cols)[ok], n)
+    step = max(1, _DRAW_VALUES // (r if rejection else n))
+    # random keys are drawn into one buffer: a new array per chunk, freed with
+    # argpartition's equal-sized indices, made glibc trim the heap and fault
+    # its pages in again on every chunk of a process's first sample
+    values = None if rejection else np.empty((min(step, count), n))
+    for start in range(0, count, step):
+        take = min(step, count - start)
+        if rejection:
+            cols = _sorted_columns(rng.integers(1, n + 1, size=(take, r), dtype=np.int64))
+            ok = cols[1] != cols[0]
+            for j in range(2, r):
+                ok &= cols[j] != cols[j - 1]
+            # coded over the whole chunk and gathered once: one boolean gather
+            # instead of one per column
+            chunk = _horner(cols, n)[ok] if codes else _row_keys(np.column_stack(cols)[ok], n)
+        else:
+            rng.random(out=values[:take])
+            rows = np.argpartition(values[:take], r - 1, axis=1)[:, :r] + 1
+            rows.sort(axis=1)
+            chunk = _row_keys(rows, n)
         keys[kept:kept + len(chunk)] = chunk
         kept += len(chunk)
     return keys[:kept]
@@ -486,13 +485,6 @@ def _distinct_keys(rng: np.random.Generator, n: int, r: int, k: int, m: int) -> 
     return rounds[1] if len(rounds) == 2 else np.sort(np.concatenate(rounds))
 
 
-def _sample_distinct_edges(
-    rng: np.random.Generator, n: int, r: int, k: int, m: int
-) -> np.ndarray:
-    """The (k, r) rows of ``_distinct_keys``, in lexicographic order."""
-    return _rows_from_keys(_distinct_keys(rng, n, r, k, m), n, r)
-
-
 def check_edge_budget(
     params: ModelParams,
     advice: str = "use the Gaussian surrogate ensemble "
@@ -530,10 +522,10 @@ def sample_hypergraph(params: ModelParams, seed: int) -> HypergraphSample:
     [1, 2, 3]
     """
     check_edge_budget(params)
-    m = params.num_possible_edges
+    n, r, m = params.n, params.r, params.num_possible_edges
     rng = np.random.default_rng(seed)
     k = _draw_edge_count(rng, m, params.p)
-    edges = _sample_distinct_edges(rng, params.n, params.r, k, m)
+    edges = _rows_from_keys(_distinct_keys(rng, n, r, k, m), n, r)
     return HypergraphSample._of_sampled(params, edges, seed)
 
 

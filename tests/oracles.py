@@ -1,10 +1,11 @@
 """Brute-force and closed-form reference code that only the tests use: counting
-oracles, the sampler's rejection draw in one whole batch, the Catalan numbers, the GHAM built edge by edge from a weight vector, the full surrogate
-matrix built densely from its components, the Laplacians built from np.diag,
-the trace identity and Lipschitz
-constants of the matrix maps, the Stieltjes-inversion density, the aggregate
-fold of an experiment record, the traced memory peak of a call, and the
-thread counts of the bundled OpenBLAS libraries."""
+oracles, the sampler's rejection and random-keys draws in one whole batch, the
+Catalan numbers, the GHAM built edge by edge from a weight vector, the full
+surrogate matrix built densely from its components, the Laplacians built from
+np.diag, the trace identity and Lipschitz constants of the matrix maps, the
+Stieltjes-inversion density, the aggregate fold of an experiment record, the
+traced memory peak of a call, and the thread counts of the bundled OpenBLAS
+libraries."""
 
 import itertools
 import math
@@ -36,6 +37,13 @@ def whole_rejection_draw(rng, n: int, r: int, count: int) -> np.ndarray:
     rejection draw keeps for r <= 8, n >= 4r."""
     rows = np.sort(rng.integers(1, n + 1, size=(count, r), dtype=np.int64), axis=1)
     return rows[np.all(rows[:, 1:] != rows[:, :-1], axis=1)]
+
+
+def whole_random_keys_draw(rng, n: int, r: int, count: int) -> np.ndarray:
+    """``count`` sorted rows, each the 1-based positions of the r smallest of n
+    uniform values, drawn in one batch: the sampler's chunked random-keys
+    draw for r > 8 or n < 4r."""
+    return np.sort(np.argpartition(rng.random((count, n)), r - 1, axis=1)[:, :r] + 1, axis=1)
 
 
 def catalan(k: int) -> int:

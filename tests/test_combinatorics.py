@@ -22,7 +22,12 @@ from hypergraph_spectra.combinatorics import (
 )
 from scipy import stats
 
-from oracles import edge_overlap_count, enumerate_edges, whole_rejection_draw
+from oracles import (
+    edge_overlap_count,
+    enumerate_edges,
+    whole_random_keys_draw,
+    whole_rejection_draw,
+)
 
 
 def product_binomial(n, k):
@@ -235,18 +240,38 @@ class TestChunkedDraw:
         assert piece_rng.bit_generator.state == whole_rng.bit_generator.state
         assert piece_rng.random() == whole_rng.random()
 
+    @pytest.mark.parametrize("n", [10, 30, 40, 201])
+    @pytest.mark.parametrize(
+        "pieces", [[1] * 9 + [991], [3] * 9 + [973]], ids=["ones", "threes"]
+    )
+    def test_uniforms_drawn_in_pieces_equal_one_whole_draw(self, n, pieces):
+        # the same property for the random-keys draw, whose rows are n wide
+        whole_rng, piece_rng = np.random.default_rng(n), np.random.default_rng(n)
+        whole = whole_rng.random((sum(pieces), n))
+        drawn = [piece_rng.random((c, n)) for c in pieces]
+        np.testing.assert_array_equal(np.concatenate(drawn), whole)
+        assert piece_rng.bit_generator.state == whole_rng.bit_generator.state
+        assert piece_rng.random() == whole_rng.random()
+
     @pytest.mark.parametrize("chunk", [1, 3, 1000])
-    @pytest.mark.parametrize("r,n", [(2, 8), (3, 200), (8, 32), (5, 2**13), (8, 240)])
+    @pytest.mark.parametrize(
+        "r,n",
+        [(2, 8), (3, 200), (8, 32), (5, 2**13), (8, 240), (3, 10), (9, 30), (12, 40)],
+    )
     def test_keys_of_the_whole_batch_in_any_chunk_size(self, monkeypatch, chunk, r, n):
-        # (5, 2**13) and (8, 240) take byte keys
-        expected = whole_rejection_draw(np.random.default_rng(n), n, r, 5001)
-        monkeypatch.setattr(combinatorics, "_DRAW_CHUNK", chunk)
+        # (3, 10), (9, 30) and (12, 40) draw by random keys; (5, 2**13),
+        # (8, 240) and (12, 40) take byte keys
+        rejection = r <= 8 and 4 * r <= n
+        whole_draw = whole_rejection_draw if rejection else whole_random_keys_draw
+        expected = whole_draw(np.random.default_rng(n), n, r, 5001)
+        # a budget of ``chunk`` rows of r values, or of n by random keys
+        monkeypatch.setattr(combinatorics, "_DRAW_VALUES", chunk * (r if rejection else n))
         rng = np.random.default_rng(n)
         keys = combinatorics._draw_keys(rng, n, r, 5001)
         assert keys.dtype == combinatorics._row_keys(expected, n).dtype
         np.testing.assert_array_equal(combinatorics._rows_from_keys(keys, n, r), expected)
         after = np.random.default_rng(n)
-        after.integers(1, n + 1, size=(5001, r), dtype=np.int64)
+        whole_draw(after, n, r, 5001)
         assert rng.random() == after.random()
 
 

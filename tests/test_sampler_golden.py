@@ -3,7 +3,7 @@
 The digests were recorded from the tuple-based sampler that preceded the
 array-native one; any change to the edge stream, the edge order, the JSON
 layout or the adjacency arithmetic changes them.  Cases cover every branch of
-``_sample_distinct_edges``: k = 0, k = m, the complement path (2k > m), the
+``_distinct_keys``: k = 0, k = m, the complement path (2k > m), the
 direct path with integer codes in one round and in two rounds, the direct
 path with byte keys (r * log2(n + 1) >= 63, including a complement case), and
 r = 2.  Only (16, 4, 0.49) at seed 1 needs two rounds, because its first

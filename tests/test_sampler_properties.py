@@ -17,16 +17,16 @@ from hypothesis import strategies as st
 from hypergraph_spectra.combinatorics import (
     HypergraphSample,
     ModelParams,
+    _distinct_keys,
     _draw_edge_count,
-    _draw_subset_rows,
-    _sample_distinct_edges,
+    _rows_from_keys,
     load_hypergraph_json,
     sample_hypergraph,
     save_hypergraph_json,
 )
 from hypergraph_spectra.gham import adjacency_from_hypergraph
 
-from oracles import whole_rejection_draw
+from oracles import whole_random_keys_draw, whole_rejection_draw
 
 MAX_EXPECTED_EDGES = 20_000
 
@@ -55,7 +55,7 @@ def reference_distinct_edges(rng, n, r, k, m):
         if r <= 8 and 4 * r <= n:
             rows = whole_rejection_draw(rng, n, r, batch)
         else:
-            rows = _draw_subset_rows(rng, n, r, batch)
+            rows = whole_random_keys_draw(rng, n, r, batch)
         for row in map(tuple, rows.tolist()):
             if row not in seen:
                 seen.add(row)
@@ -102,14 +102,19 @@ def test_distinct_edges_come_back_in_lexicographic_order(params, seed):
     rng = np.random.default_rng(seed)
     m = params.num_possible_edges
     k = _draw_edge_count(rng, m, params.p)
-    rows = _sample_distinct_edges(rng, params.n, params.r, k, m)
+    n, r = params.n, params.r
+    rows = _rows_from_keys(_distinct_keys(rng, n, r, k, m), n, r)
     assert [tuple(e) for e in rows.tolist()] == reference_sample(params, seed)
 
 
 @pytest.mark.parametrize(
     "params,seed,bound",
-    [(ModelParams(200, 3, 0.3), 51, 64), (ModelParams(150, 3, 0.7), 52, 56)],
-    ids=["direct", "complement"],
+    [
+        (ModelParams(200, 3, 0.3), 51, 64),
+        (ModelParams(150, 3, 0.7), 52, 56),
+        (ModelParams(100, 9, 2e4 / math.comb(100, 9)), 53, 400),
+    ],
+    ids=["direct", "complement", "random-keys"],
 )
 def test_sampler_peak_memory_per_edge(params, seed, bound):
     # the warm-up makes the sampler's first call, whose one-time allocations
@@ -125,7 +130,9 @@ def test_sampler_peak_memory_per_edge(params, seed, bound):
     # edge, in the first occurrences of its one batch of 2k keys; the
     # complement path at 40, in decoding the edges from their keys.  A
     # whole-batch draw of 2k rows peaked at 128 and 81, and a stable
-    # np.unique selection at 173
+    # np.unique selection at 173.  The random-keys draw peaks near 200, most
+    # of it one chunk's values and indices (3 MB) over only 2e4 edges; when
+    # it kept every drawn row until the batch ended it peaked at 3344
     assert peak / len(sample.edges) < bound
 
 
