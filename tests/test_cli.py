@@ -491,15 +491,16 @@ def fresh_interpreter(code: str) -> str:
 
 class TestSetUp:
     def test_cli_import_defers_scipy_stats(self):
-        # only Gaussian laws need scipy.special, which is imported on first use,
-        # since importing it with the package would lengthen every set-up;
+        # no law needs scipy.special: the Gaussian CDF and Stieltjes transform are
+        # numpy kernels, and importing it would lengthen every set-up;
         # scipy.stats is loaded only by a rare edge-count draw next to a CDF step.
         # The Lanczos solve needs no scipy.sparse.linalg, and no metric uses
         # quadrature, so scipy.integrate (which pulls in scipy.optimize) is never
-        # loaded at all, and the SVG writer escapes text without xml.sax (which
-        # pulls in urllib.request)
+        # loaded at all, the SVG writer escapes text without xml.sax (which
+        # pulls in urllib.request), and the Faddeeva coefficients are a cosine
+        # sum, not an FFT (numpy.fft adds about 1 MB when loaded)
         deferred = ("scipy.stats", "scipy.integrate", "scipy.optimize", "scipy.special",
-                    "scipy.sparse.linalg", "xml.sax", "urllib.request")
+                    "scipy.sparse.linalg", "xml.sax", "urllib.request", "numpy.fft")
         code = f"import sys, hypergraph_spectra.cli; print([m in sys.modules for m in {deferred}])"
         assert fresh_interpreter(code) == str([False] * len(deferred))
 
@@ -508,13 +509,28 @@ class TestSetUp:
         code = "import hypergraph_spectra.cli as c; print(c.spectra._openblas.cache_info().currsize)"
         assert fresh_interpreter(code) == "0"
 
-    def test_experiments_load_only_the_scipy_they_use(self):
+    def test_cli_import_builds_no_faddeeva_coefficients(self):
+        # the Gaussian law's expansion coefficients are built at its first transform
+        code = textwrap.dedent("""\
+            import hypergraph_spectra.cli
+            from hypergraph_spectra import laws
+            print(laws._faddeeva_coefficients.cache_info().currsize)
+            laws.GaussianLaw(1.0).stieltjes(1j)
+            print(laws._faddeeva_coefficients.cache_info().currsize)
+        """)
+        assert fresh_interpreter(code).splitlines() == ["0", "1"]
+
+    def test_experiments_load_only_the_scipy_they_use(self, tmp_path):
         # the surrogate bulk kind is scored against a semicircle and solves densely;
         # edge_bbp solves by Lanczos, in numpy alone, against a closed-form edge;
         # the Bernoulli bulk kind (the benchmark's bernoulli_dense config) draws its
-        # edge count in numpy
-        code = textwrap.dedent("""\
-            import sys
+        # edge count in numpy; the Gaussian laws of laplacian_bulk (free convolution
+        # with a semicircle at fixed r, G [+] G when proportional), the Gaussian KS
+        # of edge_regimes and a Gaussian convolution from the CLI evaluate numpy
+        # kernels
+        code = textwrap.dedent(f"""\
+            import contextlib, io, sys
+            from hypergraph_spectra.cli import main
             from hypergraph_spectra.experiments import ExperimentConfig, run_experiment
             mods = ("scipy.special", "scipy.sparse.linalg", "scipy.stats")
             run_experiment(ExperimentConfig(kind="bulk", n=300, r=3, trials=1))
@@ -524,8 +540,21 @@ class TestSetUp:
             run_experiment(ExperimentConfig(kind="bulk", ensemble="bernoulli_hypergraph",
                                             n=150, r=3, p=0.7, trials=1, master_seed=5))
             print([m in sys.modules for m in mods])
+            run_experiment(ExperimentConfig(kind="laplacian_bulk", matrix="laplacian_tilde",
+                                            regime="fixed_r", n=60, r=3, trials=1))
+            print([m in sys.modules for m in mods])
+            run_experiment(ExperimentConfig(kind="laplacian_bulk", matrix="laplacian",
+                                            regime="proportional", n=60, r=20, trials=1))
+            print([m in sys.modules for m in mods])
+            run_experiment(ExperimentConfig(kind="edge_regimes", regime="proportional",
+                                            n=60, r=20, trials=1))
+            print([m in sys.modules for m in mods])
+            with contextlib.redirect_stdout(io.StringIO()):
+                main(["laws", "convolve", "--law", "gaussian:0.5", "--law2", "semicircle:1.0",
+                      "--out", {str(tmp_path / "conv.csv")!r}])
+            print([m in sys.modules for m in mods])
         """)
-        assert fresh_interpreter(code).splitlines() == ["[False, False, False]"] * 3
+        assert fresh_interpreter(code).splitlines() == ["[False, False, False]"] * 7
 
     @pytest.mark.parametrize("kind, ensemble", [
         ("universality", "gaussian_surrogate"), ("bulk", "bernoulli_hypergraph")])

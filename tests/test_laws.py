@@ -7,7 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
 from hypergraph_spectra import laws
 from hypergraph_spectra.experiments import ExperimentConfig, _laplacian_reference
@@ -221,6 +221,26 @@ class TestStieltjesGaussian:
     def test_maps_to_upper_half_plane(self):
         zs = (np.linspace(-8, 8, 33)[:, None] + 1j * np.logspace(-3, 1, 7)[None, :]).ravel()
         assert np.all(GaussianLaw(1.0).stieltjes(zs).imag > 0)
+
+
+class TestGaussianKernels:
+    # scipy.special is the oracle only; the package evaluates the Gaussian law
+    # with numpy and libm
+
+    def test_faddeeva_against_wofz(self):
+        # the upper half plane out to |Re z| = 30, from the inversion offset up,
+        # and far out along both axes
+        re = np.linspace(-30.0, 30.0, 601)
+        im = np.concatenate([np.logspace(-12.0, math.log10(30.0), 60), [laws._INVERSION_EPS]])
+        z = np.concatenate([(re[:, None] + 1j * im).ravel(), [1e4j, 1e8j, -1e6 + 3j]])
+        reference = special.wofz(z)
+        assert np.max(np.abs(laws._faddeeva(z) - reference) / np.abs(reference)) <= 1e-13
+
+    @pytest.mark.parametrize("sigma2", [0.5, 1.0, 2.0])
+    def test_cdf_against_erf(self, sigma2):
+        x = np.linspace(-40.0, 40.0, 80_001)
+        reference = 0.5 * (1.0 + special.erf(x / math.sqrt(2.0 * sigma2)))
+        np.testing.assert_allclose(GaussianLaw(sigma2).cdf(x), reference, rtol=0, atol=5e-16)
 
 
 class TestFreeConvolution:

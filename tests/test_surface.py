@@ -153,10 +153,10 @@ def test_every_config_field_is_always_accepted_or_read_somewhere():
     assert always | read == fields
 
 
-def _scipy_stats_imports() -> list[tuple[str, str | None]]:
+def _imports_of(module: str) -> list[tuple[str, str | None]]:
     """(module file, innermost enclosing function or None) of every import of
-    scipy.stats in the package: ``import scipy.stats``, ``from scipy.stats
-    import ...`` or ``from scipy import stats``."""
+    the dotted ``module`` in the package, e.g. for scipy.stats: ``import
+    scipy.stats``, ``from scipy.stats import ...`` or ``from scipy import stats``."""
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text())
@@ -168,7 +168,7 @@ def _scipy_stats_imports() -> list[tuple[str, str | None]]:
                 names = [f"{node.module}.{alias.name}" for alias in node.names]
             else:
                 continue
-            if any(name == "scipy.stats" or name.startswith("scipy.stats.") for name in names):
+            if any(name == module or name.startswith(module + ".") for name in names):
                 owners = [f for f in functions if f.lineno < node.lineno <= f.end_lineno]
                 owner = max(owners, key=lambda f: f.lineno, default=None)
                 found.append((path.name, owner and owner.name))
@@ -178,4 +178,10 @@ def _scipy_stats_imports() -> list[tuple[str, str | None]]:
 def test_scipy_stats_imported_only_by_the_edge_count_fallback():
     # importing scipy.stats costs about 1 s and 60 MB; the only import is the
     # quantile's fallback for a draw next to a CDF step, inside its function
-    assert _scipy_stats_imports() == [("combinatorics.py", "_binomial_quantile")]
+    assert _imports_of("scipy.stats") == [("combinatorics.py", "_binomial_quantile")]
+
+
+def test_no_module_imports_scipy_special():
+    # importing scipy.special costs about 17 MB of resident memory; the Gaussian
+    # law's CDF and Faddeeva function are numpy kernels
+    assert _imports_of("scipy.special") == []
