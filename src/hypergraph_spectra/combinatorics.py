@@ -9,15 +9,17 @@ exact Binomial(C(n, r), p) quantile, computed in numpy; ``scipy.stats`` is
 imported only in the rare draw that lands next to a step of the binomial CDF.
 
 The sampler's memory is bounded by its keys: one base-(n+1) uint64 code per
-drawn subset (r big-endian int64 words when the code would not fit).  Both
-draw methods, rejection and random keys, run in chunks of one budget of
-random values, so rows live only within a chunk and only keys live across
-chunks and rounds; the complement's keys are enumerated in key order, without
-rows; the edges are decoded from the keys once.  At n=200, r=3, p=0.3 the
-traced peak is about 45 bytes per edge, 24 of them the edges returned.  The
-random-keys draw (r > 8 or n < 4r) adds one chunk of values and indices, 3 MB:
-about 195 bytes per edge at n=100, r=9 with 2e4 edges, and 320 to 420 with
-byte keys at n=1000, r=9 and n=40, r=12 with 2e5 edges.
+drawn subset (r big-endian int64 words when the code would not fit).  A round
+draws as many subsets as its k distinct ones need by the coupon-collector
+law, plus six standard deviations, so a second round is rare.  Both draw
+methods, rejection and random keys, run in chunks of one budget of random
+values, so rows live only within a chunk and only keys live across chunks and
+rounds; the complement's keys are enumerated in key order, without rows; the
+edges are decoded from the keys once.  At n=200, r=3, p=0.3 the traced peak
+is about 40 bytes per edge, in that decoding, 24 of them the edges returned.
+The random-keys draw (r > 8 or n < 4r) adds one chunk of values and indices,
+3 MB: about 190 bytes per edge at n=100, r=9 with 2e4 edges, and 160 to 210
+with byte keys at n=1000, r=9 and n=40, r=12 with 2e5 edges.
 """
 
 from __future__ import annotations
@@ -333,7 +335,7 @@ def _draw_keys(rng: np.random.Generator, n: int, r: int, count: int) -> np.ndarr
     ``_DRAW_VALUES`` random values, which take the same values from the
     stream as one whole draw; only the keys outlive a chunk.
     """
-    rejection = r <= 8 and 4 * r <= n
+    rejection = _by_rejection(n, r)
     codes = _fits_uint64(n, r)
     keys = np.empty(count, dtype=np.uint64 if codes else np.dtype((np.void, 8 * r)))
     kept = 0
@@ -360,6 +362,12 @@ def _draw_keys(rng: np.random.Generator, n: int, r: int, count: int) -> np.ndarr
         keys[kept:kept + len(chunk)] = chunk
         kept += len(chunk)
     return keys[:kept]
+
+
+def _by_rejection(n: int, r: int) -> bool:
+    """Does ``_draw_keys`` draw r-subsets of {1..n} by rejection, not by
+    random keys?"""
+    return r <= 8 and 4 * r <= n
 
 
 def _fits_uint64(n: int, r: int) -> bool:
@@ -451,16 +459,52 @@ def _run_heads(keys: np.ndarray) -> np.ndarray:
     return heads
 
 
+# standard deviations that a round's draws add to the expected need, which a
+# one-sided Gaussian tail exceeds with chance 1e-9; and the fewest draws a
+# round makes
+_ROUND_MARGIN = 6.0
+_MIN_ROUND_DRAWS = 1024
+
+
+def _round_draws(n: int, r: int, kept: int, k: int, m: int) -> int:
+    """Draws of ``_draw_keys`` that take the distinct subsets of a stream that
+    has shown ``kept`` of the m to ``k``, with ``_ROUND_MARGIN`` standard
+    deviations to spare.
+
+    After j distinct subsets the next new one takes a geometric number of
+    draws with success chance 1 - j/m (the coupon collector; Feller, vol. 1,
+    IX.3).  Their means and variances, summed from kept to k, are bounded by
+    the integrals m ln((m - kept)/(m - k)) and m (h(k/m) - h(kept/m)), with
+    h(x) = x/(1-x) + ln(1-x).  Both are evaluated from f = k/m as k phi(f)
+    and k (1/(1-f) - phi(f)), phi(x) = -ln(1-x)/x, so that m, which can
+    exceed any float, never becomes one.  A rejection-drawn row is dropped
+    with chance q = 1 - prod_{j<r} (1 - j/n), so T wanted rows take T/(1-q)
+    draws on average, with variance (Var T + q E T)/(1-q)^2.
+    """
+    def phi(x):
+        return -math.log1p(-x) / x if x else 1.0
+
+    f, g = k / m, kept / m
+    mean = k * phi(f) - kept * phi(g)
+    variance = k * (1.0 / (1.0 - f) - phi(f)) - kept * (1.0 / (1.0 - g) - phi(g))
+    q = 1.0 - math.prod(1.0 - j / n for j in range(r)) if _by_rejection(n, r) else 0.0
+    spread = math.sqrt(max(variance, 0.0) + q * mean)
+    return max(_MIN_ROUND_DRAWS, math.ceil((mean + _ROUND_MARGIN * spread) / (1.0 - q)))
+
+
 def _distinct_keys(rng: np.random.Generator, n: int, r: int, k: int, m: int) -> np.ndarray:
     """Sorted ``_row_keys`` of the first k distinct subsets of an i.i.d. uniform
     subset stream (uniform over k-subsets of the m possible edges), or of the
-    complement trick when k > m/2.  Each round drops the keys seen before and
-    keeps the smallest first stream positions still needed, by a partition
-    cut-off; a round's keys stay in key order, so only a second round sorts.
+    complement trick when k > m/2.  Each round draws ``_round_draws`` subsets,
+    drops the keys seen before and keeps the smallest first stream positions
+    still needed, by a partition cut-off; a round's keys stay in key order, so
+    only a second round, rare by its sizing, sorts.  The keys are those of the
+    stream's first k distinct subsets however it is cut into rounds.
 
     A round of b draws holds b keys plus one ``_draw_keys`` chunk, then about
-    three 8-byte words per key while finding first occurrences.  The
-    complement path finishes its draw before it enumerates the m keys."""
+    three 8-byte words per key while finding first occurrences; b is about
+    m ln(m/(m - k)), 1.0k to 1.4k on the direct path.  The complement path
+    finishes its draw before it enumerates the m keys."""
     if 2 * k > m:
         # sampling the complement preserves uniformity and avoids the long
         # coupon-collector tail; m <= 2k is small enough to enumerate, which
@@ -472,8 +516,7 @@ def _distinct_keys(rng: np.random.Generator, n: int, r: int, k: int, m: int) -> 
     rounds = [_row_keys(np.empty((0, r), dtype=np.int64), n)]
     kept = 0
     while kept < k:
-        batch = max(1024, 2 * (k - kept))
-        first, keys = _first_occurrences(_draw_keys(rng, n, r, batch))
+        first, keys = _first_occurrences(_draw_keys(rng, n, r, _round_draws(n, r, kept, k, m)))
         if kept:
             fresh = ~np.isin(keys, np.concatenate(rounds))
             first, keys = first[fresh], keys[fresh]

@@ -88,11 +88,12 @@ def adjacency_from_hypergraph(sample: HypergraphSample) -> np.ndarray:
     """Integer adjacency matrix: A_ij = number of edges containing both i and j
     (i != j), zero diagonal."""
     n = sample.params.n
-    edges = sample.edges - 1
+    # one row per edge slot, so that each pass reads its two slots contiguously
+    slots = np.subtract(sample.edges.T, 1, order="C")
     # slots i < j of increasing rows fill the upper triangle with exact integer counts
     upper = np.zeros(n * n)
     for i, j in itertools.combinations(range(sample.params.r), 2):
-        upper += np.bincount(edges[:, i] * n + edges[:, j], minlength=n * n)
+        upper += np.bincount(slots[i] * n + slots[j], minlength=n * n)
     a = upper.reshape(n, n)
     a += a.T
     return a

@@ -275,6 +275,74 @@ class TestChunkedDraw:
         assert rng.random() == after.random()
 
 
+class TestRoundDraws:
+    @staticmethod
+    def coupon_moments(m, kept, k):
+        """Exact mean and variance of the draws from kept to k distinct of m."""
+        j = np.arange(kept, k, dtype=np.float64)
+        return float(np.sum(m / (m - j))), float(np.sum(j * m / (m - j) ** 2))
+
+    @pytest.mark.parametrize(
+        "n,r,kept,k",
+        [(30, 9, 0, 5000), (30, 9, 2000, 7_000_000), (12, 3, 0, 110), (200, 3, 40_000, 600_000)],
+        ids=["keys-sparse", "keys-half", "rejection-tiny", "rejection-dense"],
+    )
+    def test_mean_and_spread_bound_the_coupon_collector(self, monkeypatch, n, r, kept, k):
+        m = math.comb(n, r)
+        mean, variance = self.coupon_moments(m, kept, k)
+        q = 0.0
+        if combinatorics._by_rejection(n, r):
+            q = 1.0 - math.prod(1 - j / n for j in range(r))
+            variance += q * mean
+            mean /= 1.0 - q
+        monkeypatch.setattr(combinatorics, "_MIN_ROUND_DRAWS", 0)
+        monkeypatch.setattr(combinatorics, "_ROUND_MARGIN", 0.0)
+        central = combinatorics._round_draws(n, r, kept, k, m)
+        # the integral bounds the sum from above by at most m/(m - k) draws
+        assert mean <= central <= mean + m / (m - k) / (1.0 - q) + 1
+        monkeypatch.setattr(combinatorics, "_ROUND_MARGIN", 1.0)
+        spread = combinatorics._round_draws(n, r, kept, k, m) - central
+        sd = math.sqrt(variance) / (1.0 - q)
+        assert sd - 1 <= spread <= 1.01 * sd + 2
+
+    @pytest.mark.parametrize(
+        "n,r,p,seed",
+        [(200, 3, 0.3, 51), (150, 3, 0.7, 5), (100, 9, 2e4 / math.comb(100, 9), 53)],
+        ids=["direct", "complement", "random-keys"],
+    )
+    def test_one_round_draws_little_past_the_last_edge(self, monkeypatch, n, r, p, seed):
+        rounds = []
+        draw_keys = combinatorics._draw_keys
+
+        def spy(rng, n, r, count):
+            keys = draw_keys(rng, n, r, count)
+            rounds.append((count, keys))
+            return keys
+
+        monkeypatch.setattr(combinatorics, "_draw_keys", spy)
+        m, edges = math.comb(n, r), len(sample_hypergraph(ModelParams(n, r, p), seed).edges)
+        ((count, keys),) = rounds
+        # the stream position, among the kept keys, of the first occurrence of
+        # the last distinct subset the round takes (m - k of them in the
+        # complement); rejected rows only add to it.  A round of 2k draws
+        # reached about 1.7 times as far
+        first, _ = combinatorics._first_occurrences(keys)
+        last = np.sort(first)[min(edges, m - edges) - 1] + 1
+        assert count <= 1.05 * last
+
+    def test_edge_count_of_a_binomial_past_float_range(self):
+        # C(1032, 516) > 1.8e308 while p = 50 / C(1032, 516) is still a
+        # subnormal float: float(m) overflows, so the round is sized from k/m
+        n, r = 1032, 516
+        params = ModelParams(n, r, 50 / math.comb(n, r))
+        edges = sample_hypergraph(params, 1).edges
+        assert edges.shape == (50, r)
+        # recorded from the sampler that drew a round of 2k subsets
+        assert hashlib.sha256(edges.tobytes()).hexdigest() == (
+            "232fc16617da3dd5f32cc1ac3be227979a0eb5f7f394c8520f42f0da3d4bf3f1"
+        )
+
+
 class TestEdgeKeys:
     @pytest.mark.parametrize("n,r", [(2, 2), (6, 3), (9, 4), (12, 2), (11, 11), (150, 3)])
     def test_codes_of_every_row_in_key_order(self, n, r):

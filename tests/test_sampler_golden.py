@@ -4,11 +4,13 @@ The digests were recorded from the tuple-based sampler that preceded the
 array-native one; any change to the edge stream, the edge order, the JSON
 layout or the adjacency arithmetic changes them.  Cases cover every branch of
 ``_distinct_keys``: k = 0, k = m, the complement path (2k > m), the
-direct path with integer codes in one round and in two rounds, the direct
-path with byte keys (r * log2(n + 1) >= 63, including a complement case), and
-r = 2.  Only (16, 4, 0.49) at seed 1 needs two rounds, because its first
-batch holds too few distinct rows; its digests were recorded from the
-array-native sampler before its selection was rewritten to sort once.
+direct path with integer codes, the direct path with byte keys
+(r * log2(n + 1) >= 63, including a complement case), and r = 2.  No case
+needs a second round.  (16, 4, 0.49) at seed 1 did while a round drew 2k
+subsets, because its first held too few distinct rows; its digests
+were recorded from the array-native sampler before its selection was
+rewritten to sort once.  The fallback round is pinned in
+``test_sampler_properties.py``.
 """
 
 import hashlib

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hypergraph_spectra import combinatorics
 from hypergraph_spectra.combinatorics import (
     HypergraphSample,
     ModelParams,
@@ -77,7 +78,7 @@ def reference_sample(params, seed):
 # rows keyed by bytes, (n+1)^r >= 2^63: direct and complement paths
 @example(params=ModelParams(22, 14, 0.01), seed=5)
 @example(params=ModelParams(20, 15, 0.9), seed=13)
-# direct path in two rounds: the first batch holds too few distinct rows
+# direct path near k = m/2, where a round of 2k draws held too few distinct rows
 @example(params=ModelParams(16, 4, 0.49), seed=1)
 def test_sampler_matches_tuple_reference_and_invariants(params, seed):
     sample = sample_hypergraph(params, seed)
@@ -95,7 +96,7 @@ def test_sampler_matches_tuple_reference_and_invariants(params, seed):
 @pytest.mark.parametrize(
     "params,seed",
     [(ModelParams(60, 3, 0.3), 22), (ModelParams(16, 4, 0.49), 1), (ModelParams(7, 3, 0.9), 11)],
-    ids=["one-round", "two-rounds", "complement"],
+    ids=["one-round", "near-half", "complement"],
 )
 def test_distinct_edges_come_back_in_lexicographic_order(params, seed):
     # checked before HypergraphSample, whose own sort would hide a missing one
@@ -108,9 +109,45 @@ def test_distinct_edges_come_back_in_lexicographic_order(params, seed):
 
 
 @pytest.mark.parametrize(
+    "params,seed",
+    [
+        (ModelParams(16, 4, 0.49), 1),
+        (ModelParams(30, 9, 3000 / math.comb(30, 9)), 2),
+        (ModelParams(240, 8, 2000 / math.comb(240, 8)), 3),
+        (ModelParams(22, 14, 0.01), 5),
+        (ModelParams(20, 15, 0.9), 13),
+    ],
+    ids=["codes", "codes-random-keys", "bytes", "bytes-random-keys", "bytes-complement"],
+)
+def test_fallback_rounds_take_the_keys_of_one_round(monkeypatch, params, seed):
+    # rounds sized to a third of the subsets still missing always fall short,
+    # so every later round drops the keys seen before and the last one sorts
+    n, r, m = params.n, params.r, params.num_possible_edges
+
+    def distinct_keys():
+        rng = np.random.default_rng(seed)
+        return _distinct_keys(rng, n, r, _draw_edge_count(rng, m, params.p), m)
+
+    one_round = distinct_keys()
+    rounds = []
+
+    def undershoot(n, r, kept, k, m):
+        rounds.append(kept)
+        return max(1, (k - kept) // 3)
+
+    monkeypatch.setattr(combinatorics, "_round_draws", undershoot)
+    keys = distinct_keys()
+    assert len(rounds) >= 3
+    assert keys.dtype == one_round.dtype
+    np.testing.assert_array_equal(keys, one_round)
+    rows = _rows_from_keys(keys, n, r)
+    assert [tuple(e) for e in rows.tolist()] == reference_sample(params, seed)
+
+
+@pytest.mark.parametrize(
     "params,seed,bound",
     [
-        (ModelParams(200, 3, 0.3), 51, 64),
+        (ModelParams(200, 3, 0.3), 51, 48),
         (ModelParams(150, 3, 0.7), 52, 56),
         (ModelParams(100, 9, 2e4 / math.comb(100, 9)), 53, 400),
     ],
@@ -126,11 +163,12 @@ def test_sampler_peak_memory_per_edge(params, seed, bound):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the edges take 24 bytes each.  The direct path peaks at 45 bytes per
-    # edge, in the first occurrences of its one batch of 2k keys; the
-    # complement path at 40, in decoding the edges from their keys.  A
+    # the edges take 24 bytes each.  The direct and complement paths both
+    # peak at 40 bytes per edge, in decoding the edges from their keys; with
+    # a round of 2k draws in place of one sized to the draws k distinct keys
+    # need, the direct path peaked at 45, in finding first occurrences.  A
     # whole-batch draw of 2k rows peaked at 128 and 81, and a stable
-    # np.unique selection at 173.  The random-keys draw peaks near 200, most
+    # np.unique selection at 173.  The random-keys draw peaks near 190, most
     # of it one chunk's values and indices (3 MB) over only 2e4 edges; when
     # it kept every drawn row until the batch ended it peaked at 3344
     assert peak / len(sample.edges) < bound
