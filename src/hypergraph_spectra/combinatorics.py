@@ -1,12 +1,12 @@
 """Exact counting and reproducible sampling of Erdos-Renyi r-uniform hypergraphs.
 
 Vertices are 1-indexed.  Hyperedges are r-subsets of {1..n}; a hypergraph
-stores them as one read-only (k, r) int64 array of increasing rows in
-lexicographic order.  All counting is done in exact integer arithmetic
-(binomials can be astronomically large), with log-space fallbacks for
-quantities that are consumed as floats.  A hypergraph's edge count is one
-exact Binomial(C(n, r), p) quantile, computed in numpy; ``scipy.stats`` is
-imported only in the rare draw that lands next to a step of the binomial CDF.
+stores them slot-major, one read-only (r, k) int64 array whose transposed view
+holds the increasing rows in lexicographic order.  All counting is exact integer
+arithmetic (binomials can be astronomically large), with log-space fallbacks for
+quantities consumed as floats.  A hypergraph's edge count is one exact
+Binomial(C(n, r), p) quantile, computed in numpy; ``scipy.stats`` is imported
+only in the rare draw that lands next to a step of the binomial CDF.
 
 The sampler's memory is bounded by its keys: one base-(n+1) uint64 code per
 drawn subset (r big-endian int64 words when the code would not fit).  A round
@@ -15,8 +15,8 @@ law, plus six standard deviations, so a second round is rare.  Both draw
 methods, rejection and random keys, run in chunks of one budget of random
 values, so rows live only within a chunk and only keys live across chunks and
 rounds; the complement's keys are enumerated in key order, without rows; the
-edges are decoded from the keys once.  At n=200, r=3, p=0.3 the traced peak
-is about 40 bytes per edge, in that decoding, 24 of them the edges returned.
+edges are decoded from the keys once, a slot to a row.  At n=200, r=3, p=0.3
+the traced peak is 32 bytes per edge, in that decoding: key and edge.
 The random-keys draw (r > 8 or n < 4r) adds one chunk of values and indices,
 3 MB: about 190 bytes per edge at n=100, r=9 with 2e4 edges, and 160 to 210
 with byte keys at n=1000, r=9 and n=40, r=12 with 2e5 edges.
@@ -113,11 +113,13 @@ class ModelParams:
 @dataclass(frozen=True, eq=False)
 class HypergraphSample:
     """A sampled hypergraph.  ``edges`` takes any array-like of increasing rows
-    in [1, n], stored as a read-only (k, r) int64 copy in lexicographic order.
+    in [1, n], stored in lexicographic order as the (k, r) transposed view of
+    one read-only C-contiguous (r, k) int64 array: one contiguous row a slot.
 
     The constructor validates and sorts the rows it is given, as for loaded or
-    user rows.  ``sample_hypergraph`` skips both through ``_of_sampled``: its
-    rows are built distinct, increasing and in lexicographic order.
+    user rows, decoding them from their sorted keys.  ``sample_hypergraph`` skips both
+    through ``_of_sampled``: its rows are built distinct, increasing and in
+    lexicographic order.
     """
 
     params: ModelParams
@@ -135,22 +137,19 @@ class HypergraphSample:
             raise ValueError(f"edge vertices must lie in [1, {n}]")
         # keys are injective, so equal neighbours in key order are duplicate
         # rows; the sampler's rows come sorted, which a stable sort finds fast
-        keys = _row_keys(edges, n)
-        order = np.argsort(keys, kind="stable")
-        keys = keys[order]
+        keys = np.sort(_row_keys(edges, n), kind="stable")
         if np.any(keys[1:] == keys[:-1]):
             raise ValueError("duplicate edges in sample")
-        # np.take gathers whole rows several times faster than edges[order]
-        edges = np.take(edges, order, axis=0).astype(np.int64, copy=False)
-        edges.flags.writeable = False
+        edges = _rows_from_keys(keys, n, r)
+        edges.base.flags.writeable = edges.flags.writeable = False
         object.__setattr__(self, "edges", edges)
 
     @classmethod
     def _of_sampled(cls, params: ModelParams, edges: np.ndarray, seed: int) -> HypergraphSample:
-        """The sample of the sampler's own (k, r) int64 rows, stored read-only
-        as they are, without ``__post_init__``'s checks and sort."""
+        """The sample of the sampler's own slot-major rows (``_rows_from_keys``),
+        stored read-only as they are, without ``__post_init__``'s checks and sort."""
         sample = object.__new__(cls)
-        edges.flags.writeable = False
+        edges.base.flags.writeable = edges.flags.writeable = False
         for name, value in (("params", params), ("edges", edges), ("seed", seed)):
             object.__setattr__(sample, name, value)
         return sample
@@ -395,15 +394,16 @@ def _row_keys(rows: np.ndarray, n: int) -> np.ndarray:
 
 
 def _rows_from_keys(keys: np.ndarray, n: int, r: int) -> np.ndarray:
-    """The (k, r) int64 rows whose ``_row_keys`` are ``keys``, in the same order."""
+    """The (k, r) int64 rows whose ``_row_keys`` are ``keys``, in the same order:
+    the transposed view of a C-contiguous (r, k) array, one row per slot."""
     if keys.dtype != np.uint64:
-        return np.ascontiguousarray(keys).view(">i8").reshape(-1, r).astype(np.int64)
-    rows = np.empty((len(keys), r), dtype=np.int64)
-    q = keys.astype(np.int64)
+        words = np.ascontiguousarray(keys).view(">i8").reshape(-1, r)
+        return words.T.astype(np.int64, order="C").T
+    slots = np.empty((r, len(keys)), dtype=np.int64)
+    slots[0] = keys.view(np.int64)  # the quotient, which the last division leaves there
     for j in range(r - 1, 0, -1):
-        np.divmod(q, n + 1, out=(q, rows[:, j]))
-    rows[:, 0] = q
-    return rows
+        np.divmod(slots[0], n + 1, out=(slots[0], slots[j]))
+    return slots.T
 
 
 def _first_occurrences(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -72,7 +72,7 @@ from .laws import (
     Law,
     SemicircleLaw,
 )
-from .metrics import bl_upper_bound, hausdorff_spectra, ks_distance, w1_distance
+from .metrics import hausdorff_spectra, ks_distance, metric_report, w1_distance
 from .spectra import Scaling, extreme_eigenvalues, symmetric_eigenvalues
 from .spectra import _one_blas_thread, _openblas  # the OpenBLAS loader and pin
 
@@ -309,7 +309,8 @@ def _surrogate_draw(params: ModelParams, seed: int) -> tuple[np.ndarray, float]:
 
 
 def _hypergraph_gham(hg) -> np.ndarray:
-    return gham_from_adjacency(adjacency_from_hypergraph(hg), hg.params)
+    a = adjacency_from_hypergraph(hg)
+    return gham_from_adjacency(a, hg.params, out=a)
 
 
 def _check_hypergraph(cfg: ExperimentConfig) -> None:
@@ -392,12 +393,12 @@ def _run_esd(cfg: ExperimentConfig, scaling: Scaling, reference: Law, w1: bool):
     def finish(rows: list[dict], data: dict):
         # pooling eigenvalues across equal-size trials IS the average of the
         # per-trial empirical CDFs, with no grid discretisation
-        pooled = EmpiricalLaw(data["eigenvalues"].ravel())
+        report = metric_report(EmpiricalLaw(data["eigenvalues"].ravel()), reference)
         aggregate = {
             "reference": reference.descriptor(),
-            "mean_esd_ks": ks_distance(pooled, reference),
-            "mean_esd_w1": w1_distance(pooled, reference),
-            "mean_esd_bl_upper": bl_upper_bound(pooled, reference),
+            "mean_esd_ks": report.ks,
+            "mean_esd_w1": report.w1,
+            "mean_esd_bl_upper": report.bl_upper,
             **_row_stats(rows, *keys),
         }
         return aggregate, ["mean_esd_ks"]

@@ -21,7 +21,6 @@ matrix) live with the tests.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -86,30 +85,37 @@ class SurrogateComponents:
 
 def adjacency_from_hypergraph(sample: HypergraphSample) -> np.ndarray:
     """Integer adjacency matrix: A_ij = number of edges containing both i and j
-    (i != j), zero diagonal."""
-    n = sample.params.n
-    # one row per edge slot, so that each pass reads its two slots contiguously
-    slots = np.subtract(sample.edges.T, 1, order="C")
-    # slots i < j of increasing rows fill the upper triangle with exact integer counts
+    (i != j), zero diagonal.  Each slot pair's flat indices are built in one
+    edge-length buffer from two rows of the slot-major edges, not a copy."""
+    n, r = sample.params.n, sample.params.r
+    slots = sample.edges.T
     upper = np.zeros(n * n)
-    for i, j in itertools.combinations(range(sample.params.r), 2):
-        upper += np.bincount(slots[i] * n + slots[j], minlength=n * n)
+    idx = np.empty(len(sample.edges), dtype=np.int64)
+    for i in range(r - 1):
+        for j in range(i + 1, r):
+            # s_i n + s_j = (s_i - 1) n + (s_j - 1) + n + 1: slots i < j of
+            # increasing rows count into the upper triangle from bin n + 1 on
+            np.multiply(slots[i], n, out=idx)
+            idx += slots[j]
+            upper += np.bincount(idx, minlength=n * n + n + 1)[n + 1:]
     a = upper.reshape(n, n)
     a += a.T
     return a
 
 
-def gham_from_adjacency(a: np.ndarray, params: ModelParams) -> np.ndarray:
+def gham_from_adjacency(
+    a: np.ndarray, params: ModelParams, out: np.ndarray | None = None
+) -> np.ndarray:
     """Center and normalise an adjacency matrix to zero-mean unit-variance
     off-diagonal entries: (A_ij - p*N) / (sqrt(p(1-p)) * sqrt(N)), zero diagonal.
-
-    Requires 0 < p < 1 (entry variance degenerates at the endpoints).
-    """
+    ``out`` as for ``laplacian``.  Requires 0 < p < 1 (entry variance
+    degenerates at the endpoints)."""
     if not (0.0 < params.p < 1.0):
         raise ValueError(f"standardisation needs 0 < p < 1, got p={params.p}")
     n_pair = params.edges_per_pair
     scale = math.sqrt(params.p * (1.0 - params.p)) * math.sqrt(n_pair)
-    h = (a - params.p * n_pair) / scale
+    h = np.subtract(a, params.p * n_pair, out=out)
+    h /= scale
     np.fill_diagonal(h, 0.0)
     return h
 

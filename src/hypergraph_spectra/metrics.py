@@ -193,7 +193,7 @@ def bl_upper_bound(a: Law, b: Law) -> float:
     min(w1, 2 ks).  The exact metric needs an infinite-dimensional
     optimisation; both chains d_BL <= d_W1 and d_BL <= 2 d_KS are sharp enough
     for every use in this package."""
-    return min(w1_distance(a, b), 2.0 * ks_distance(a, b))
+    return metric_report(a, b).bl_upper
 
 
 def metric_report(a: Law, b: Law, notes: str = "") -> MetricReport:

@@ -172,7 +172,7 @@ class TestRowKeys:
         keys = combinatorics._row_keys(rows, n)
         assert keys.dtype == np.uint64
         back = combinatorics._rows_from_keys(keys, n, r)
-        assert back.dtype == np.int64 and back.flags.c_contiguous
+        assert back.dtype == np.int64 and back.T.flags.c_contiguous
         np.testing.assert_array_equal(back, rows)
 
     @pytest.mark.parametrize("n,r", [(40, 20), (2**20, 5), (20, 15)])
@@ -181,7 +181,7 @@ class TestRowKeys:
         keys = combinatorics._row_keys(rows.astype(np.int32), n)
         assert keys.dtype.kind == "V"
         back = combinatorics._rows_from_keys(keys, n, r)
-        assert back.dtype == np.int64
+        assert back.dtype == np.int64 and back.T.flags.c_contiguous
         np.testing.assert_array_equal(back, rows)
 
     @pytest.mark.parametrize("n,r", [(10, 3), (40, 20)])
@@ -189,6 +189,48 @@ class TestRowKeys:
         keys = combinatorics._row_keys(np.empty((0, r), dtype=np.int64), n)
         back = combinatorics._rows_from_keys(keys, n, r)
         assert back.shape == (0, r) and back.dtype == np.int64
+
+
+def assert_slot_major(edges):
+    """``edges`` is the (k, r) transposed view of one read-only C-contiguous
+    (r, k) int64 array, and neither can be written."""
+    assert edges.dtype == np.int64 and edges.T.flags.c_contiguous
+    assert edges.base.shape == edges.shape[::-1]
+    for array in (edges, edges.base):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 0
+
+
+class TestSlotMajorEdges:
+    @pytest.mark.parametrize("params,seed", [
+        (ModelParams(200, 3, 0.3), 51),
+        (ModelParams(150, 3, 0.7), 52),
+        (ModelParams(40, 20, 5e-9), 31),
+        (ModelParams(100, 9, 2e4 / math.comb(100, 9)), 53),
+        (ModelParams(6, 3, 0.0), 7),
+    ], ids=["codes", "complement", "bytes", "random-keys", "empty"])
+    def test_sampled(self, params, seed):
+        assert_slot_major(sample_hypergraph(params, seed).edges)
+
+    @pytest.mark.parametrize("params,seed,dtype", [
+        (ModelParams(60, 3, 0.3), 22, np.int64),
+        (ModelParams(60, 3, 0.3), 22, np.int32),
+        (ModelParams(40, 20, 5e-9), 31, np.int64),
+    ], ids=["codes", "codes-int32", "bytes"])
+    def test_constructed_from_strided_rows(self, params, seed, dtype):
+        sample = sample_hypergraph(params, seed)
+        rows = sample.edges[::97].astype(dtype, copy=False)
+        built = HypergraphSample(sample.params, rows, sample.seed)
+        assert_slot_major(built.edges)
+        np.testing.assert_array_equal(built.edges, rows)
+
+    def test_loaded(self, tmp_path):
+        sample = sample_hypergraph(ModelParams(30, 4, 0.2), 8)
+        save_hypergraph_json(sample, tmp_path / "h.json")
+        loaded = load_hypergraph_json(tmp_path / "h.json")
+        assert_slot_major(loaded.edges)
+        assert loaded.edges.tobytes() == sample.edges.tobytes()
 
 
 class TestSortingNetworks:

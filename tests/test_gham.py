@@ -69,6 +69,12 @@ class TestAdjacency:
         brute = sum(indicator_matrix(8, e) for e in sample.edges)
         np.testing.assert_array_equal(a, brute)
 
+    def test_reads_the_slot_major_edges_without_a_copy(self):
+        # at r = 30 a transposed copy of the edges held all 30 rows (48 MB at
+        # 2e5 edges); the pass holds A and two edge-length index buffers
+        sample = sample_hypergraph(ModelParams(100, 30, 2e5 / math.comb(100, 30)), 1)
+        assert traced_peak(adjacency_from_hypergraph, sample) < sample.edges.nbytes / 8
+
 
 class TestGhamFromAdjacency:
     def test_complete_case_value(self):
@@ -88,6 +94,15 @@ class TestGhamFromAdjacency:
         np.fill_diagonal(a, 0.0)
         h = gham_from_adjacency(a, params)
         np.testing.assert_allclose(h, 0.0)
+
+    def test_in_place_is_bit_identical(self):
+        params = ModelParams(30, 3, 0.3)
+        a = adjacency_from_hypergraph(sample_hypergraph(params, 4))
+        before = a.copy()
+        h = gham_from_adjacency(a, params)
+        np.testing.assert_array_equal(a, before)
+        assert gham_from_adjacency(a, params, out=a) is a
+        assert a.tobytes() == h.tobytes()
 
     @pytest.mark.parametrize("p", [0.0, 1.0])
     def test_degenerate_variance_rejected(self, p):

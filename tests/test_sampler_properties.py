@@ -164,7 +164,8 @@ def test_sampler_peak_memory_per_edge(params, seed, bound):
     finally:
         tracemalloc.stop()
     # the edges take 24 bytes each.  The direct and complement paths both
-    # peak at 40 bytes per edge, in decoding the edges from their keys; with
+    # peak at 32 bytes per edge, in decoding the edges from their keys (40
+    # while the decode kept its quotients apart from the edges); with
     # a round of 2k draws in place of one sized to the draws k distinct keys
     # need, the direct path peaked at 45, in finding first occurrences.  A
     # whole-batch draw of 2k rows peaked at 128 and 81, and a stable
