@@ -14,9 +14,10 @@ draws as many subsets as its k distinct ones need by the coupon-collector
 law, plus six standard deviations, so a second round is rare.  Both draw
 methods, rejection and random keys, run in chunks of one budget of random
 values, so rows live only within a chunk and only keys live across chunks and
-rounds; the complement's keys are enumerated in key order, without rows; the
-edges are decoded from the keys once, a slot to a row.  At n=200, r=3, p=0.3
-the traced peak is 32 bytes per edge, in that decoding: key and edge.
+rounds; the complement's dropped subsets are located by closed-form rank and
+the keys left enumerated in key order, without rows; the edges are decoded
+from the keys once, a slot to a row.  At n=200, r=3, p=0.3 the traced peak
+is 32 bytes per edge, in that decoding: key and edge.
 The random-keys draw (r > 8 or n < 4r) adds one chunk of values and indices,
 3 MB: about 190 bytes per edge at n=100, r=9 with 2e4 edges, and 160 to 210
 with byte keys at n=1000, r=9 and n=40, r=12 with 2e5 edges.
@@ -204,6 +205,28 @@ def _edge_keys(n: int, r: int) -> np.ndarray:
         keys = np.repeat(keys * (n + 1), counts)
         keys += last
     return keys.view(np.uint64)
+
+
+def _lex_ranks(keys: np.ndarray, n: int, r: int) -> np.ndarray:
+    """Each ``_row_keys`` key's int64 position among the r-subsets of {1..n} in
+    lexicographic order (Knuth, TAOCP 4A, 7.2.1.3): C(n - s_j, r - j) subsets
+    follow s_0 < ... < s_{r-1} and first differ from it in slot j, where s_j > j,
+    so rank = C(n, r) - 1 - sum_j C(n - s_j, r - j), one table gather a slot."""
+    table = np.array([[math.comb(n - v, r - j) * (v > j) for v in range(n + 1)] for j in range(r)])
+    ranks = np.full(len(keys), math.comb(n, r) - 1, dtype=np.int64)
+    if keys.dtype != np.uint64:
+        for j, words in enumerate(np.ascontiguousarray(keys).view(">i8").reshape(-1, r).T):
+            ranks -= table[j][words]
+        return ranks
+    # digits by floor division, from the last slot; mode="clip" gathers in place
+    rest, digit = keys.view(np.int64), np.empty(len(keys), dtype=np.int64)
+    for j in range(r - 1, 0, -1):
+        quotient = rest // (n + 1)
+        np.subtract(rest, np.multiply(quotient, n + 1, out=digit), out=digit)
+        ranks -= table[j].take(digit, out=digit, mode="clip")
+        rest = quotient
+    ranks -= table[0][rest]
+    return ranks
 
 
 _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
@@ -503,15 +526,15 @@ def _distinct_keys(rng: np.random.Generator, n: int, r: int, k: int, m: int) -> 
 
     A round of b draws holds b keys plus one ``_draw_keys`` chunk, then about
     three 8-byte words per key while finding first occurrences; b is about
-    m ln(m/(m - k)), 1.0k to 1.4k on the direct path.  The complement path
-    finishes its draw before it enumerates the m keys."""
+    m ln(m/(m - k)), 1.0k to 1.4k on the direct path.  The complement path masks
+    out its dropped subsets' ``_lex_ranks`` before it enumerates the m keys."""
     if 2 * k > m:
         # sampling the complement preserves uniformity and avoids the long
         # coupon-collector tail; m <= 2k is small enough to enumerate, which
         # waits until the complement's draw has freed its temporaries
-        dropped = _distinct_keys(rng, n, r, m - k, m)
-        keys = _edge_keys(n, r)
-        return np.delete(keys, np.searchsorted(keys, dropped))
+        keep = np.ones(m, dtype=bool)
+        keep[_lex_ranks(_distinct_keys(rng, n, r, m - k, m), n, r)] = False
+        return _edge_keys(n, r)[keep]
 
     rounds = [_row_keys(np.empty((0, r), dtype=np.int64), n)]
     kept = 0

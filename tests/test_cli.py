@@ -41,6 +41,15 @@ class TestSample:
         main(["--seed", "5", "sample", "-n", "8", "-r", "3", "-p", "0.4", "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
 
+    def test_complement_sample_matches_golden_digest(self, tmp_path):
+        # p > 1/2 takes the sampler's complement path; the digest was recorded
+        # before its dropped subsets were located by lexicographic rank
+        out = tmp_path / "hg.json"
+        main(["--seed", "4", "sample", "-n", "30", "-r", "3", "-p", "0.8", "--out", str(out)])
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "aca3256f88bb6ecf4abad72faf676eff983a0121739e1d233e5c7db9f1bd76f4"
+        )
+
     def test_budget_error_exit_code(self, tmp_path, capsys):
         code = main(
             ["sample", "-n", "64", "-r", "32", "-p", "0.5", "--out", str(tmp_path / "x.json")]

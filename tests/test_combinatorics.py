@@ -400,6 +400,32 @@ class TestEdgeKeys:
         assert [tuple(row) for row in rows.tolist()] == enumerate_edges(20, 15)
 
 
+class TestLexRanks:
+    @pytest.mark.parametrize(
+        "n,r", [(2, 2), (6, 3), (9, 4), (12, 2), (11, 11), (150, 3), (20, 15)]
+    )
+    def test_every_subset_ranks_at_its_position(self, n, r):
+        keys = combinatorics._edge_keys(n, r)
+        assert (keys.dtype == np.uint64) == combinatorics._fits_uint64(n, r)
+        ranks = combinatorics._lex_ranks(keys, n, r)
+        assert ranks.dtype == np.int64
+        np.testing.assert_array_equal(ranks, np.arange(math.comb(n, r)))
+
+    @pytest.mark.parametrize("n,r", [(30, 3), (100, 4), (13, 6), (13, 10), (18, 15), (20, 15)])
+    def test_random_subsets_rank_where_a_search_finds_them(self, n, r):
+        rng = np.random.default_rng(n * r)
+        rows = np.sort(np.argsort(rng.random((500, n)), axis=1)[:, :r] + 1, axis=1)
+        keys = combinatorics._row_keys(rows, n)
+        expected = np.searchsorted(combinatorics._edge_keys(n, r), keys)
+        np.testing.assert_array_equal(combinatorics._lex_ranks(keys, n, r), expected)
+
+    @pytest.mark.parametrize("n,r", [(10, 3), (20, 15)])
+    def test_no_keys_no_ranks(self, n, r):
+        keys = combinatorics._row_keys(np.empty((0, r), dtype=np.int64), n)
+        ranks = combinatorics._lex_ranks(keys, n, r)
+        assert ranks.dtype == np.int64 and ranks.shape == (0,)
+
+
 class TestFirstOccurrences:
     @pytest.mark.parametrize("total_bits,packed", [(64, True), (65, False), (40, True)])
     def test_packed_sort_agrees_with_argsort(self, monkeypatch, total_bits, packed):

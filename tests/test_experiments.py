@@ -755,6 +755,23 @@ class TestPersistence:
         csv = np.loadtxt(run_dir / "eigenvalues.csv", delimiter=",", skiprows=1)
         assert csv.shape == (90, 3)
 
+    @pytest.mark.parametrize("arr", [
+        np.random.default_rng(1).standard_normal((1, 40)),
+        np.random.default_rng(2).standard_normal((5, 30)) * 1e-300,
+        np.array([[-0.0, np.inf], [np.nan, 2.0**60]]),
+    ], ids=["one-trial", "multi-trial", "2x2"])
+    def test_csv_bytes_are_those_of_savetxt(self, tmp_path, arr):
+        rec = experiments.ExperimentRecord(
+            {"kind": "bulk", "master_seed": 3}, [], {}, 0.0, data={"eigenvalues": arr}
+        )
+        run_dir = persist_record(rec, tmp_path, timestamp="t")
+        trial_idx = np.repeat(np.arange(arr.shape[0]), arr.shape[1])
+        flat = np.column_stack([trial_idx, np.tile(np.arange(arr.shape[1]), arr.shape[0]), arr.ravel()])
+        np.savetxt(tmp_path / "expected.csv", flat, delimiter=",", header="trial,index,value")
+        written = (run_dir / "eigenvalues.csv").read_bytes()
+        assert written == (tmp_path / "expected.csv").read_bytes()
+        assert written.count(b"\n") == 1 + arr.size
+
     def test_pooled_record_carries_provenance(self, tmp_path):
         cfg = ExperimentConfig(kind="edge_bbp", n=60, r=4, trials=3, master_seed=2, threads=2)
         run_dir = persist_record(run_experiment(cfg), tmp_path, timestamp="t")

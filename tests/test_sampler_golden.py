@@ -79,3 +79,29 @@ def test_sampler_output_matches_golden_digests(tmp_path, case, count, json_diges
     assert hashlib.sha256(path.read_bytes()).hexdigest() == json_digest
     adjacency = adjacency_from_hypergraph(sample)
     assert hashlib.sha256(adjacency.tobytes()).hexdigest() == adjacency_digest
+
+
+# ((n, r, p, seed), edge count, sha256 of ``edges.tobytes()``) on the
+# complement path (2k > C(n, r)), recorded before its dropped subsets were
+# located by lexicographic rank: the benchmark's dense case, larger
+# complements, byte keys and a case near p = 1
+COMPLEMENT_GOLDEN = [
+    ((150, 3, 0.7, 5), 386203,
+     "349e0f1258977ccc5710a7b674c5faa1c9e4e3174e1aadd6116037aee5f22f41"),
+    ((100, 4, 0.6, 7), 2353044,
+     "89cde49cf5c6be8466ea937d444014cc964baabe1141951c2aed16f4b4d8ee9b"),
+    ((20, 15, 0.7, 3), 10775,
+     "1a3904fed8ade44df7c724526e9388ed77efe5e52d5b7707eb3d7c041529bef4"),
+    ((12, 4, 0.99, 2), 489,
+     "0cd5bbab2687e27f27663b8d3eda0dc38c81687e833734761ba6880d92d727a2"),
+]
+
+
+@pytest.mark.parametrize(
+    "case,count,edge_digest", COMPLEMENT_GOLDEN, ids=[str(g[0]) for g in COMPLEMENT_GOLDEN]
+)
+def test_complement_edges_match_golden_digests(case, count, edge_digest):
+    n, r, p, seed = case
+    edges = sample_hypergraph(ModelParams(n, r, p), seed).edges
+    assert len(edges) == count
+    assert hashlib.sha256(edges.tobytes()).hexdigest() == edge_digest
